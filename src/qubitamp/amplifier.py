@@ -268,49 +268,33 @@ def _path_total_marginal(state: FockState, paths) -> dict[tuple, float]:
     return probs
 
 
-def _ancilla_wavefunctions(params: AmplifierParams, path: str,
-                           split_internals: bool):
-    """Possible internal configurations of one ancilla photon.
-
-    Returns (weight, wavefunction, tag) entries. The coherent superposition
-    mu|matched> + sqrt(1-mu^2)|orthogonal> is exact; splitting it into
-    classical matched/orthogonal branches leaves every click statistic
-    unchanged (the circuit never mixes internal modes) and is what the
-    pulse sampler uses.
-    """
+def _ancilla_wavefunction(params: AmplifierParams, path: str) -> dict:
+    """Wavefunction mu|matched> + sqrt(1-mu^2)|orthogonal> of one ancilla
+    photon on `path`: a coherent superposition of the internal modes."""
     mu = params.mu
     nu = math.sqrt(max(0.0, 1.0 - mu * mu))
-    if not split_internals or nu == 0.0 or mu == 0.0:
-        wf = {(path, MATCHED): mu, (path, ORTHOGONAL): nu}
-        return [(1.0, wf, "")]
-    return [
-        (mu * mu, {(path, MATCHED): 1.0}, f"{path}=matched"),
-        (nu * nu, {(path, ORTHOGONAL): 1.0}, f"{path}=orthogonal"),
-    ]
+    return {(path, MATCHED): mu, (path, ORTHOGONAL): nu}
 
 
 def _presence_branches(slots):
     """Cartesian product of independent photon-presence slots.
 
-    slots: list of (name, probability_present, list of wavefunction options).
+    slots: list of (name, probability_present, wavefunction).
     Yields (weight, photons, tag) with zero-weight combinations dropped.
     """
     combos = [(1.0, [], "")]
-    for name, p, options in slots:
+    for name, p, wf in slots:
         grown = []
         for w, photons, tag in combos:
             if p > 0.0:
-                for wo, wf, subtag in options:
-                    t = f"{tag} {name}=1" + (f" {subtag}" if subtag else "")
-                    grown.append((w * p * wo, photons + [wf], t.strip()))
+                grown.append((w * p, photons + [wf], f"{tag} {name}=1".strip()))
             if p < 1.0:
                 grown.append((w * (1.0 - p), photons, f"{tag} {name}=0".strip()))
         combos = grown
     return combos
 
 
-def build_fock_hpa(params: AmplifierParams,
-                   split_internals: bool = False) -> ScenarioBundle:
+def build_fock_hpa(params: AmplifierParams) -> ScenarioBundle:
     """Single-photon amplifier without post-selection.
 
     Paths: "in" carries the input photon toward the 50/50 heralding
@@ -322,9 +306,8 @@ def build_fock_hpa(params: AmplifierParams,
     """
     paths = ("in", "anc", "out")
     slots = [
-        ("in", params.p_in, [(1.0, {("in", MATCHED): 1.0}, "")]),
-        ("anc", params.p_a, _ancilla_wavefunctions(params, "out",
-                                                   split_internals)),
+        ("in", params.p_in, {("in", MATCHED): 1.0}),
+        ("anc", params.p_a, _ancilla_wavefunction(params, "out")),
     ]
     branches = [Branch(w, _source_state(paths, photons, params.cutoff), tag)
                 for w, photons, tag in _presence_branches(slots)]
@@ -356,15 +339,13 @@ _TIMEBIN_RAW_CLASSES = (
 
 
 def _build_timebin(params: AmplifierParams, qubit: QubitSpec,
-                   herald_classes, split_internals: bool) -> ScenarioBundle:
+                   herald_classes) -> ScenarioBundle:
     paths = ("in_s", "in_l", "anc_s", "anc_l", "out_s", "out_l")
     input_wf = {("in_s", MATCHED): qubit.alpha, ("in_l", MATCHED): qubit.beta}
     slots = [
-        ("in", params.p_in, [(1.0, input_wf, "")]),
-        ("anc_s", params.p_a, _ancilla_wavefunctions(params, "out_s",
-                                                     split_internals)),
-        ("anc_l", params.p_a, _ancilla_wavefunctions(params, "out_l",
-                                                     split_internals)),
+        ("in", params.p_in, input_wf),
+        ("anc_s", params.p_a, _ancilla_wavefunction(params, "out_s")),
+        ("anc_l", params.p_a, _ancilla_wavefunction(params, "out_l")),
     ]
     branches = [Branch(w, _source_state(paths, photons, params.cutoff), tag)
                 for w, photons, tag in _presence_branches(slots)]
@@ -398,7 +379,7 @@ def _psi_assignment() -> dict[str, tuple[str, float]]:
     if _PSI_ASSIGNMENT is None:
         probe = AmplifierParams(t=0.5, p_in=1.0, p_a=1.0, eta=1.0)
         qubit = QubitSpec.from_phase(0.0)
-        bundle = _build_timebin(probe, qubit, _TIMEBIN_RAW_CLASSES, False)
+        bundle = _build_timebin(probe, qubit, _TIMEBIN_RAW_CLASSES)
         fid = {}
         for cls, analysis in _heralded_analysis(bundle).items():
             fid[cls] = _qubit_fidelity(analysis.qubit_density, qubit, 0.0)
@@ -412,8 +393,8 @@ def _psi_assignment() -> dict[str, tuple[str, float]]:
     return _PSI_ASSIGNMENT
 
 
-def build_timebin_hqa(params: AmplifierParams, qubit: QubitSpec,
-                      split_internals: bool = False) -> ScenarioBundle:
+def build_timebin_hqa(params: AmplifierParams,
+                      qubit: QubitSpec) -> ScenarioBundle:
     """Time-bin qubit amplifier: one Fock-amplifier stage per rail.
 
     The input photon is delocalized over the two rails with the qubit
@@ -428,17 +409,15 @@ def build_timebin_hqa(params: AmplifierParams, qubit: QubitSpec,
         name, phase = assignment[raw.name]
         classes.append(HeraldClass(name, raw.patterns, phase))
     classes.sort(key=lambda c: c.name, reverse=True)  # psi_plus first
-    return _build_timebin(params, qubit, classes, split_internals)
+    return _build_timebin(params, qubit, classes)
 
 
 def build_scenario(scenario: str, params: AmplifierParams,
-                   qubit: QubitSpec | None = None,
-                   split_internals: bool = False) -> ScenarioBundle:
+                   qubit: QubitSpec | None = None) -> ScenarioBundle:
     if scenario == "fock-hpa":
-        return build_fock_hpa(params, split_internals)
+        return build_fock_hpa(params)
     if scenario == "timebin-hqa":
-        return build_timebin_hqa(params, qubit or QubitSpec.from_phase(0.0),
-                                 split_internals)
+        return build_timebin_hqa(params, qubit or QubitSpec.from_phase(0.0))
     raise ValueError(f"unknown scenario {scenario!r}")
 
 
@@ -630,7 +609,8 @@ def _class_rates(params: AmplifierParams, phis) -> dict[str, np.ndarray]:
         for name, a in _heralded_analysis(shifted).items():
             overlap = float((_ANALYZER.conj() @ a.qubit_density
                              @ _ANALYZER).real)
-            rates[name].append(a.prob * overlap)
+            # a PSD density has a non-negative overlap; clamp rounding dust
+            rates[name].append(max(0.0, a.prob * overlap))
     return {name: np.array(vals) for name, vals in rates.items()}
 
 

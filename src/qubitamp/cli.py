@@ -5,8 +5,8 @@ flags override file values, and a named preset fills in parameter defaults
 before either. CSV output uses 9 significant digits, '.' decimals and
 bare newline line endings.
 
-Exit codes: 0 success, 2 parse error, 3 validation error, 4 internal
-numerical failure.
+Exit codes: 0 success, 2 parse error, 3 validation error (including a
+non-finite float value), 4 internal numerical failure.
 """
 
 from __future__ import annotations
@@ -118,6 +118,10 @@ def resolve_config(args: argparse.Namespace) -> dict:
                                              "mu_minus", "mu_from", "mu_to",
                                              "mu_steps")
                    if v is not None}
+    for source in (file_values, flag_values):
+        for key, value in source.items():
+            if key in _FLOAT_KEYS and not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value}")
     preset = flag_values.get("preset", file_values.get("preset"))
     cfg = dict(DEFAULTS)
     if preset is not None:

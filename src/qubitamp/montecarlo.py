@@ -1,18 +1,25 @@
-"""Pulse-by-pulse sampling of coincidence counts and the ratio estimators.
+"""Coincidence counts of a run of pulses and the ratio estimators.
 
-Each pulse draws a classical source branch (photon presences and internal
-modes), then a detection outcome from the exact conditional click
-distribution of that branch, so the sampler is unbiased by construction and
-needs no rejection step. Counts mirror the experimental bookkeeping:
+Pulses are independent and identically distributed, so the count table of
+a run is one multinomial draw over the exclusive outcomes of a pulse. Each
+pulse falls in exactly one cell:
 
-  d1        input-herald detector, an independent Bernoulli(eta_herald);
-  d1_d2     d1 in coincidence with the transmission-calibration channel, an
-            interleaved reference measurement that registers the input
-            photon surviving the channel (Bernoulli(p_in), drawn
-            independently of the amplifier optics so the ratio estimators
-            stay consistent with the exact oracle);
-  threefold d1_d2 plus a herald-class click pattern;
-  fourfold  threefold plus a click of the output analyzer detector.
+  no d1         the input-herald detector stays silent;
+  d1 only       d1 clicks (an independent Bernoulli(eta_herald)) but the
+                transmission-calibration channel does not;
+  d1_d2         d1 in coincidence with the calibration channel, an
+                interleaved reference measurement that registers the input
+                photon surviving the channel (Bernoulli(p_in), independent
+                of the amplifier optics so that the ratio estimators stay
+                consistent with the exact oracle), split further by the
+                herald class and the click of the output analyzer detector,
+                or by no herald at all.
+
+The herald and analyzer probabilities come from the exact outcome
+distribution of the scenario, so the sampler is unbiased by construction.
+Counts mirror the experimental bookkeeping: d1, d1_d2, threefold (d1_d2
+plus a herald-class click pattern) and fourfold (threefold plus an analyzer
+click).
 
 Poisson counting statistics are propagated to the ratio estimators at first
 order over the independent increments of each nested pair (a and b - a for
@@ -26,14 +33,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplifier import AmplifierParams, QubitSpec, build_scenario
-from .circuits import BeamSplitter, Branch, Circuit, Mixture, PhaseShift, run_circuit
+from .amplifier import (
+    AmplifierParams,
+    QubitSpec,
+    _class_outcome_tuples,
+    build_scenario,
+)
+from .circuits import BeamSplitter, Circuit, PhaseShift, run_circuit
 from .detection import CLICK, Detector, DetectorSpec, measure, measure_all
 
 #: Default input-herald efficiency: source heralding times detector efficiency.
 ETA_HERALD_DEFAULT = 0.86 * 0.70
-
-_CHUNK = 1_000_000
 
 
 class UndefinedEstimateError(ValueError):
@@ -90,44 +100,26 @@ def _analyzer_setup(bundle, analyzer_phi: float, eta_out: float):
     return Circuit(bundle.circuit.paths, elements), Detector("d4", "out_s", spec)
 
 
-def _branch_outcome_table(bundle, circuit, d4: Detector):
-    """Exact per-branch distribution over (herald class, analyzer click).
+def _branch_outcome_table(bundle, circuit, d4: Detector) -> np.ndarray:
+    """Exact probability of each (herald class, analyzer click) pair.
 
-    Returns (weights, outcomes) where outcomes[b] is a list of
-    ((class_index, d4_clicked), probability) entries; the remaining
-    probability of each branch corresponds to "no herald".
+    The whole source mixture runs through the amplifier once; each herald
+    outcome's conditional output then runs through the analyzer tail.
+    Returns an (n_classes, 2) array indexed by [class, d4 clicked]; the
+    remaining probability corresponds to "no herald".
     """
-    class_outcomes = []
-    order = [d.name for d in bundle.detectors]
-    for cls in bundle.herald_classes:
-        class_outcomes.append({
-            tuple(p[name] == CLICK for name in order) for p in cls.patterns
-        })
+    propagated = run_circuit(bundle.source, bundle.circuit)
+    table = measure_all(propagated, list(bundle.detectors))
     tail = _analyzer_tail(bundle, circuit)
-    weights = []
-    outcomes = []
-    for b in bundle.source:
-        weights.append(b.weight)
-        propagated = run_circuit(Mixture([Branch(1.0, b.state, b.tag)]),
-                                 bundle.circuit)
-        table = measure_all(propagated, list(bundle.detectors))
-        entries = []
-        for ci, wanted in enumerate(class_outcomes):
-            p_click = p_silent = 0.0
-            for outcome, (p, cond) in table.items():
-                if outcome not in wanted:
-                    continue
-                # propagate the conditional output through the analyzer
-                analyzed = run_circuit(cond, tail)
-                p4, _ = measure(analyzed, [d4], {d4.name: CLICK})
-                p_click += p * p4
-                p_silent += p * (1.0 - p4)
-            if p_click > 0.0:
-                entries.append(((ci, True), p_click))
-            if p_silent > 0.0:
-                entries.append(((ci, False), p_silent))
-        outcomes.append(entries)
-    return np.array(weights), outcomes
+    cells = np.zeros((len(bundle.herald_classes), 2))
+    for ci, cls in enumerate(bundle.herald_classes):
+        wanted = _class_outcome_tuples(cls, bundle.detectors)
+        for outcome, (p, cond) in table.items():
+            if outcome not in wanted:
+                continue
+            p4, _ = measure(run_circuit(cond, tail), [d4], {d4.name: CLICK})
+            cells[ci] += (p * (1.0 - p4), p * p4)
+    return cells
 
 
 def _analyzer_tail(bundle, circuit) -> Circuit:
@@ -145,9 +137,10 @@ def sample_events(params: AmplifierParams, n_pulses: int, seed: int,
                   cal_efficiency: float = 1.0) -> CountsTable:
     """Sample n_pulses detection rounds and tally coincidence counts.
 
-    Reproducible: a fixed seed yields identical counts. The random stream
-    is counter-based (Philox) with a fixed number of draws per pulse, so
-    pulse-range shards would reproduce the same totals.
+    The counts are one multinomial draw over the outcome cells of a pulse,
+    equal in distribution to sampling each pulse independently; the cost
+    does not grow with n_pulses. Reproducible: a fixed seed yields
+    identical counts (counter-based Philox stream).
     """
     if n_pulses <= 0:
         raise ValueError("n_pulses must be positive")
@@ -156,64 +149,30 @@ def sample_events(params: AmplifierParams, n_pulses: int, seed: int,
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"{name} must lie in [0, 1], got {v}")
 
-    bundle = build_scenario(scenario, params, qubit, split_internals=True)
+    bundle = build_scenario(scenario, params, qubit)
     circuit, d4 = _analyzer_setup(bundle, analyzer_phi, eta_out)
-    weights, outcomes = _branch_outcome_table(bundle, circuit, d4)
-    cum_weights = np.cumsum(weights)
-    cum_weights[-1] = 1.0  # guard against rounding dust
+    herald = _branch_outcome_table(bundle, circuit, d4)
 
-    # per-branch categorical over (class, d4) outcomes; trailing mass = no herald
-    n_classes = len(bundle.herald_classes)
-    branch_cdfs = []
-    branch_codes = []
-    for entries in outcomes:
-        probs = np.array([p for _, p in entries])
-        codes = np.array([ci * 2 + int(clicked) for (ci, clicked), _ in entries],
-                         dtype=np.int64)
-        branch_cdfs.append(np.cumsum(probs))
-        branch_codes.append(codes)
-
-    p_cal = params.p_in * cal_efficiency
-    d1 = d1_d2 = 0
-    threefold = np.zeros(n_classes, dtype=np.int64)
-    fourfold = np.zeros(n_classes, dtype=np.int64)
+    p_d1_d2 = eta_herald * params.p_in * cal_efficiency
+    cells = np.concatenate((
+        [1.0 - eta_herald, eta_herald - p_d1_d2],
+        p_d1_d2 * herald.ravel(),
+        [p_d1_d2 * (1.0 - herald.sum())],  # no herald: the remainder
+    ))
+    # rounding can leave a cell a few ulps outside [0, 1]
+    cells = np.clip(cells, 0.0, 1.0)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    remaining = n_pulses
-    while remaining > 0:
-        n = min(remaining, _CHUNK)
-        remaining -= n
-        u = rng.random((n, 4))
-        branch = np.searchsorted(cum_weights, u[:, 0], side="right")
-        herald_code = np.full(n, -1, dtype=np.int64)
-        for bi in range(len(weights)):
-            mask = branch == bi
-            if not mask.any():
-                continue
-            cdf = branch_cdfs[bi]
-            if cdf.size == 0:
-                continue
-            pos = np.searchsorted(cdf, u[mask, 1], side="right")
-            hit = pos < cdf.size
-            codes = np.full(mask.sum(), -1, dtype=np.int64)
-            codes[hit] = branch_codes[bi][pos[hit]]
-            herald_code[mask] = codes
-        clicked_d1 = u[:, 2] < eta_herald
-        cal = u[:, 3] < p_cal
-        base = clicked_d1 & cal
-        d1 += int(clicked_d1.sum())
-        d1_d2 += int(base.sum())
-        for ci in range(n_classes):
-            in_class = base & (herald_code >= 0) & (herald_code // 2 == ci)
-            threefold[ci] += int(in_class.sum())
-            fourfold[ci] += int((in_class & (herald_code % 2 == 1)).sum())
+    counts = rng.multinomial(n_pulses, cells)
 
+    d1_d2 = counts[2:]
+    per_class = d1_d2[:-1].reshape(herald.shape)
     names = [cls.name for cls in bundle.herald_classes]
     return CountsTable(
         n_pulses=n_pulses,
-        d1=d1,
-        d1_d2=d1_d2,
-        threefold={name: int(threefold[i]) for i, name in enumerate(names)},
-        fourfold={name: int(fourfold[i]) for i, name in enumerate(names)},
+        d1=n_pulses - int(counts[0]),
+        d1_d2=int(d1_d2.sum()),
+        threefold={name: int(per_class[i].sum()) for i, name in enumerate(names)},
+        fourfold={name: int(per_class[i, 1]) for i, name in enumerate(names)},
     )
 
 

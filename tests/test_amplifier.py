@@ -256,6 +256,18 @@ class TestFringes:
         assert mu_for_visibility(1.0, self.PARAMS) == 1.0
         assert mu_for_visibility(0.0, self.PARAMS) == 0.0
 
+    def test_mu_calibration_off_the_acceptance_grid(self):
+        # at mu = 1 rounding leaves the fringe minimum here at about -2e-19
+        params = AmplifierParams(t=0.683826, p_in=0.405639, p_a=0.619225,
+                                 eta=0.621935)
+        mu_plus = mu_for_visibility(0.98, params, "psi_plus")
+        mu_minus = mu_for_visibility(0.93, params, "psi_minus")
+        assert 0.0 <= mu_plus <= 1.0 and 0.0 <= mu_minus <= 1.0
+        phis = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
+        scan = fringe_scan(params, phis, mu_plus=mu_plus, mu_minus=mu_minus)
+        assert scan.fidelity_plus == pytest.approx(0.99, abs=1e-9)
+        assert scan.fidelity_minus == pytest.approx(0.965, abs=1e-9)
+
 
 class TestVisibilityHelpers:
     def test_visibility(self):
@@ -265,6 +277,8 @@ class TestVisibilityHelpers:
             visibility([])
         with pytest.raises(ValueError):
             visibility([0.0, 0.0])
+        with pytest.raises(ValueError):
+            visibility([1.0, -1e-19])
 
     def test_fidelity_from_visibility(self):
         assert fidelity_from_visibility(0.98) == pytest.approx(0.99)

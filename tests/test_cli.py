@@ -206,6 +206,27 @@ class TestConfigHandling:
                     "--pin-steps", "1", "--out", str(out)])
         assert code == EXIT_NUMERICAL
 
+    @pytest.mark.parametrize("flag,value", [("--analyzer-phi", "inf"),
+                                            ("--delta-phi", "nan")])
+    def test_non_finite_flag_is_validation_error(self, tmp_path, capsys,
+                                                 flag, value):
+        out = tmp_path / "est.csv"
+        code = run(["estimate", "--scenario", "timebin-hqa", "--mu", "0.8",
+                    flag, value, "--pulses", "1000", "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_config_value_is_validation_error(self, tmp_path,
+                                                         capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("t = nan\n")
+        out = tmp_path / "gain.csv"
+        code = run(["gain-curve", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert "t must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_parse_config_file_values(self, tmp_path):
         cfg = tmp_path / "ok.cfg"
         cfg.write_text("scenario = timebin-hqa\nseed = 7\neta = 0.7\n")

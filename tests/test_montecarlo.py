@@ -1,12 +1,22 @@
 import math
 
+import numpy as np
 import pytest
 
-from qubitamp.amplifier import AmplifierParams, QubitSpec, simulate_scenario
+from qubitamp.amplifier import (
+    AmplifierParams,
+    QubitSpec,
+    build_scenario,
+    simulate,
+    simulate_scenario,
+)
 from qubitamp.montecarlo import (
     CountsTable,
+    ETA_HERALD_DEFAULT,
     EstimateWithError,
     UndefinedEstimateError,
+    _analyzer_setup,
+    _branch_outcome_table,
     estimate_gain,
     estimate_pin,
     estimate_pout,
@@ -15,6 +25,7 @@ from qubitamp.montecarlo import (
 )
 
 GRID_POINT = AmplifierParams(t=0.9, p_in=0.2, p_a=0.296, eta=0.7)
+ANALYZER_POINT = {"t": 0.9, "p_in": 0.47, "p_a": 0.8, "eta": 0.7}
 
 
 class TestSampling:
@@ -64,12 +75,37 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_events(GRID_POINT, n_pulses=10, seed=1, eta_herald=1.5)
 
+    def test_cost_does_not_grow_with_pulses(self):
+        n = 10 ** 12
+        c = sample_events(GRID_POINT, n_pulses=n, seed=9)
+        assert c.n_pulses == n
+        assert c.d1_d2 <= c.d1 <= c.n_pulses
+        assert c.fourfold["herald"] <= c.threefold["herald"] <= c.d1_d2
+        eta = ETA_HERALD_DEFAULT
+        sigma = math.sqrt(n * eta * (1.0 - eta))
+        assert abs(c.d1 - eta * n) <= 5 * sigma
+
     def test_counts_table_validates_nesting(self):
         with pytest.raises(ValueError):
             CountsTable(n_pulses=10, d1=5, d1_d2=7, threefold={}, fourfold={})
         with pytest.raises(ValueError):
             CountsTable(n_pulses=10, d1=8, d1_d2=5,
                         threefold={"herald": 6}, fourfold={"herald": 1})
+
+
+class TestOutcomeTable:
+    @pytest.mark.parametrize("scenario,mu", [("fock-hpa", 1.0),
+                                             ("timebin-hqa", 0.5),
+                                             ("timebin-hqa", 1.0)])
+    def test_herald_cells_match_oracle(self, scenario, mu):
+        bundle = build_scenario(scenario, AmplifierParams(mu=mu, **ANALYZER_POINT))
+        circuit, d4 = _analyzer_setup(bundle, 0.0, 1.0)
+        cells = _branch_outcome_table(bundle, circuit, d4)
+        oracle = simulate(bundle)
+        assert cells.shape == (len(bundle.herald_classes), 2)
+        for ci, cls in enumerate(bundle.herald_classes):
+            assert abs(cells[ci].sum()
+                       - oracle.per_class[cls.name].herald_prob) <= 1e-12
 
 
 class TestEstimators:
@@ -147,6 +183,25 @@ class TestConsistency:
         # at a half-turn the psi_plus output is orthogonal to the analyzer
         pout = estimate_pout(c, "psi_plus")
         assert pout.value <= 0.02
+
+
+    @pytest.mark.parametrize("mu", [0.5, 0.8])
+    @pytest.mark.parametrize("phi", [0.0, math.pi / 4])
+    def test_timebin_analyzer_matches_coherent_oracle(self, mu, phi):
+        p = AmplifierParams(mu=mu, **ANALYZER_POINT)
+        qubit = QubitSpec.from_phase(0.0)
+        bundle = build_scenario("timebin-hqa", p, qubit)
+        oracle = simulate(bundle)
+        c = sample_events(p, n_pulses=100_000_000, seed=12, scenario="timebin-hqa",
+                          qubit=qubit, analyzer_phi=phi)
+        for cls in bundle.herald_classes:
+            oc = oracle.per_class[cls.name]
+            assert oc.multi_weight <= 1e-12  # single-photon output only
+            # the analyzer sees the output before the class correction
+            a = np.array([1.0, np.exp(1j * (phi + cls.correction_phase))])
+            want = float((a.conj() @ oc.output_qubit_density @ a).real) / 2.0
+            pout = estimate_pout(c, cls.name)
+            assert abs(pout.value - want) <= 5 * pout.error
 
 
 class TestPlanning:
