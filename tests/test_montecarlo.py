@@ -184,7 +184,6 @@ class TestConsistency:
         pout = estimate_pout(c, "psi_plus")
         assert pout.value <= 0.02
 
-
     @pytest.mark.parametrize("mu", [0.5, 0.8])
     @pytest.mark.parametrize("phi", [0.0, math.pi / 4])
     def test_timebin_analyzer_matches_coherent_oracle(self, mu, phi):
