@@ -34,7 +34,15 @@ from .circuits import (
     mixture_density,
     run_circuit,
 )
-from .detection import CLICK, NO_CLICK, Detector, DetectorSpec, measure_all
+from .detection import (
+    CLICK,
+    NO_CLICK,
+    Detector,
+    DetectorSpec,
+    measure,
+    measure_all,
+    pattern_outcomes,
+)
 from .fock import (
     DEFAULT_CUTOFF,
     FockState,
@@ -226,11 +234,9 @@ def hom_coincidence_fock(mu: float, cutoff: int = DEFAULT_CUTOFF) -> float:
     ], cutoff)
     mix = run_circuit(Mixture.pure(state),
                       Circuit(paths, (BeamSplitter(0.5, ("a", "b")),)))
-    coincidence = 0.0
-    for b in mix:
-        for occ, p in _path_total_marginal(b.state, paths).items():
-            if occ == (1, 1):
-                coincidence += b.weight * p
+    # two photons: both ideal threshold detectors click iff one each
+    ideal = [Detector(p, p, DetectorSpec(1.0)) for p in paths]
+    coincidence, _ = measure(mix, ideal, {p: CLICK for p in paths})
     return coincidence
 
 
@@ -258,16 +264,6 @@ def _source_state(paths, photons, cutoff) -> FockState:
     return state
 
 
-def _path_total_marginal(state: FockState, paths) -> dict[tuple, float]:
-    """Joint distribution of total photon number per path."""
-    pairs = [state.path_indices(p) for p in paths]
-    probs: dict[tuple, float] = {}
-    for occ, amp in state.amplitudes.items():
-        key = tuple(occ[i] + occ[j] for i, j in pairs)
-        probs[key] = probs.get(key, 0.0) + abs(amp) ** 2
-    return probs
-
-
 def _ancilla_wavefunction(params: AmplifierParams, path: str) -> dict:
     """Wavefunction mu|matched> + sqrt(1-mu^2)|orthogonal> of one ancilla
     photon on `path`: a coherent superposition of the internal modes."""
@@ -276,22 +272,22 @@ def _ancilla_wavefunction(params: AmplifierParams, path: str) -> dict:
     return {(path, MATCHED): mu, (path, ORTHOGONAL): nu}
 
 
-def _presence_branches(slots):
-    """Cartesian product of independent photon-presence slots.
+def _source(paths, slots, cutoff) -> Mixture:
+    """Mixture over the presence combinations of independent photons.
 
-    slots: list of (name, probability_present, wavefunction).
-    Yields (weight, photons, tag) with zero-weight combinations dropped.
+    slots: list of (probability_present, wavefunction). Branches run with
+    the earlier slots varying slowest and "absent" before "present";
+    zero-weight combinations are dropped.
     """
-    combos = [(1.0, [], "")]
-    for name, p, wf in slots:
+    combos = [(1.0, [])]
+    for p, wf in slots:
         grown = []
-        for w, photons, tag in combos:
-            if p > 0.0:
-                grown.append((w * p, photons + [wf], f"{tag} {name}=1".strip()))
-            if p < 1.0:
-                grown.append((w * (1.0 - p), photons, f"{tag} {name}=0".strip()))
-        combos = grown
-    return combos
+        for w, photons in combos:
+            grown.append((w * (1.0 - p), photons))
+            grown.append((w * p, photons + [wf]))
+        combos = [(w, photons) for w, photons in grown if w > 0.0]
+    return Mixture([Branch(w, _source_state(paths, photons, cutoff))
+                    for w, photons in combos])
 
 
 def build_fock_hpa(params: AmplifierParams) -> ScenarioBundle:
@@ -306,11 +302,9 @@ def build_fock_hpa(params: AmplifierParams) -> ScenarioBundle:
     """
     paths = ("in", "anc", "out")
     slots = [
-        ("in", params.p_in, {("in", MATCHED): 1.0}),
-        ("anc", params.p_a, _ancilla_wavefunction(params, "out")),
+        (params.p_in, {("in", MATCHED): 1.0}),
+        (params.p_a, _ancilla_wavefunction(params, "out")),
     ]
-    branches = [Branch(w, _source_state(paths, photons, params.cutoff), tag)
-                for w, photons, tag in _presence_branches(slots)]
     circuit = Circuit(paths, (
         BeamSplitter(params.t, ("anc", "out")),
         BeamSplitter(0.5, ("in", "anc")),
@@ -322,33 +316,45 @@ def build_fock_hpa(params: AmplifierParams) -> ScenarioBundle:
         {"bsm_a": NO_CLICK, "bsm_b": CLICK},
     ))
     return ScenarioBundle("fock-hpa", params, None, circuit,
-                          Mixture(branches).sorted(), detectors, (herald,),
-                          ("out",))
+                          _source(paths, slots, params.cutoff), detectors,
+                          (herald,), ("out",))
 
 
-_TIMEBIN_RAW_CLASSES = (
-    HeraldClass("same_port", (
+#: Herald classes of the time-bin amplifier. Clicks on the same port of
+#: both heralding splitters pass the qubit unchanged (psi_plus); clicks on
+#: opposite ports flip the sign of the long-rail amplitude, undone by a pi
+#: phase on the long output rail (psi_minus).
+_TIMEBIN_CLASSES = (
+    HeraldClass("psi_plus", (
         {"s_a": CLICK, "s_b": NO_CLICK, "l_a": CLICK, "l_b": NO_CLICK},
         {"s_a": NO_CLICK, "s_b": CLICK, "l_a": NO_CLICK, "l_b": CLICK},
-    )),
-    HeraldClass("cross_port", (
+    ), 0.0),
+    HeraldClass("psi_minus", (
         {"s_a": CLICK, "s_b": NO_CLICK, "l_a": NO_CLICK, "l_b": CLICK},
         {"s_a": NO_CLICK, "s_b": CLICK, "l_a": CLICK, "l_b": NO_CLICK},
-    )),
+    ), math.pi),
 )
 
 
-def _build_timebin(params: AmplifierParams, qubit: QubitSpec,
-                   herald_classes) -> ScenarioBundle:
+def build_timebin_hqa(params: AmplifierParams,
+                      qubit: QubitSpec) -> ScenarioBundle:
+    """Time-bin qubit amplifier: one Fock-amplifier stage per rail.
+
+    The input photon is delocalized over the two rails with the qubit
+    amplitudes; each rail holds its own ancilla, unbalanced splitter and
+    50/50 heralding splitter. Herald: exactly one click per rail. The four
+    patterns form the psi_plus class (no correction) and the psi_minus
+    class (pi phase on the long output rail), from the fixed table
+    _TIMEBIN_CLASSES; test_psi_plus_fidelity_unit and
+    test_psi_minus_needs_correction pin it.
+    """
     paths = ("in_s", "in_l", "anc_s", "anc_l", "out_s", "out_l")
     input_wf = {("in_s", MATCHED): qubit.alpha, ("in_l", MATCHED): qubit.beta}
     slots = [
-        ("in", params.p_in, input_wf),
-        ("anc_s", params.p_a, _ancilla_wavefunction(params, "out_s")),
-        ("anc_l", params.p_a, _ancilla_wavefunction(params, "out_l")),
+        (params.p_in, input_wf),
+        (params.p_a, _ancilla_wavefunction(params, "out_s")),
+        (params.p_a, _ancilla_wavefunction(params, "out_l")),
     ]
-    branches = [Branch(w, _source_state(paths, photons, params.cutoff), tag)
-                for w, photons, tag in _presence_branches(slots)]
     circuit = Circuit(paths, (
         BeamSplitter(params.t, ("anc_s", "out_s")),
         BeamSplitter(params.t, ("anc_l", "out_l")),
@@ -361,55 +367,11 @@ def _build_timebin(params: AmplifierParams, qubit: QubitSpec,
         Detector("l_a", "in_l", spec), Detector("l_b", "anc_l", spec),
     )
     return ScenarioBundle("timebin-hqa", params, qubit, circuit,
-                          Mixture(branches).sorted(), detectors,
-                          tuple(herald_classes), ("out_s", "out_l"))
+                          _source(paths, slots, params.cutoff), detectors,
+                          _TIMEBIN_CLASSES, ("out_s", "out_l"))
 
 
-_PSI_ASSIGNMENT: dict[str, tuple[str, float]] | None = None
-
-
-def _psi_assignment() -> dict[str, tuple[str, float]]:
-    """Decide which two-click pattern class teleports without correction.
-
-    Probed once with ideal parameters and a balanced qubit: the class whose
-    uncorrected conditional output already matches the input is labeled
-    psi_plus; the other needs a pi phase on the long rail and is psi_minus.
-    """
-    global _PSI_ASSIGNMENT
-    if _PSI_ASSIGNMENT is None:
-        probe = AmplifierParams(t=0.5, p_in=1.0, p_a=1.0, eta=1.0)
-        qubit = QubitSpec.from_phase(0.0)
-        bundle = _build_timebin(probe, qubit, _TIMEBIN_RAW_CLASSES)
-        fid = {}
-        for cls, analysis in _heralded_analysis(bundle).items():
-            fid[cls] = _qubit_fidelity(analysis.qubit_density, qubit, 0.0)
-        plus = max(fid, key=lambda k: fid[k])
-        _PSI_ASSIGNMENT = {}
-        for name in fid:
-            if name == plus:
-                _PSI_ASSIGNMENT[name] = ("psi_plus", 0.0)
-            else:
-                _PSI_ASSIGNMENT[name] = ("psi_minus", math.pi)
-    return _PSI_ASSIGNMENT
-
-
-def build_timebin_hqa(params: AmplifierParams,
-                      qubit: QubitSpec) -> ScenarioBundle:
-    """Time-bin qubit amplifier: one Fock-amplifier stage per rail.
-
-    The input photon is delocalized over the two rails with the qubit
-    amplitudes; each rail holds its own ancilla, unbalanced splitter and
-    50/50 heralding splitter. Herald: exactly one click per rail. The four
-    patterns form the psi_plus class (no correction) and the psi_minus
-    class (pi phase on the long output rail), assigned empirically.
-    """
-    assignment = _psi_assignment()
-    classes = []
-    for raw in _TIMEBIN_RAW_CLASSES:
-        name, phase = assignment[raw.name]
-        classes.append(HeraldClass(name, raw.patterns, phase))
-    classes.sort(key=lambda c: c.name, reverse=True)  # psi_plus first
-    return _build_timebin(params, qubit, classes)
+SCENARIOS = ("fock-hpa", "timebin-hqa")
 
 
 def build_scenario(scenario: str, params: AmplifierParams,
@@ -436,14 +398,8 @@ class ClassAnalysis:
 
 
 def _class_outcome_tuples(cls: HeraldClass, detectors) -> set[tuple[bool, ...]]:
-    order = [d.name for d in detectors]
-    outcomes = set()
-    for pattern in cls.patterns:
-        if set(pattern) != set(order):
-            raise ValueError(
-                f"herald pattern must pin every detector, got {pattern}")
-        outcomes.add(tuple(pattern[name] == CLICK for name in order))
-    return outcomes
+    return {outcome for pattern in cls.patterns
+            for outcome in pattern_outcomes(pattern, detectors)}
 
 
 def _heralded_analysis(bundle: ScenarioBundle) -> dict[str, ClassAnalysis]:
@@ -459,7 +415,7 @@ def _heralded_analysis(bundle: ScenarioBundle) -> dict[str, ClassAnalysis]:
             if outcome in outcomes:
                 prob += p
                 branches.extend(
-                    Branch(b.weight * p, b.state, b.tag) for b in cond)
+                    Branch(b.weight * p, b.state) for b in cond)
         if prob <= 1e-30:
             result[cls.name] = ClassAnalysis(
                 0.0, 0.0, 0.0, 0.0, np.zeros((n_rails, n_rails), complex))
@@ -552,13 +508,6 @@ def simulate(bundle: ScenarioBundle) -> HeraldedOutcome:
         vacuum += share * a.vacuum_weight
         single += share * a.single_weight
         multi += share * a.multi_weight
-    psi = bundle.qubit.vector() if bundle.qubit is not None else None
-    if single > 1e-30 and psi is not None:
-        fidelity = float((psi.conj() @ combined_rho @ psi).real / single)
-    elif single > 1e-30:
-        fidelity = 1.0
-    else:
-        fidelity = None
     return HeraldedOutcome(
         herald_class="combined",
         herald_prob=total_prob,
@@ -567,7 +516,7 @@ def simulate(bundle: ScenarioBundle) -> HeraldedOutcome:
         vacuum_weight=vacuum,
         multi_weight=multi,
         output_qubit_density=combined_rho,
-        fidelity_conditional=fidelity,
+        fidelity_conditional=_qubit_fidelity(combined_rho, bundle.qubit, 0.0),
         per_class=per_class,
     )
 
@@ -623,8 +572,8 @@ def fringe_scan(params: AmplifierParams, phis,
     to params.mu.
     """
     phis = np.asarray(list(phis), dtype=float)
-    if phis.size == 0:
-        raise ValueError("phase grid must be non-empty")
+    if phis.size < 2:
+        raise ValueError("phase grid needs at least two phases")
     mu_plus = params.mu if mu_plus is None else mu_plus
     mu_minus = params.mu if mu_minus is None else mu_minus
     scans = {mu_plus: _class_rates(replace(params, mu=mu_plus), phis)}

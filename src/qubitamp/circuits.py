@@ -8,7 +8,9 @@ remain directly inspectable.
 
 Elements address named paths; a beam splitter or phase shifter acts
 identically on both internal (matched/orthogonal) modes of its paths, and a
-loss channel applies jointly to them.
+loss channel applies jointly to them. Branch order is fixed by construction
+(source order, then occupation order within each split), so equal inputs
+give equal outputs bit for bit without any sorting.
 """
 
 from __future__ import annotations
@@ -57,13 +59,7 @@ class Loss:
             raise ValueError(f"eta_keep must lie in [0, 1], got {self.eta_keep}")
 
 
-@dataclass(frozen=True)
-class Relabel:
-    """Rename paths according to a permutation mapping old -> new."""
-    mapping: tuple[tuple[str, str], ...]
-
-
-Element = BeamSplitter | PhaseShift | Loss | Relabel
+Element = BeamSplitter | PhaseShift | Loss
 
 
 @dataclass(frozen=True)
@@ -74,9 +70,7 @@ class Circuit:
     def __post_init__(self):
         registered = set(self.paths)
         for e in self.elements:
-            used = (set(e.paths) if isinstance(e, BeamSplitter)
-                    else {e.path} if isinstance(e, (PhaseShift, Loss))
-                    else {old for old, _ in e.mapping})
+            used = set(e.paths) if isinstance(e, BeamSplitter) else {e.path}
             missing = used - registered
             if missing:
                 raise ValueError(f"element {e} references unregistered {missing}")
@@ -86,14 +80,14 @@ class Circuit:
 class Branch:
     weight: float
     state: FockState
-    tag: str = ""
 
 
 class Mixture:
     """Weighted ensemble of normalized pure states.
 
     Weights sum to one for any physical ensemble; an empty mixture is the
-    result of conditioning on an impossible event.
+    result of conditioning on an impossible event. Branches keep the order
+    in which they were built.
     """
 
     def __init__(self, branches):
@@ -103,8 +97,8 @@ class Mixture:
                 raise ValueError("branch weights must be positive")
 
     @classmethod
-    def pure(cls, state: FockState, tag: str = "") -> "Mixture":
-        return cls([Branch(1.0, state, tag)])
+    def pure(cls, state: FockState) -> "Mixture":
+        return cls([Branch(1.0, state)])
 
     def total_weight(self) -> float:
         return sum(b.weight for b in self.branches)
@@ -116,13 +110,8 @@ class Mixture:
         return iter(self.branches)
 
     def scaled(self, factor: float) -> "Mixture":
-        return Mixture([Branch(b.weight * factor, b.state, b.tag)
+        return Mixture([Branch(b.weight * factor, b.state)
                         for b in self.branches])
-
-    def sorted(self) -> "Mixture":
-        return Mixture(sorted(
-            self.branches,
-            key=lambda b: (b.tag, sorted(b.state.amplitudes))))
 
 
 def apply_element(m: Mixture, e: Element) -> Mixture:
@@ -141,14 +130,9 @@ def apply_element(m: Mixture, e: Element) -> Mixture:
         elif isinstance(e, PhaseShift):
             for idx in s.path_indices(e.path):
                 s = apply_phase(s, idx, e.phi)
-        elif isinstance(e, Relabel):
-            mapping = dict(e.mapping)
-            labels = tuple((mapping.get(p, p), i) for p, i in s.labels)
-            s = FockState(s.n_modes, s.cutoff, s.amplitudes, labels,
-                          s.photon_budget)
         else:
             raise TypeError(f"unknown element {e!r}")
-        out.append(Branch(b.weight, s, b.tag))
+        out.append(Branch(b.weight, s))
     return Mixture(out)
 
 
@@ -182,17 +166,14 @@ def apply_loss(m: Mixture, path: str, eta_keep: float) -> Mixture:
                 for wk, cond in _mode_loss(s, idx, eta_keep):
                     grown.append((w * wk, cond))
             partial = grown
-        lossy = len(partial) > 1
-        for k, (w, s) in enumerate(partial):
-            tag = f"{b.tag}|loss[{path}]#{k}" if lossy and b.tag else b.tag
-            out.append(Branch(w, s, tag))
+        out.extend(Branch(w, s) for w, s in partial)
     return Mixture(out)
 
 
 def run_circuit(m: Mixture, c: Circuit) -> Mixture:
     for e in c.elements:
         m = apply_element(m, e)
-    return m.sorted()
+    return m
 
 
 def merge_branches(m: Mixture, tol: float = 1e-10) -> Mixture:
@@ -203,11 +184,11 @@ def merge_branches(m: Mixture, tol: float = 1e-10) -> Mixture:
             if b.state.n_modes != r.state.n_modes:
                 continue
             if abs(abs(b.state.inner(r.state)) - 1.0) <= tol:
-                reps[k] = Branch(r.weight + b.weight, r.state, r.tag)
+                reps[k] = Branch(r.weight + b.weight, r.state)
                 break
         else:
             reps.append(b)
-    return Mixture(reps).sorted()
+    return Mixture(reps)
 
 
 def mixture_density(m: Mixture, modes=None):

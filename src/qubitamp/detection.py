@@ -12,6 +12,7 @@ modes only.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .circuits import Branch, Mixture, merge_branches
@@ -94,7 +95,7 @@ def measure_all(m: Mixture, detectors: list[Detector], tol: float = 1e-30
                     continue
                 prob, branches = acc.setdefault(outcome, (0.0, []))
                 acc[outcome] = (prob + w, branches)
-                branches.append(Branch(w, cond, b.tag))
+                branches.append(Branch(w, cond))
 
     result = {}
     for outcome, (prob, branches) in acc.items():
@@ -123,10 +124,7 @@ def pattern_outcomes(pattern: dict[str, str], detectors: list[Detector]
             choices.append((False, True))
         else:
             raise ValueError(f"bad outcome requirement {req!r}")
-    outcomes = [tuple()]
-    for c in choices:
-        outcomes = [o + (v,) for o in outcomes for v in c]
-    return outcomes
+    return list(itertools.product(*choices))
 
 
 def measure(m: Mixture, detectors: list[Detector], pattern: dict[str, str]
@@ -142,7 +140,7 @@ def measure(m: Mixture, detectors: list[Detector], pattern: dict[str, str]
     for outcome, (p, cond) in table.items():
         if outcome in wanted:
             prob += p
-            branches.extend(Branch(b.weight * p, b.state, b.tag) for b in cond)
+            branches.extend(Branch(b.weight * p, b.state) for b in cond)
     if prob <= 1e-30:
         return 0.0, Mixture([])
     return prob, merge_branches(Mixture(branches).scaled(1.0 / prob))

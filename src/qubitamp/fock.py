@@ -259,11 +259,3 @@ def split_by_occupation(state: FockState, modes) -> list[
         result.append((sub, weight, cond))
     return result
 
-
-def total_photon_distribution(state: FockState, modes) -> dict[int, float]:
-    """Probability of the total photon number summed over the given modes."""
-    probs: dict[int, float] = {}
-    for sub, p in occupation_marginal(state, modes).items():
-        n = sum(sub)
-        probs[n] = probs.get(n, 0.0) + p
-    return probs

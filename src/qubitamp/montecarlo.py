@@ -110,7 +110,8 @@ def _branch_outcome_table(bundle, circuit, d4: Detector) -> np.ndarray:
     """
     propagated = run_circuit(bundle.source, bundle.circuit)
     table = measure_all(propagated, list(bundle.detectors))
-    tail = _analyzer_tail(bundle, circuit)
+    tail = Circuit(bundle.output_paths,  # the analyzer-only suffix
+                   circuit.elements[len(bundle.circuit.elements):])
     cells = np.zeros((len(bundle.herald_classes), 2))
     for ci, cls in enumerate(bundle.herald_classes):
         wanted = _class_outcome_tuples(cls, bundle.detectors)
@@ -122,19 +123,12 @@ def _branch_outcome_table(bundle, circuit, d4: Detector) -> np.ndarray:
     return cells
 
 
-def _analyzer_tail(bundle, circuit) -> Circuit:
-    """The analyzer-only suffix of the extended circuit."""
-    n = len(bundle.circuit.elements)
-    return Circuit(bundle.output_paths, circuit.elements[n:])
-
-
 def sample_events(params: AmplifierParams, n_pulses: int, seed: int,
                   scenario: str = "fock-hpa",
                   qubit: QubitSpec | None = None,
                   analyzer_phi: float = 0.0,
                   eta_herald: float = ETA_HERALD_DEFAULT,
-                  eta_out: float = 1.0,
-                  cal_efficiency: float = 1.0) -> CountsTable:
+                  eta_out: float = 1.0) -> CountsTable:
     """Sample n_pulses detection rounds and tally coincidence counts.
 
     The counts are one multinomial draw over the outcome cells of a pulse,
@@ -144,8 +138,7 @@ def sample_events(params: AmplifierParams, n_pulses: int, seed: int,
     """
     if n_pulses <= 0:
         raise ValueError("n_pulses must be positive")
-    for name, v in (("eta_herald", eta_herald), ("eta_out", eta_out),
-                    ("cal_efficiency", cal_efficiency)):
+    for name, v in (("eta_herald", eta_herald), ("eta_out", eta_out)):
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"{name} must lie in [0, 1], got {v}")
 
@@ -153,7 +146,7 @@ def sample_events(params: AmplifierParams, n_pulses: int, seed: int,
     circuit, d4 = _analyzer_setup(bundle, analyzer_phi, eta_out)
     herald = _branch_outcome_table(bundle, circuit, d4)
 
-    p_d1_d2 = eta_herald * params.p_in * cal_efficiency
+    p_d1_d2 = eta_herald * params.p_in
     cells = np.concatenate((
         [1.0 - eta_herald, eta_herald - p_d1_d2],
         p_d1_d2 * herald.ravel(),

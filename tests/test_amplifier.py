@@ -248,6 +248,8 @@ class TestFringes:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             fringe_scan(self.PARAMS, ())
+        with pytest.raises(ValueError):  # one phase defines no visibility
+            fringe_scan(self.PARAMS, (0.0,))
 
     def test_mu_calibration(self):
         mu = mu_for_visibility(0.98, self.PARAMS)

@@ -1,8 +1,10 @@
 import math
+import re
 import time
 
 import pytest
 
+from qubitamp.checks import CHECKS
 from qubitamp.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -76,6 +78,14 @@ class TestGainCurve:
 
 
 class TestFringe:
+    def test_single_phase_rejected(self, tmp_path, capsys):
+        out = tmp_path / "fringe.csv"
+        code = run(["fringe", "--mu", "0.9", "--phi-steps", "1",
+                    "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert "phi_steps must be at least 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_ideal_visibility_columns(self, tmp_path):
         out = tmp_path / "fringe.csv"
         code = run(["fringe", "--t", "0.7", "--pin", "0.47", "--pa", "0.8",
@@ -234,7 +244,13 @@ class TestConfigHandling:
         assert values == {"scenario": "timebin-hqa", "seed": 7, "eta": 0.7}
 
 
-def test_selftest_passes_quickly():
+def test_selftest_passes_quickly(capsys):
     start = time.time()
     assert run(["selftest"]) == EXIT_OK
     assert time.time() - start < 300.0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "selftest: OK"
+    # one line per registered check, in registry order, each timed
+    pattern = re.compile(r"\[PASS\] (\S+)  .* \(\d+\.\ds\)")
+    names = [pattern.fullmatch(line).group(1) for line in lines[:-1]]
+    assert names == list(CHECKS)
