@@ -39,17 +39,12 @@ from .detection import (
     NO_CLICK,
     Detector,
     DetectorSpec,
+    condition,
     measure,
     measure_all,
     pattern_outcomes,
 )
-from .fock import (
-    DEFAULT_CUTOFF,
-    FockState,
-    MATCHED,
-    ORTHOGONAL,
-    mode_labels,
-)
+from .fock import FockState, MATCHED, ORTHOGONAL, mode_labels
 
 
 class UndefinedGainError(ValueError):
@@ -77,7 +72,6 @@ class AmplifierParams:
     eta: float
     mu: float = 1.0
     dark_click_prob: float = 0.0
-    cutoff: int = DEFAULT_CUTOFF
 
     def __post_init__(self):
         for name in ("t", "p_in", "p_a", "eta", "mu"):
@@ -87,8 +81,6 @@ class AmplifierParams:
         if not 0.0 <= self.dark_click_prob < 1.0:
             raise ValueError(
                 f"dark_click_prob must lie in [0, 1), got {self.dark_click_prob}")
-        if self.cutoff < 2:
-            raise ValueError("cutoff must be at least 2")
 
 
 #: Named parameter presets for the two reference gain-curve families:
@@ -223,7 +215,7 @@ def hom_coincidence(mu: float) -> tuple[float, float]:
     return (1.0 - mu * mu) / 2.0, mu * mu
 
 
-def hom_coincidence_fock(mu: float, cutoff: int = DEFAULT_CUTOFF) -> float:
+def hom_coincidence_fock(mu: float) -> float:
     """Coincidence probability from the full two-photon Fock simulation."""
     if not 0.0 <= mu <= 1.0:
         raise ValueError(f"mu must lie in [0, 1], got {mu}")
@@ -231,7 +223,7 @@ def hom_coincidence_fock(mu: float, cutoff: int = DEFAULT_CUTOFF) -> float:
     state = _source_state(paths, [
         {("a", MATCHED): 1.0},
         {("b", MATCHED): mu, ("b", ORTHOGONAL): math.sqrt(1.0 - mu * mu)},
-    ], cutoff)
+    ])
     mix = run_circuit(Mixture.pure(state),
                       Circuit(paths, (BeamSplitter(0.5, ("a", "b")),)))
     # two photons: both ideal threshold detectors click iff one each
@@ -243,11 +235,10 @@ def hom_coincidence_fock(mu: float, cutoff: int = DEFAULT_CUTOFF) -> float:
 # -- source construction ----------------------------------------------
 
 
-def _source_state(paths, photons, cutoff) -> FockState:
+def _source_state(paths, photons) -> FockState:
     """State with one photon per wavefunction added on top of vacuum."""
     labels = mode_labels(paths)
-    state = FockState(len(labels), cutoff, {(0,) * len(labels): 1.0 + 0.0j},
-                      labels)
+    state = FockState(len(labels), {(0,) * len(labels): 1.0 + 0.0j}, labels)
     for wf in photons:
         amps: dict[tuple, complex] = {}
         for occ, amp in state.amplitudes.items():
@@ -272,7 +263,7 @@ def _ancilla_wavefunction(params: AmplifierParams, path: str) -> dict:
     return {(path, MATCHED): mu, (path, ORTHOGONAL): nu}
 
 
-def _source(paths, slots, cutoff) -> Mixture:
+def _source(paths, slots) -> Mixture:
     """Mixture over the presence combinations of independent photons.
 
     slots: list of (probability_present, wavefunction). Branches run with
@@ -286,7 +277,7 @@ def _source(paths, slots, cutoff) -> Mixture:
             grown.append((w * (1.0 - p), photons))
             grown.append((w * p, photons + [wf]))
         combos = [(w, photons) for w, photons in grown if w > 0.0]
-    return Mixture([Branch(w, _source_state(paths, photons, cutoff))
+    return Mixture([Branch(w, _source_state(paths, photons))
                     for w, photons in combos])
 
 
@@ -316,8 +307,7 @@ def build_fock_hpa(params: AmplifierParams) -> ScenarioBundle:
         {"bsm_a": NO_CLICK, "bsm_b": CLICK},
     ))
     return ScenarioBundle("fock-hpa", params, None, circuit,
-                          _source(paths, slots, params.cutoff), detectors,
-                          (herald,), ("out",))
+                          _source(paths, slots), detectors, (herald,), ("out",))
 
 
 #: Herald classes of the time-bin amplifier. Clicks on the same port of
@@ -367,8 +357,8 @@ def build_timebin_hqa(params: AmplifierParams,
         Detector("l_a", "in_l", spec), Detector("l_b", "anc_l", spec),
     )
     return ScenarioBundle("timebin-hqa", params, qubit, circuit,
-                          _source(paths, slots, params.cutoff), detectors,
-                          _TIMEBIN_CLASSES, ("out_s", "out_l"))
+                          _source(paths, slots), detectors, _TIMEBIN_CLASSES,
+                          ("out_s", "out_l"))
 
 
 SCENARIOS = ("fock-hpa", "timebin-hqa")
@@ -397,31 +387,24 @@ class ClassAnalysis:
     qubit_density: np.ndarray  # over output rails, trace = single_weight
 
 
-def _class_outcome_tuples(cls: HeraldClass, detectors) -> set[tuple[bool, ...]]:
-    return {outcome for pattern in cls.patterns
-            for outcome in pattern_outcomes(pattern, detectors)}
+def herald_conditionals(bundle: ScenarioBundle
+                        ) -> list[tuple[HeraldClass, float, Mixture]]:
+    """(class, herald probability, conditional output ensemble) per class,
+    from one run of the circuit and one joint measurement. An impossible
+    class has probability 0 and an empty ensemble."""
+    mix = run_circuit(bundle.source, bundle.circuit)
+    table = measure_all(mix, list(bundle.detectors))
+    return [(cls, *condition(table, {
+                outcome for pattern in cls.patterns
+                for outcome in pattern_outcomes(pattern, bundle.detectors)}))
+            for cls in bundle.herald_classes]
 
 
 def _heralded_analysis(bundle: ScenarioBundle) -> dict[str, ClassAnalysis]:
-    mix = run_circuit(bundle.source, bundle.circuit)
-    table = measure_all(mix, list(bundle.detectors))
     n_rails = len(bundle.output_paths)
     result = {}
-    for cls in bundle.herald_classes:
-        outcomes = _class_outcome_tuples(cls, bundle.detectors)
-        prob = 0.0
-        branches = []
-        for outcome, (p, cond) in table.items():
-            if outcome in outcomes:
-                prob += p
-                branches.extend(
-                    Branch(b.weight * p, b.state) for b in cond)
-        if prob <= 1e-30:
-            result[cls.name] = ClassAnalysis(
-                0.0, 0.0, 0.0, 0.0, np.zeros((n_rails, n_rails), complex))
-            continue
-        cond = Mixture(branches).scaled(1.0 / prob)
-        basis, rho = mixture_density(cond)
+    for cls, prob, cond in herald_conditionals(bundle):
+        basis, rho = mixture_density(cond)  # empty for an impossible class
         vacuum = single = multi = 0.0
         rails = np.zeros((n_rails, n_rails), dtype=complex)
         for ia, occ_a in enumerate(basis):
@@ -595,8 +578,7 @@ def fringe_scan(params: AmplifierParams, phis,
 
 
 def mu_for_visibility(target: float, params: AmplifierParams,
-                      herald_class: str = "psi_plus",
-                      tol: float = 1e-13) -> float:
+                      herald_class: str = "psi_plus") -> float:
     """Indistinguishability mu whose fringe visibility equals `target`.
 
     Bisection on mu against an exact two-point (0, pi) fringe; the
@@ -614,7 +596,7 @@ def mu_for_visibility(target: float, params: AmplifierParams,
         return 1.0
     if target <= vis(0.0):
         return 0.0
-    while hi - lo > tol:
+    while hi - lo > 1e-13:
         mid = 0.5 * (lo + hi)
         if vis(mid) < target:
             lo = mid

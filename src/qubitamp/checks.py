@@ -67,7 +67,7 @@ def random_two_path_state(rng) -> FockState:
         for _ in range(int(rng.integers(0, 4))):
             occ[int(rng.integers(0, 4))] += 1
         amps[tuple(occ)] = complex(rng.normal(), rng.normal())
-    return FockState(4, 4, amps, mode_labels(("p0", "p1"))).normalized()
+    return FockState(4, amps, mode_labels(("p0", "p1"))).normalized()
 
 
 def density_distance(m1: Mixture, m2: Mixture) -> float:

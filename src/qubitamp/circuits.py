@@ -144,9 +144,7 @@ def _mode_loss(state: FockState, mode: int, eta_keep: float):
     and discarded, yielding one classical branch per number of lost photons.
     """
     aux_label = (("__loss__", fock.MATCHED),) if state.labels else ()
-    aux = FockState(1, state.cutoff, {(0,): 1.0}, aux_label,
-                    state.photon_budget)
-    joined = tensor(state, aux)
+    joined = tensor(state, FockState(1, {(0,): 1.0}, aux_label))
     joined = apply_two_mode_unitary(joined, mode, state.n_modes,
                                     beam_splitter_matrix(eta_keep))
     return [(weight, cond)
@@ -176,14 +174,14 @@ def run_circuit(m: Mixture, c: Circuit) -> Mixture:
     return m
 
 
-def merge_branches(m: Mixture, tol: float = 1e-10) -> Mixture:
+def merge_branches(m: Mixture) -> Mixture:
     """Combine branches whose states coincide up to a global phase."""
     reps: list[Branch] = []
     for b in m:
         for k, r in enumerate(reps):
             if b.state.n_modes != r.state.n_modes:
                 continue
-            if abs(abs(b.state.inner(r.state)) - 1.0) <= tol:
+            if abs(abs(b.state.inner(r.state)) - 1.0) <= 1e-10:
                 reps[k] = Branch(r.weight + b.weight, r.state)
                 break
         else:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 
 import numpy as np
@@ -51,7 +52,7 @@ EXIT_NUMERICAL = 4
 _FLOAT_KEYS = ("t", "pa", "eta", "mu", "pin", "dark", "pin_from", "pin_to",
                "mu_plus", "mu_minus", "mu_from", "mu_to", "eta_herald",
                "eta_out", "analyzer_phi", "delta_phi")
-_INT_KEYS = ("cutoff", "seed", "pulses", "pin_steps", "phi_steps", "mu_steps")
+_INT_KEYS = ("seed", "pulses", "pin_steps", "phi_steps", "mu_steps")
 _STR_KEYS = ("scenario", "preset", "out")
 
 DEFAULTS: dict = {
@@ -62,7 +63,6 @@ DEFAULTS: dict = {
     "mu": 1.0,
     "pin": 0.2,
     "dark": 0.0,
-    "cutoff": 4,
     "seed": 12345,
     "pulses": 100_000,
     "pin_from": 0.1,
@@ -143,7 +143,6 @@ def params_from_config(cfg: dict, pin: float | None = None) -> AmplifierParams:
         eta=cfg["eta"],
         mu=cfg["mu"],
         dark_click_prob=cfg["dark"],
-        cutoff=cfg["cutoff"],
     )
 
 
@@ -221,8 +220,7 @@ def cmd_hom(cfg: dict) -> int:
     rows = []
     for mu in grid:
         coincidence, vis = hom_coincidence(mu)
-        rows.append([mu, coincidence, hom_coincidence_fock(mu, cfg["cutoff"]),
-                     vis])
+        rows.append([mu, coincidence, hom_coincidence_fock(mu), vis])
     write_csv(cfg.get("out"),
               ["mu", "coincidence", "coincidence_fock", "visibility"], rows)
     return EXIT_OK
@@ -285,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--mu", type=float)
     common.add_argument("--pin", type=float)
     common.add_argument("--dark", type=float)
-    common.add_argument("--cutoff", type=int)
     common.add_argument("--seed", type=int)
     common.add_argument("--pulses", type=int)
 
@@ -333,10 +330,24 @@ COMMANDS = {
 }
 
 
+def _attach_negative_values(argv) -> list[str]:
+    """Join `--flag -1e-3` into `--flag=-1e-3`. argparse takes a word that
+    starts with '-' for a flag unless it is a plain negative decimal, so
+    `-1e-3` and `-inf` would otherwise lose their flag."""
+    out: list[str] = []
+    for token in sys.argv[1:] if argv is None else argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and re.match(r"-(\.?\d|inf|nan)", token, re.IGNORECASE)):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_values(argv))
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:

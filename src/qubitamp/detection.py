@@ -13,6 +13,7 @@ modes only.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .circuits import Branch, Mixture, merge_branches
@@ -21,6 +22,9 @@ from .fock import split_by_occupation
 CLICK = "click"
 NO_CLICK = "no-click"
 ANY = "any"
+
+#: Outcome probabilities at or below this are treated as impossible.
+MIN_OUTCOME_PROB = 1e-30
 
 
 @dataclass(frozen=True)
@@ -51,16 +55,24 @@ def no_click_weight(n: int, eta: float, dark_click_prob: float = 0.0) -> float:
 
 
 def click_prob(n: int, eta: float, dark_click_prob: float = 0.0) -> float:
-    return 1.0 - no_click_weight(n, eta, dark_click_prob)
+    """Probability that a threshold detector clicks on |n>, to full relative
+    precision also when eta and dark_click_prob are small."""
+    if n < 0:
+        raise ValueError("photon number must be non-negative")
+    if n == 0:
+        return dark_click_prob
+    if eta == 1.0:
+        return 1.0
+    return -math.expm1(math.log1p(-dark_click_prob) + n * math.log1p(-eta))
 
 
-def measure_all(m: Mixture, detectors: list[Detector], tol: float = 1e-30
+def measure_all(m: Mixture, detectors: list[Detector]
                 ) -> dict[tuple[bool, ...], tuple[float, Mixture]]:
     """Joint click distribution over every detector, with conditional states.
 
     Returns a map from click tuple (ordered as `detectors`) to
     (probability, normalized conditional mixture on the undetected modes).
-    Outcomes with probability below `tol` are omitted.
+    Outcomes with probability below MIN_OUTCOME_PROB are omitted.
     """
     if not m.branches:
         return {}
@@ -82,12 +94,13 @@ def measure_all(m: Mixture, detectors: list[Detector], tol: float = 1e-30
             outcome_probs = [(tuple(), 1.0)]
             for n, d in zip(counts, detectors):
                 silent = no_click_weight(n, d.spec.eta, d.spec.dark_click_prob)
+                clicked = click_prob(n, d.spec.eta, d.spec.dark_click_prob)
                 grown = []
                 for prefix, p in outcome_probs:
                     if silent > 0.0:
                         grown.append((prefix + (False,), p * silent))
-                    if silent < 1.0:
-                        grown.append((prefix + (True,), p * (1.0 - silent)))
+                    if clicked > 0.0:
+                        grown.append((prefix + (True,), p * clicked))
                 outcome_probs = grown
             for outcome, p in outcome_probs:
                 w = b.weight * weight * p
@@ -99,7 +112,7 @@ def measure_all(m: Mixture, detectors: list[Detector], tol: float = 1e-30
 
     result = {}
     for outcome, (prob, branches) in acc.items():
-        if prob < tol:
+        if prob < MIN_OUTCOME_PROB:
             continue
         cond = merge_branches(Mixture(branches).scaled(1.0 / prob))
         result[outcome] = (prob, cond)
@@ -127,20 +140,30 @@ def pattern_outcomes(pattern: dict[str, str], detectors: list[Detector]
     return list(itertools.product(*choices))
 
 
+def condition(table: dict[tuple[bool, ...], tuple[float, Mixture]],
+              outcomes) -> tuple[float, Mixture]:
+    """Probability of a set of `measure_all` outcomes and the ensemble
+    conditioned on it. Branches are not merged.
+
+    An impossible set yields (0.0, empty mixture).
+    """
+    prob = 0.0
+    branches: list[Branch] = []
+    for outcome, (p, cond) in table.items():
+        if outcome in outcomes:
+            prob += p
+            branches.extend(Branch(b.weight * p, b.state) for b in cond)
+    if prob <= MIN_OUTCOME_PROB:
+        return 0.0, Mixture([])
+    return prob, Mixture(branches).scaled(1.0 / prob)
+
+
 def measure(m: Mixture, detectors: list[Detector], pattern: dict[str, str]
             ) -> tuple[float, Mixture]:
     """Probability of a click pattern and the conditional output ensemble.
 
     A zero-probability pattern yields (0.0, empty mixture).
     """
-    table = measure_all(m, detectors)
-    wanted = set(pattern_outcomes(pattern, detectors))
-    prob = 0.0
-    branches: list[Branch] = []
-    for outcome, (p, cond) in table.items():
-        if outcome in wanted:
-            prob += p
-            branches.extend(Branch(b.weight * p, b.state) for b in cond)
-    if prob <= 1e-30:
-        return 0.0, Mixture([])
-    return prob, merge_branches(Mixture(branches).scaled(1.0 / prob))
+    prob, cond = condition(measure_all(m, detectors),
+                           set(pattern_outcomes(pattern, detectors)))
+    return prob, merge_branches(cond)

@@ -1,4 +1,4 @@
-"""Sparse pure states in a truncated multimode Fock space.
+"""Sparse pure states in a multimode Fock space.
 
 States are immutable values; every operation returns a new state. Modes are
 addressed by integer index, with an ordered registry of labels attached to
@@ -20,9 +20,6 @@ ORTHOGONAL = "orthogonal"
 #: Amplitudes below this magnitude are dropped to keep states sparse.
 DROP_TOLERANCE = 1e-15
 
-DEFAULT_CUTOFF = 4
-DEFAULT_PHOTON_BUDGET = 4
-
 ModeLabel = tuple[str, str]
 Occupation = tuple[int, ...]
 
@@ -32,9 +29,9 @@ def mode_labels(paths) -> tuple[ModeLabel, ...]:
     return tuple((p, i) for p in paths for i in (MATCHED, ORTHOGONAL))
 
 
-def is_unitary(u: np.ndarray, tol: float = 1e-12) -> bool:
+def is_unitary(u: np.ndarray) -> bool:
     u = np.asarray(u, dtype=complex)
-    return u.shape == (2, 2) and np.max(np.abs(u @ u.conj().T - np.eye(2))) <= tol
+    return u.shape == (2, 2) and np.max(np.abs(u @ u.conj().T - np.eye(2))) <= 1e-12
 
 
 def beam_splitter_matrix(t: float) -> np.ndarray:
@@ -55,16 +52,13 @@ class FockState:
     """Pure multimode bosonic state as a sparse ket-to-amplitude map.
 
     Invariants enforced at construction: occupation keys have length
-    ``n_modes``, entries never exceed ``cutoff``, total photon number never
-    exceeds ``photon_budget``, and amplitudes below ``DROP_TOLERANCE`` are
-    pruned.
+    ``n_modes`` and non-negative entries, and amplitudes below
+    ``DROP_TOLERANCE`` are pruned.
     """
 
     n_modes: int
-    cutoff: int
     amplitudes: dict[Occupation, complex]
     labels: tuple[ModeLabel, ...] = field(default=())
-    photon_budget: int = DEFAULT_PHOTON_BUDGET
 
     def __post_init__(self):
         if self.labels and len(self.labels) != self.n_modes:
@@ -75,12 +69,8 @@ class FockState:
         for occ, amp in self.amplitudes.items():
             if len(occ) != self.n_modes:
                 raise ValueError(f"occupation {occ} has wrong length")
-            if any(n < 0 or n > self.cutoff for n in occ):
-                raise ValueError(f"occupation {occ} violates cutoff {self.cutoff}")
-            if sum(occ) > self.photon_budget:
-                raise ValueError(
-                    f"occupation {occ} exceeds photon budget {self.photon_budget}"
-                )
+            if any(n < 0 for n in occ):
+                raise ValueError(f"occupation {occ} has a negative entry")
             if abs(amp) >= DROP_TOLERANCE:
                 kept[occ] = complex(amp)
         object.__setattr__(self, "amplitudes", kept)
@@ -104,8 +94,7 @@ class FockState:
         return self.with_amplitudes({k: a / n for k, a in self.amplitudes.items()})
 
     def with_amplitudes(self, amps: dict[Occupation, complex]) -> "FockState":
-        return FockState(self.n_modes, self.cutoff, amps, self.labels,
-                         self.photon_budget)
+        return FockState(self.n_modes, amps, self.labels)
 
     def inner(self, other: "FockState") -> complex:
         """<self|other> over the shared ket basis."""
@@ -131,29 +120,23 @@ class FockState:
         return tuple(seen)
 
 
-def basis_state(occ, labels=(), cutoff: int = DEFAULT_CUTOFF,
-                photon_budget: int = DEFAULT_PHOTON_BUDGET) -> FockState:
+def basis_state(occ, labels=()) -> FockState:
     occ = tuple(int(n) for n in occ)
-    return FockState(len(occ), cutoff, {occ: 1.0 + 0.0j}, tuple(labels),
-                     photon_budget)
+    return FockState(len(occ), {occ: 1.0 + 0.0j}, tuple(labels))
 
 
-def vacuum(n_modes: int, labels=(), cutoff: int = DEFAULT_CUTOFF,
-           photon_budget: int = DEFAULT_PHOTON_BUDGET) -> FockState:
-    return basis_state((0,) * n_modes, labels, cutoff, photon_budget)
+def vacuum(n_modes: int, labels=()) -> FockState:
+    return basis_state((0,) * n_modes, labels)
 
 
 def tensor(a: FockState, b: FockState) -> FockState:
     """Tensor product; mode registries concatenate, amplitudes multiply."""
-    if a.cutoff != b.cutoff:
-        raise ValueError(f"cutoff mismatch: {a.cutoff} vs {b.cutoff}")
-    budget = max(a.photon_budget, b.photon_budget)
     amps: dict[Occupation, complex] = {}
     for ka, va in a.amplitudes.items():
         for kb, vb in b.amplitudes.items():
             amps[ka + kb] = va * vb
     labels = a.labels + b.labels if (a.labels or b.labels) else ()
-    return FockState(a.n_modes + b.n_modes, a.cutoff, amps, labels, budget)
+    return FockState(a.n_modes + b.n_modes, amps, labels)
 
 
 def apply_two_mode_unitary(state: FockState, i: int, j: int,
@@ -253,9 +236,8 @@ def split_by_occupation(state: FockState, modes) -> list[
         if weight <= 0.0:
             continue
         scale = 1.0 / math.sqrt(weight)
-        cond = FockState(len(keep), state.cutoff,
-                         _canonical_phase({k: a * scale for k, a in amps.items()}),
-                         labels, state.photon_budget)
+        cond = FockState(len(keep), _canonical_phase(
+            {k: a * scale for k, a in amps.items()}), labels)
         result.append((sub, weight, cond))
     return result
 

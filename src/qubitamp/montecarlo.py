@@ -33,14 +33,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplifier import (
-    AmplifierParams,
-    QubitSpec,
-    _class_outcome_tuples,
-    build_scenario,
-)
+from .amplifier import (AmplifierParams, QubitSpec, build_scenario,
+                        herald_conditionals)
 from .circuits import BeamSplitter, Circuit, PhaseShift, run_circuit
-from .detection import CLICK, Detector, DetectorSpec, measure, measure_all
+from .detection import CLICK, Detector, DetectorSpec, measure
+# Not called here: benchmarks/spans.py wraps montecarlo.measure_all by name.
+from .detection import measure_all  # noqa: F401
 
 #: Default input-herald efficiency: source heralding times detector efficiency.
 ETA_HERALD_DEFAULT = 0.86 * 0.70
@@ -104,22 +102,16 @@ def _branch_outcome_table(bundle, circuit, d4: Detector) -> np.ndarray:
     """Exact probability of each (herald class, analyzer click) pair.
 
     The whole source mixture runs through the amplifier once; each herald
-    outcome's conditional output then runs through the analyzer tail.
+    class's conditional output then runs through the analyzer tail.
     Returns an (n_classes, 2) array indexed by [class, d4 clicked]; the
     remaining probability corresponds to "no herald".
     """
-    propagated = run_circuit(bundle.source, bundle.circuit)
-    table = measure_all(propagated, list(bundle.detectors))
     tail = Circuit(bundle.output_paths,  # the analyzer-only suffix
                    circuit.elements[len(bundle.circuit.elements):])
     cells = np.zeros((len(bundle.herald_classes), 2))
-    for ci, cls in enumerate(bundle.herald_classes):
-        wanted = _class_outcome_tuples(cls, bundle.detectors)
-        for outcome, (p, cond) in table.items():
-            if outcome not in wanted:
-                continue
-            p4, _ = measure(run_circuit(cond, tail), [d4], {d4.name: CLICK})
-            cells[ci] += (p * (1.0 - p4), p * p4)
+    for ci, (_, prob, cond) in enumerate(herald_conditionals(bundle)):
+        p4, _ = measure(run_circuit(cond, tail), [d4], {d4.name: CLICK})
+        cells[ci] = (prob * (1.0 - p4), prob * p4)
     return cells
 
 

@@ -105,7 +105,7 @@ class TestLossChannel:
         assert out.total_weight() == pytest.approx(1.0, abs=1e-12)
 
     def test_loss_commutes_with_phase(self):
-        s = FockState(2, 4, {(1, 0): math.sqrt(0.4), (2, 0): math.sqrt(0.6)},
+        s = FockState(2, {(1, 0): math.sqrt(0.4), (2, 0): math.sqrt(0.6)},
                       labels=mode_labels(("a",)))
         m = Mixture.pure(s)
         first = apply_loss(apply_element(m, PhaseShift(0.7, "a")), "a", 0.6)
@@ -120,7 +120,7 @@ class TestLossChannel:
 
     def test_loss_covers_both_internal_modes(self):
         labels = mode_labels(("a",))
-        s = FockState(2, 4, {(1, 0): 1 / math.sqrt(2), (0, 1): 1 / math.sqrt(2)},
+        s = FockState(2, {(1, 0): 1 / math.sqrt(2), (0, 1): 1 / math.sqrt(2)},
                       labels=labels)
         out = merge_branches(apply_loss(Mixture.pure(s), "a", 0.5))
         survived = sum(b.weight for b in out
@@ -177,8 +177,8 @@ class TestMixture:
 
     def test_density_matrix_traces_out_modes(self):
         labels = mode_labels(("a", "b"))
-        s = FockState(4, 4, {(1, 0, 0, 0): 1 / math.sqrt(2),
-                             (0, 0, 1, 0): 1 / math.sqrt(2)}, labels=labels)
+        s = FockState(4, {(1, 0, 0, 0): 1 / math.sqrt(2),
+                          (0, 0, 1, 0): 1 / math.sqrt(2)}, labels=labels)
         basis, rho = mixture_density(Mixture.pure(s), modes=(0, 1))
         idx = {k: i for i, k in enumerate(basis)}
         # photon-on-a block keeps no coherence with the traced-out photon-on-b

@@ -227,6 +227,30 @@ class TestConfigHandling:
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_value_after_flag(self, tmp_path):
+        spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+        base = ["estimate", "--scenario", "timebin-hqa", "--mu", "0.8",
+                "--pulses", "1000"]
+        assert run(base + ["--analyzer-phi", "-1e-3",
+                           "--out", str(spaced)]) == EXIT_OK
+        assert run(base + ["--analyzer-phi=-1e-3",
+                           "--out", str(joined)]) == EXIT_OK
+        assert spaced.read_bytes() == joined.read_bytes()
+
+    def test_negative_infinity_after_flag_is_validation_error(self, tmp_path,
+                                                              capsys):
+        out = tmp_path / "gain.csv"
+        code = run(["gain-curve", "--pin-from", "-inf", "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert "pin_from must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_truncation_key_is_gone(self, tmp_path):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("cutoff = 4\n")
+        assert run(["hom", "--config", str(cfg)]) == EXIT_PARSE
+        assert run(["hom", "--cutoff", "4"]) == EXIT_PARSE
+
     def test_non_finite_config_value_is_validation_error(self, tmp_path,
                                                          capsys):
         cfg = tmp_path / "bad.cfg"

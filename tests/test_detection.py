@@ -21,7 +21,7 @@ from qubitamp.fock import FockState, mode_labels
 
 
 def two_path_state(amps):
-    return FockState(4, 4, amps, labels=mode_labels(("p0", "p1")))
+    return FockState(4, amps, labels=mode_labels(("p0", "p1")))
 
 
 class TestNoClickWeight:
@@ -136,6 +136,12 @@ class TestInvariants:
     def test_click_prob_helper(self):
         assert click_prob(1, 0.7) == pytest.approx(0.7)
         assert click_prob(0, 0.7, dark_click_prob=0.1) == pytest.approx(0.1)
+
+    def test_click_prob_keeps_relative_precision_at_small_eta(self):
+        # 1 - (1 - eta) rounds to 1.0000889e-12 here
+        assert click_prob(1, 1e-12) == pytest.approx(1e-12, rel=1e-12, abs=0)
+        assert click_prob(3, 1.0, dark_click_prob=0.2) == 1.0
+        assert click_prob(0, 1.0, dark_click_prob=0.2) == 0.2
 
 
 class TestLossEquivalence:

@@ -25,7 +25,7 @@ def random_state(rng, n_modes=3, max_photons=3, kets=4):
         for _ in range(int(rng.integers(0, max_photons + 1))):
             occ[int(rng.integers(0, n_modes))] += 1
         amps[tuple(occ)] = complex(rng.normal(), rng.normal())
-    return FockState(n_modes, 4, amps).normalized()
+    return FockState(n_modes, amps).normalized()
 
 
 def random_unitary(rng):
@@ -34,9 +34,14 @@ def random_unitary(rng):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def dense_dims(state):
+    """Per-mode sizes of a dense grid that holds every ket of the state."""
+    return [max(sum(occ) for occ in state.amplitudes) + 1] * state.n_modes
+
+
 def dense_vector(state):
-    """Dense amplitude array over the full truncated basis (oracle helper)."""
-    dims = [state.cutoff + 1] * state.n_modes
+    """Dense amplitude array over a basis holding every ket (oracle helper)."""
+    dims = dense_dims(state)
     vec = np.zeros(dims, dtype=complex)
     for occ, amp in state.amplitudes.items():
         vec[occ] = amp
@@ -49,25 +54,21 @@ class TestConstruction:
         assert s.amplitudes == {(1, 0): 1.0 + 0.0j}
         assert s.is_normalized
 
-    def test_cutoff_violation(self):
+    def test_negative_occupation(self):
         with pytest.raises(ValueError):
-            FockState(1, 2, {(3,): 1.0})
-
-    def test_photon_budget_violation(self):
-        with pytest.raises(ValueError):
-            FockState(2, 4, {(3, 2): 1.0})
+            FockState(2, {(1, -1): 1.0})
 
     def test_wrong_key_length(self):
         with pytest.raises(ValueError):
-            FockState(2, 4, {(1,): 1.0})
+            FockState(2, {(1,): 1.0})
 
     def test_tiny_amplitudes_pruned(self):
-        s = FockState(1, 4, {(0,): 1.0, (1,): 1e-16})
+        s = FockState(1, {(0,): 1.0, (1,): 1e-16})
         assert (1,) not in s.amplitudes
 
     def test_labels_must_match_modes(self):
         with pytest.raises(ValueError):
-            FockState(1, 4, {(0,): 1.0}, labels=(("a", "matched"), ("a", "orthogonal")))
+            FockState(1, {(0,): 1.0}, labels=(("a", "matched"), ("a", "orthogonal")))
 
 
 class TestTensor:
@@ -76,7 +77,7 @@ class TestTensor:
         assert s.amplitudes == {(1, 0): 1.0 + 0.0j}
 
     def test_distributivity(self):
-        plus = FockState(1, 4, {(0,): 1 / math.sqrt(2), (1,): 1 / math.sqrt(2)})
+        plus = FockState(1, {(0,): 1 / math.sqrt(2), (1,): 1 / math.sqrt(2)})
         s = tensor(plus, basis_state((1,)))
         assert s.amplitudes[(0, 1)] == pytest.approx(1 / math.sqrt(2))
         assert s.amplitudes[(1, 1)] == pytest.approx(1 / math.sqrt(2))
@@ -93,10 +94,6 @@ class TestTensor:
                          for vb in b.amplitudes.values())
             assert t.norm_squared() == pytest.approx(direct, abs=1e-12)
             assert t.norm() == pytest.approx(a.norm() * b.norm(), abs=1e-12)
-
-    def test_cutoff_mismatch(self):
-        with pytest.raises(ValueError):
-            tensor(basis_state((0,), cutoff=4), basis_state((0,), cutoff=3))
 
 
 class TestTwoModeUnitary:
@@ -191,7 +188,7 @@ class TestMarginal:
         assert occupation_marginal(s, (0, 1, 2)) == {(1, 2, 0): pytest.approx(1.0)}
 
     def test_single_mode_marginal(self):
-        s = FockState(2, 4, {(1, 0): 1 / math.sqrt(2), (0, 1): 1 / math.sqrt(2)})
+        s = FockState(2, {(1, 0): 1 / math.sqrt(2), (0, 1): 1 / math.sqrt(2)})
         marg = occupation_marginal(s, (0,))
         assert marg[(0,)] == pytest.approx(0.5)
         assert marg[(1,)] == pytest.approx(0.5)
@@ -202,7 +199,7 @@ class TestMarginal:
             s = random_state(rng, n_modes=3)
             vec = dense_vector(s)
             marg = occupation_marginal(s, (0, 2))
-            dims = [s.cutoff + 1] * s.n_modes
+            dims = dense_dims(s)
             for occ in itertools.product(*[range(d) for d in dims]):
                 key = (occ[0], occ[2])
                 expected = 0.0
@@ -228,7 +225,7 @@ class TestMarginal:
 
 class TestSplitByOccupation:
     def test_split_removes_modes_and_weights(self):
-        s = FockState(2, 4, {(1, 0): math.sqrt(0.3), (0, 1): math.sqrt(0.7)})
+        s = FockState(2, {(1, 0): math.sqrt(0.3), (0, 1): math.sqrt(0.7)})
         parts = split_by_occupation(s, (0,))
         assert [occ for occ, _, _ in parts] == [(0,), (1,)]
         weights = {occ: w for occ, w, _ in parts}
