@@ -549,27 +549,34 @@ def _class_rates(params: AmplifierParams, phis) -> dict[str, np.ndarray]:
 def fringe_scan(params: AmplifierParams, phis,
                 mu_plus: float | None = None,
                 mu_minus: float | None = None) -> FringeScan:
-    """Scan the input-qubit phase and record per-class analyzer rates.
+    """Per-class analyzer rates versus the input-qubit phase.
 
     Each herald class may use its own indistinguishability mu; both default
-    to params.mu.
+    to params.mu. Each rate is a + b cos(phi) + c sin(phi) with a, b, c
+    affine in mu^2, so six exact runs (mu in {0, 1}, phi in {0, pi/2, pi})
+    fix both classes' fringes.
     """
     phis = np.asarray(list(phis), dtype=float)
     if phis.size < 2:
         raise ValueError("phase grid needs at least two phases")
-    mu_plus = params.mu if mu_plus is None else mu_plus
-    mu_minus = params.mu if mu_minus is None else mu_minus
-    scans = {mu_plus: _class_rates(replace(params, mu=mu_plus), phis)}
-    if mu_minus not in scans:
-        scans[mu_minus] = _class_rates(replace(params, mu=mu_minus), phis)
-    rates_plus = scans[mu_plus]["psi_plus"]
-    rates_minus = scans[mu_minus]["psi_minus"]
-    v_plus = visibility(rates_plus)
-    v_minus = visibility(rates_minus)
+    ends = [_class_rates(replace(params, mu=mu), (0.0, math.pi / 2, math.pi))
+            for mu in (0.0, 1.0)]
+    rates = {}
+    for name, mu in (("psi_plus", mu_plus), ("psi_minus", mu_minus)):
+        # replace() rejects a mu outside [0, 1]
+        mu = replace(params, mu=params.mu if mu is None else mu).mu
+        at_0, at_1 = ends[0][name], ends[1][name]
+        r0, r_half, r_pi = at_0 + mu * mu * (at_1 - at_0)
+        a = 0.5 * (r0 + r_pi)
+        fringe = (a + 0.5 * (r0 - r_pi) * np.cos(phis)
+                  + (r_half - a) * np.sin(phis))
+        rates[name] = np.maximum(fringe, 0.0)  # clamp rounding dust
+    v_plus = visibility(rates["psi_plus"])
+    v_minus = visibility(rates["psi_minus"])
     return FringeScan(
         phis=phis,
-        rate_plus=rates_plus,
-        rate_minus=rates_minus,
+        rate_plus=rates["psi_plus"],
+        rate_minus=rates["psi_minus"],
         visibility_plus=v_plus,
         visibility_minus=v_minus,
         fidelity_plus=fidelity_from_visibility(v_plus),
@@ -579,27 +586,20 @@ def fringe_scan(params: AmplifierParams, phis,
 
 def mu_for_visibility(target: float, params: AmplifierParams,
                       herald_class: str = "psi_plus") -> float:
-    """Indistinguishability mu whose fringe visibility equals `target`.
-
-    Bisection on mu against an exact two-point (0, pi) fringe; the
-    visibility grows monotonically with mu.
-    """
+    """Indistinguishability mu whose two-point (0, pi) fringe visibility
+    equals `target`: 1.0 or 0.0 when the target is at least the visibility
+    at mu = 1 or at most the one at mu = 0, else the root of
+    |R(0) - R(pi)| = target (R(0) + R(pi)), which is linear in mu^2."""
     if not 0.0 <= target <= 1.0:
         raise ValueError(f"target visibility must lie in [0, 1], got {target}")
-
-    def vis(mu: float) -> float:
-        rates = _class_rates(replace(params, mu=mu), (0.0, math.pi))
-        return visibility(rates[herald_class])
-
-    lo, hi = 0.0, 1.0
-    if target >= vis(1.0):
+    ends = np.array([_class_rates(replace(params, mu=mu), (0.0, math.pi))
+                     [herald_class] for mu in (0.0, 1.0)])
+    if target >= visibility(ends[1]):
         return 1.0
-    if target <= vis(0.0):
+    if target <= visibility(ends[0]):
         return 0.0
-    while hi - lo > 1e-13:
-        mid = 0.5 * (lo + hi)
-        if vis(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    sign = math.copysign(1.0, ends[1, 0] - ends[1, 1])  # R(0) - R(pi), mu = 1
+    d0, d1 = sign * (ends[:, 0] - ends[:, 1])
+    s0, s1 = ends[:, 0] + ends[:, 1]
+    m = (target * s0 - d0) / (d1 - d0 - target * (s1 - s0))
+    return math.sqrt(min(max(m, 0.0), 1.0))

@@ -11,6 +11,7 @@ from qubitamp.amplifier import (
     QubitSpec,
     UndefinedGainError,
     ZeroHeraldError,
+    _class_rates,
     _heralded_analysis,
     build_scenario,
     build_timebin_hqa,
@@ -269,6 +270,48 @@ class TestFringes:
         scan = fringe_scan(params, phis, mu_plus=mu_plus, mu_minus=mu_minus)
         assert scan.fidelity_plus == pytest.approx(0.99, abs=1e-9)
         assert scan.fidelity_minus == pytest.approx(0.965, abs=1e-9)
+
+
+def bisect_mu_for_visibility(target, params, herald_class):
+    """Reference for the closed-form `mu_for_visibility`: bisection on mu
+    against an exact two-point (0, pi) fringe, to a bracket of 1e-13."""
+
+    def vis(mu):
+        rates = _class_rates(replace(params, mu=mu), (0.0, math.pi))
+        return visibility(rates[herald_class])
+
+    lo, hi = 0.0, 1.0
+    if target >= vis(1.0):
+        return 1.0
+    if target <= vis(0.0):
+        return 0.0
+    while hi - lo > 1e-13:
+        mid = 0.5 * (lo + hi)
+        if vis(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("t,p_in,p_a,eta", [
+    (0.7, 0.47, 0.8, 0.7),  # the acceptance fidelity point
+    (0.5, 0.01, 0.296, 0.5),
+    (0.9, 0.2, 0.5, 1.0),
+    (0.99, 0.7, 0.9, 0.7),
+    (0.5, 1.0, 1.0, 1.0),
+    (0.683826, 0.405639, 0.619225, 0.621935),  # off the acceptance grid
+])
+def test_closed_form_mu_matches_bisection(t, p_in, p_a, eta):
+    params = AmplifierParams(t=t, p_in=p_in, p_a=p_a, eta=eta)
+    phis = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
+    for cls, target in (("psi_plus", 0.98), ("psi_minus", 0.93)):
+        mu = mu_for_visibility(target, params, cls)
+        assert abs(mu - bisect_mu_for_visibility(target, params, cls)) <= 1e-12
+        scan = fringe_scan(params, phis, mu_plus=mu, mu_minus=mu)
+        got = {"psi_plus": scan.visibility_plus,
+               "psi_minus": scan.visibility_minus}[cls]
+        assert abs(got - target) <= 1e-12
 
 
 class TestVisibilityHelpers:

@@ -2,8 +2,8 @@
 
 Random Fock states come from `qubitamp.checks.random_two_path_state` with a
 drawn seed, so the acceptance checks and these properties share one
-generator. Example counts are kept small: each property runs in well under
-a second.
+generator. Example counts are kept small: each property runs in a few
+seconds at most.
 """
 
 import math
@@ -15,6 +15,8 @@ from qubitamp.amplifier import (
     AmplifierParams,
     QubitSpec,
     SCENARIOS,
+    _class_rates,
+    fringe_scan,
     gain_analytic,
     simulate_scenario,
 )
@@ -98,3 +100,21 @@ def test_oracle_gain_equals_closed_form(scenario, t, p_a, eta, p_in):
 def test_detector_efficiency_equals_loss(seed, eta, dark, pattern):
     state = random_two_path_state(np.random.default_rng(seed))
     assert loss_identity_residual(state, eta, pattern, dark) <= 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(t=st.floats(0.05, 0.99), p_in=positive, p_a=positive, eta=positive,
+       dark=st.floats(0.0, 0.5), mu=unit,
+       phis=st.lists(st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+                     min_size=2, max_size=3))
+def test_fringe_rates_equal_exact_runs(t, p_in, p_a, eta, dark, mu, phis):
+    # fringe_scan evaluates a + b cos(phi) + c sin(phi), affine in mu^2,
+    # from six exact runs; _class_rates runs the circuit at each phase
+    params = AmplifierParams(t=t, p_in=p_in, p_a=p_a, eta=eta, mu=mu,
+                             dark_click_prob=dark)
+    exact = _class_rates(params, phis)
+    scan = fringe_scan(params, phis)
+    scale = max(float(r.max()) for r in exact.values())
+    for got, name in ((scan.rate_plus, "psi_plus"),
+                      (scan.rate_minus, "psi_minus")):
+        assert np.max(np.abs(got - exact[name])) <= 1e-12 * scale
