@@ -1,67 +1,5 @@
 """Exact desk-scale simulator of heralded photonic qubit amplification."""
 
-from .amplifier import (
-    AmplifierParams,
-    FringeScan,
-    HeraldClass,
-    HeraldedOutcome,
-    PRESETS,
-    QubitSpec,
-    ScenarioBundle,
-    UndefinedGainError,
-    ZeroHeraldError,
-    build_fock_hpa,
-    build_scenario,
-    build_timebin_hqa,
-    fidelity_from_visibility,
-    fringe_scan,
-    gain_analytic,
-    gain_asymptote,
-    hom_coincidence,
-    hom_coincidence_fock,
-    mu_for_visibility,
-    p_out_analytic,
-    simulate,
-    simulate_scenario,
-    visibility,
-)
-from .circuits import (
-    BeamSplitter,
-    Branch,
-    Circuit,
-    Loss,
-    Mixture,
-    PhaseShift,
-    apply_element,
-    apply_loss,
-    merge_branches,
-    mixture_density,
-    run_circuit,
-)
-from .detection import (
-    ANY,
-    CLICK,
-    Detector,
-    DetectorSpec,
-    NO_CLICK,
-    click_prob,
-    measure,
-    measure_all,
-    no_click_weight,
-)
-from .fock import (
-    FockState,
-    MATCHED,
-    ORTHOGONAL,
-    apply_phase,
-    apply_two_mode_unitary,
-    basis_state,
-    beam_splitter_matrix,
-    mode_labels,
-    occupation_marginal,
-    split_by_occupation,
-    tensor,
-    vacuum,
-)
+from .amplifier import AmplifierParams, build_scenario
 
 __version__ = "0.1.0"

@@ -1,5 +1,5 @@
-"""Heralded photonic amplifier scenarios: circuit construction, exact
-branch-enumeration simulation, and the closed-form gain.
+"""Heralded photonic amplifier scenarios: circuit construction, the exact
+scenario table, and the closed-form gain.
 
 Two scenarios are built here. The single-photon (Fock) amplifier couples an
 ancilla photon to the output through an unbalanced splitter of transmission
@@ -9,16 +9,23 @@ time-bin qubit amplifier runs one such stage per rail (short/long) and
 heralds on one click per rail; the four two-click patterns split into two
 herald classes, one of which needs a pi phase correction on the long rail.
 
+Exact outcomes come from a scenario table. Every unnormalised herald-class
+output is multilinear in the presence probabilities of the source photons
+and, with at most three photons, affine in mu^2. So `compile_scenario`
+measures each presence combination once at mu = 0 and once at mu = 1, and
+any (p_in, p_a, mu) is a weighted sum over the table.
+
 The closed-form gain
 
     G = p_a * t / (p_a * (1 - t) * (1 - p_in * eta) + p_in)
 
-is reproduced exactly by the enumeration for indistinguishable photons and
-no dark counts; the simulator is the independent cross-check of it.
+is reproduced exactly by the table for indistinguishable photons and no
+dark counts; the simulator is the independent cross-check of it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -36,6 +43,7 @@ from .circuits import (
 )
 from .detection import (
     CLICK,
+    MIN_OUTCOME_PROB,
     NO_CLICK,
     Detector,
     DetectorSpec,
@@ -133,10 +141,18 @@ class ScenarioBundle:
     params: AmplifierParams
     qubit: QubitSpec | None
     circuit: Circuit
-    source: Mixture
+    #: (presence probability, wavefunction) per source photon, input first
+    slots: tuple[tuple[float, dict], ...]
     detectors: tuple[Detector, ...]
     herald_classes: tuple[HeraldClass, ...]
     output_paths: tuple[str, ...]
+
+    @property
+    def source(self) -> Mixture:
+        """The presence combinations of non-zero weight, as a mixture."""
+        weights = _presence_weights([p for p, _ in self.slots])
+        return Mixture([Branch(float(w), state) for w, state in zip(
+            weights, _combinations(self.circuit.paths, self.slots)) if w > 0])
 
 
 @dataclass(frozen=True)
@@ -263,22 +279,25 @@ def _ancilla_wavefunction(params: AmplifierParams, path: str) -> dict:
     return {(path, MATCHED): mu, (path, ORTHOGONAL): nu}
 
 
-def _source(paths, slots) -> Mixture:
-    """Mixture over the presence combinations of independent photons.
+def _presence_weights(probs) -> np.ndarray:
+    """Weight of each presence combination of independent slots present
+    with probabilities `probs`, on a last axis indexed as in _combinations.
+    Entries of probs may be arrays; they broadcast against each other."""
+    weights = np.ones(np.broadcast_shapes(*map(np.shape, probs)) + (1,))
+    for p in probs:
+        p = np.asarray(p, dtype=float)[..., None, None]
+        weights = (weights[..., :, None] * np.concatenate((1.0 - p, p), -1)
+                   ).reshape(weights.shape[:-1] + (-1,))
+    return weights
 
-    slots: list of (probability_present, wavefunction). Branches run with
-    the earlier slots varying slowest and "absent" before "present";
-    zero-weight combinations are dropped.
-    """
-    combos = [(1.0, [])]
-    for p, wf in slots:
-        grown = []
-        for w, photons in combos:
-            grown.append((w * (1.0 - p), photons))
-            grown.append((w * p, photons + [wf]))
-        combos = [(w, photons) for w, photons in grown if w > 0.0]
-    return Mixture([Branch(w, _source_state(paths, photons))
-                    for w, photons in combos])
+
+def _combinations(paths, slots) -> list[FockState]:
+    """Source state of every presence combination of the slots' photons.
+    Entry c holds the combination whose presence bits, slot 0 first, are
+    the binary digits of c."""
+    return [_source_state(paths, [wf for bit, (_, wf) in zip(bits, slots)
+                                  if bit])
+            for bits in itertools.product((0, 1), repeat=len(slots))]
 
 
 def build_fock_hpa(params: AmplifierParams) -> ScenarioBundle:
@@ -306,8 +325,8 @@ def build_fock_hpa(params: AmplifierParams) -> ScenarioBundle:
         {"bsm_a": CLICK, "bsm_b": NO_CLICK},
         {"bsm_a": NO_CLICK, "bsm_b": CLICK},
     ))
-    return ScenarioBundle("fock-hpa", params, None, circuit,
-                          _source(paths, slots), detectors, (herald,), ("out",))
+    return ScenarioBundle("fock-hpa", params, None, circuit, tuple(slots),
+                          detectors, (herald,), ("out",))
 
 
 #: Herald classes of the time-bin amplifier. Clicks on the same port of
@@ -356,9 +375,8 @@ def build_timebin_hqa(params: AmplifierParams,
         Detector("s_a", "in_s", spec), Detector("s_b", "anc_s", spec),
         Detector("l_a", "in_l", spec), Detector("l_b", "anc_l", spec),
     )
-    return ScenarioBundle("timebin-hqa", params, qubit, circuit,
-                          _source(paths, slots), detectors, _TIMEBIN_CLASSES,
-                          ("out_s", "out_l"))
+    return ScenarioBundle("timebin-hqa", params, qubit, circuit, tuple(slots),
+                          detectors, _TIMEBIN_CLASSES, ("out_s", "out_l"))
 
 
 SCENARIOS = ("fock-hpa", "timebin-hqa")
@@ -378,7 +396,7 @@ def build_scenario(scenario: str, params: AmplifierParams,
 
 @dataclass(frozen=True)
 class ClassAnalysis:
-    """Raw conditional analysis of one herald class (no correction applied)."""
+    """Conditional analysis of one herald class (no correction applied)."""
 
     prob: float
     vacuum_weight: float
@@ -387,12 +405,14 @@ class ClassAnalysis:
     qubit_density: np.ndarray  # over output rails, trace = single_weight
 
 
-def herald_conditionals(bundle: ScenarioBundle
+def herald_conditionals(bundle: ScenarioBundle, mix: Mixture | None = None
                         ) -> list[tuple[HeraldClass, float, Mixture]]:
     """(class, herald probability, conditional output ensemble) per class,
-    from one run of the circuit and one joint measurement. An impossible
-    class has probability 0 and an empty ensemble."""
-    mix = run_circuit(bundle.source, bundle.circuit)
+    from one joint measurement of `mix`, the ensemble leaving the circuit
+    (by default the bundle's source run through it). An impossible class
+    has probability 0 and an empty ensemble."""
+    if mix is None:
+        mix = run_circuit(bundle.source, bundle.circuit)
     table = measure_all(mix, list(bundle.detectors))
     return [(cls, *condition(table, {
                 outcome for pattern in cls.patterns
@@ -400,10 +420,11 @@ def herald_conditionals(bundle: ScenarioBundle
             for cls in bundle.herald_classes]
 
 
-def _heralded_analysis(bundle: ScenarioBundle) -> dict[str, ClassAnalysis]:
+def _heralded_analysis(bundle: ScenarioBundle, mix: Mixture | None = None
+                       ) -> dict[str, ClassAnalysis]:
     n_rails = len(bundle.output_paths)
     result = {}
-    for cls, prob, cond in herald_conditionals(bundle):
+    for cls, prob, cond in herald_conditionals(bundle, mix):
         basis, rho = mixture_density(cond)  # empty for an impossible class
         vacuum = single = multi = 0.0
         rails = np.zeros((n_rails, n_rails), dtype=complex)
@@ -431,63 +452,64 @@ def _heralded_analysis(bundle: ScenarioBundle) -> dict[str, ClassAnalysis]:
 
 
 def _apply_correction(rho: np.ndarray, phase: float) -> np.ndarray:
-    if rho.shape[0] < 2 or phase == 0.0:
+    if rho.shape[-1] < 2 or phase == 0.0:
         return rho
     u = np.diag([1.0, np.exp(1j * phase)])
     return u @ rho @ u.conj().T
 
 
 def _qubit_fidelity(rho: np.ndarray, qubit: QubitSpec | None,
-                    correction_phase: float) -> float | None:
-    tr = float(np.trace(rho).real)
-    if tr <= 1e-30:
-        return None
-    if rho.shape == (1, 1) or qubit is None:
-        # Fock-state qubit: the single-photon conditional state is |1>.
-        return 1.0
-    rho = _apply_correction(rho, correction_phase)
-    psi = qubit.vector()
-    return float((psi.conj() @ rho @ psi).real / tr)
+                    correction_phase: float):
+    """<psi|rho|psi> / tr(rho) of the corrected output and the input qubit
+    (1 for the Fock-state qubit, whose single-photon output is |1>); None,
+    or NaN at points of an array, without a single photon out."""
+    tr = np.trace(rho, axis1=-2, axis2=-1).real
+    psi = np.ones(1) if qubit is None else qubit.vector()
+    overlap = (psi.conj() @ _apply_correction(rho, correction_phase) @ psi).real
+    some = tr > 1e-30
+    fidelity = np.where(some, overlap, np.nan) / np.where(some, tr, 1.0)
+    return None if np.ndim(fidelity) == 0 and not some else fidelity
 
 
-def _gain_from_p_out(params: AmplifierParams, p_out: float) -> float:
-    if params.p_in > 0.0:
-        return p_out / params.p_in
-    # continuous limit of the closed form at p_in = 0
-    return gain_analytic(params.t, params.p_a, params.eta, 0.0)
+def _gain(spec, p_in, p_a, p_out):
+    """p_out / p_in; at p_in = 0 the continuous limit of the closed form."""
+    p_in, p_a = np.broadcast_arrays(p_in, p_a)
+    gain = np.array(p_out / np.where(p_in > 0.0, p_in, 1.0))
+    gain[p_in == 0.0] = [gain_analytic(spec.params.t, a, spec.params.eta, 0.0)
+                         for a in p_a[p_in == 0.0]]
+    return gain[()]
 
 
-def simulate(bundle: ScenarioBundle) -> HeraldedOutcome:
-    """Exact heralded outcome over all herald classes of the scenario.
-
-    Per-class outcomes carry each class's own phase correction; the
-    combined outcome mixes the corrected classes weighted by their herald
-    probabilities (the feed-forward-corrected amplifier output).
-    """
-    analysis = _heralded_analysis(bundle)
-    per_class = {}
+def _combine(spec, analysis: dict[str, ClassAnalysis], p_in,
+             p_a) -> HeraldedOutcome:
+    """Outcome over the herald classes of `spec` (a ScenarioBundle or
+    ScenarioTable) from their analysis at p_in, p_a. Per-class outcomes
+    carry their class's phase correction; the combined outcome mixes the
+    corrected classes weighted by herald probability (the
+    feed-forward-corrected amplifier output)."""
     total_prob = sum(a.prob for a in analysis.values())
-    if total_prob <= 1e-30:
+    if np.any(total_prob <= 1e-30):
         raise ZeroHeraldError(
-            f"herald probability vanishes for scenario {bundle.scenario}")
-    combined_rho = np.zeros_like(next(iter(analysis.values())).qubit_density)
+            f"herald probability vanishes for scenario {spec.scenario}")
+    per_class = {}
+    combined_rho = 0.0
     vacuum = single = multi = 0.0
-    for cls in bundle.herald_classes:
+    for cls in spec.herald_classes:
         a = analysis[cls.name]
         rho_corr = _apply_correction(a.qubit_density, cls.correction_phase)
         per_class[cls.name] = HeraldedOutcome(
             herald_class=cls.name,
             herald_prob=a.prob,
             p_out=a.single_weight,
-            gain=_gain_from_p_out(bundle.params, a.single_weight),
+            gain=_gain(spec, p_in, p_a, a.single_weight),
             vacuum_weight=a.vacuum_weight,
             multi_weight=a.multi_weight,
             output_qubit_density=rho_corr,
-            fidelity_conditional=_qubit_fidelity(a.qubit_density, bundle.qubit,
+            fidelity_conditional=_qubit_fidelity(a.qubit_density, spec.qubit,
                                                  cls.correction_phase),
         )
         share = a.prob / total_prob
-        combined_rho = combined_rho + share * rho_corr
+        combined_rho += np.expand_dims(share, (-2, -1)) * rho_corr
         vacuum += share * a.vacuum_weight
         single += share * a.single_weight
         multi += share * a.multi_weight
@@ -495,13 +517,82 @@ def simulate(bundle: ScenarioBundle) -> HeraldedOutcome:
         herald_class="combined",
         herald_prob=total_prob,
         p_out=single,
-        gain=_gain_from_p_out(bundle.params, single),
+        gain=_gain(spec, p_in, p_a, single),
         vacuum_weight=vacuum,
         multi_weight=multi,
         output_qubit_density=combined_rho,
-        fidelity_conditional=_qubit_fidelity(combined_rho, bundle.qubit, 0.0),
+        fidelity_conditional=_qubit_fidelity(combined_rho, spec.qubit, 0.0),
         per_class=per_class,
     )
+
+
+@dataclass(frozen=True)
+class ScenarioTable:
+    """Unnormalised herald-class outputs of one scenario at fixed t, eta,
+    dark count and qubit. cells[m, k, c] holds (prob, prob * vacuum,
+    prob * single, prob * multi) of herald class k at mu = m for presence
+    combination c (indexed as in _combinations), rails[m, k, c] the class's
+    output rail density times prob."""
+
+    scenario: str
+    params: AmplifierParams  # its p_in, p_a and mu are not used
+    qubit: QubitSpec | None
+    herald_classes: tuple[HeraldClass, ...]
+    cells: np.ndarray
+    rails: np.ndarray
+
+    def evaluate(self, p_in, p_a, mu: float) -> HeraldedOutcome:
+        """Heralded outcome at input and ancilla presence probabilities
+        p_in, p_a and overlap mu. p_in and p_a may be arrays: they
+        broadcast against each other, and so does every outcome field."""
+        m = mu * mu
+        n_ancillas = self.cells.shape[2].bit_length() - 2
+        weights = _presence_weights([p_in] + [p_a] * n_ancillas)
+        analysis = {}
+        for cls, cells, rails in zip(
+                self.herald_classes,
+                (1.0 - m) * self.cells[0] + m * self.cells[1],
+                (1.0 - m) * self.rails[0] + m * self.rails[1]):
+            prob, *weighted = np.moveaxis(weights @ cells, -1, 0)
+            keep = prob > MIN_OUTCOME_PROB  # else the class is impossible
+            denom = np.where(keep, prob, 1.0)
+            rho = np.einsum("...c,cij->...ij", weights, rails)
+            analysis[cls.name] = ClassAnalysis(
+                prob * keep, *(w / denom * keep for w in weighted),
+                rho / denom[..., None, None] * keep[..., None, None])
+        return _combine(self, analysis, p_in, p_a)
+
+
+def compile_scenario(scenario: str, params: AmplifierParams,
+                     qubit: QubitSpec | None = None) -> ScenarioTable:
+    """The scenario table at params' t, eta and dark count: one build and
+    one circuit run per mu in {0, 1} over every presence combination, each
+    combination then measured on its own."""
+    cells, rails = [], []
+    for mu in (0.0, 1.0):
+        bundle = build_scenario(scenario, replace(params, mu=mu), qubit)
+        combos = _combinations(bundle.circuit.paths, bundle.slots)
+        out = run_circuit(Mixture([Branch(1.0, s) for s in combos]),
+                          bundle.circuit)
+        per_combo = [_heralded_analysis(bundle, Mixture([b])) for b in out]
+        by_class = [[r[cls.name] for r in per_combo]
+                    for cls in bundle.herald_classes]
+        cells.append([[a.prob * np.array((1.0, a.vacuum_weight, a.single_weight,
+                                          a.multi_weight)) for a in row]
+                      for row in by_class])
+        rails.append([[a.prob * a.qubit_density for a in row]
+                      for row in by_class])
+    return ScenarioTable(scenario, params, bundle.qubit, bundle.herald_classes,
+                         np.array(cells), np.array(rails))
+
+
+def simulate(bundle: ScenarioBundle) -> HeraldedOutcome:
+    """Exact heralded outcome at the bundle's operating point: the table of
+    its scenario, params and qubit (see compile_scenario), evaluated at one
+    point. Per-class outcomes carry their class's phase correction."""
+    p = bundle.params
+    return compile_scenario(bundle.scenario, p, bundle.qubit).evaluate(
+        p.p_in, p.p_a, p.mu)
 
 
 def simulate_scenario(scenario: str, params: AmplifierParams,
@@ -528,22 +619,37 @@ class FringeScan:
 _ANALYZER = np.array([1.0, 1.0]) / math.sqrt(2.0)
 
 
-def _class_rates(params: AmplifierParams, phis) -> dict[str, np.ndarray]:
-    """Analyzer rate per herald class: herald probability times the overlap
-    of the raw (uncorrected) conditional output with the zero-phase qubit."""
+def _class_rates(params: AmplifierParams, phis
+                 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Analyzer rate per herald class (herald probability times the overlap
+    of the raw, uncorrected conditional output with the zero-phase qubit)
+    and the total herald probability, at each phase."""
     bundle = build_timebin_hqa(params, QubitSpec.from_phase(0.0))
     rates = {cls.name: [] for cls in bundle.herald_classes}
+    heralds = []
     for phi in phis:
         circuit = Circuit(bundle.circuit.paths,
                           (PhaseShift(float(phi), "in_l"),)
                           + bundle.circuit.elements)
-        shifted = replace(bundle, circuit=circuit)
-        for name, a in _heralded_analysis(shifted).items():
+        analysis = _heralded_analysis(replace(bundle, circuit=circuit))
+        heralds.append(sum(a.prob for a in analysis.values()))
+        for name, a in analysis.items():
             overlap = float((_ANALYZER.conj() @ a.qubit_density
                              @ _ANALYZER).real)
             # a PSD density has a non-negative overlap; clamp rounding dust
             rates[name].append(max(0.0, a.prob * overlap))
-    return {name: np.array(vals) for name, vals in rates.items()}
+    return {name: np.array(vals) for name, vals in rates.items()}, heralds
+
+
+def _fringe_ends(params: AmplifierParams, phis) -> list[dict[str, np.ndarray]]:
+    """_class_rates at mu = 0 and mu = 1. The herald probability is affine
+    in mu^2 and a non-negative a + b cos(phi) + c sin(phi), so if it
+    vanishes at both mus and at phi = 0 and pi it vanishes everywhere."""
+    runs = [_class_rates(replace(params, mu=mu), phis) for mu in (0.0, 1.0)]
+    if max(max(heralds) for _, heralds in runs) <= 1e-30:
+        raise ZeroHeraldError(
+            "herald probability vanishes for scenario timebin-hqa")
+    return [rates for rates, _ in runs]
 
 
 def fringe_scan(params: AmplifierParams, phis,
@@ -554,13 +660,13 @@ def fringe_scan(params: AmplifierParams, phis,
     Each herald class may use its own indistinguishability mu; both default
     to params.mu. Each rate is a + b cos(phi) + c sin(phi) with a, b, c
     affine in mu^2, so six exact runs (mu in {0, 1}, phi in {0, pi/2, pi})
-    fix both classes' fringes.
+    fix both classes' fringes. Raises ZeroHeraldError if no herald can
+    occur.
     """
     phis = np.asarray(list(phis), dtype=float)
     if phis.size < 2:
         raise ValueError("phase grid needs at least two phases")
-    ends = [_class_rates(replace(params, mu=mu), (0.0, math.pi / 2, math.pi))
-            for mu in (0.0, 1.0)]
+    ends = _fringe_ends(params, (0.0, math.pi / 2, math.pi))
     rates = {}
     for name, mu in (("psi_plus", mu_plus), ("psi_minus", mu_minus)):
         # replace() rejects a mu outside [0, 1]
@@ -592,8 +698,8 @@ def mu_for_visibility(target: float, params: AmplifierParams,
     |R(0) - R(pi)| = target (R(0) + R(pi)), which is linear in mu^2."""
     if not 0.0 <= target <= 1.0:
         raise ValueError(f"target visibility must lie in [0, 1], got {target}")
-    ends = np.array([_class_rates(replace(params, mu=mu), (0.0, math.pi))
-                     [herald_class] for mu in (0.0, 1.0)])
+    ends = np.array([rates[herald_class]
+                     for rates in _fringe_ends(params, (0.0, math.pi))])
     if target >= visibility(ends[1]):
         return 1.0
     if target <= visibility(ends[0]):

@@ -17,9 +17,9 @@ import numpy as np
 
 from .amplifier import (
     AmplifierParams, QubitSpec, SCENARIOS, build_timebin_hqa,
-    fidelity_from_visibility, fringe_scan, gain_analytic, gain_asymptote,
-    hom_coincidence, hom_coincidence_fock, mu_for_visibility, simulate,
-    simulate_scenario)
+    compile_scenario, fidelity_from_visibility, fringe_scan, gain_analytic,
+    gain_asymptote, hom_coincidence, hom_coincidence_fock, mu_for_visibility,
+    simulate, simulate_scenario)
 from .circuits import Mixture, apply_loss, mixture_density
 from .detection import CLICK, Detector, DetectorSpec, measure
 from .fock import FockState, mode_labels
@@ -36,17 +36,22 @@ MC_POINT = AmplifierParams(t=0.9, p_in=0.2, p_a=0.296, eta=0.7)
 
 
 class CheckRun:
-    """What the checks of one pass share: the oracle outcomes over GRID for
-    both scenarios, computed on first use, and the seconds they took."""
+    """What the checks of one pass share: (t, p_a, eta, p_in, gain, p_out)
+    over GRID for both scenarios, one scenario table per (scenario, t, eta),
+    computed on first use, and the seconds they took."""
 
     @functools.cached_property
     def grid(self):
         start = time.perf_counter()
-        results = [
-            (t, pa, eta, pin, simulate_scenario(
-                scenario, AmplifierParams(t=t, p_in=pin, p_a=pa, eta=eta)))
-            for scenario in SCENARIOS
-            for t, pa, eta, pin in itertools.product(*GRID.values())]
+        p_a, p_in = np.array(list(itertools.product(GRID["p_a"],
+                                                    GRID["p_in"]))).T
+        results = []
+        for scenario, t, eta in itertools.product(SCENARIOS, GRID["t"],
+                                                  GRID["eta"]):
+            out = compile_scenario(scenario, AmplifierParams(
+                t=t, p_in=1.0, p_a=1.0, eta=eta)).evaluate(p_in, p_a, 1.0)
+            results += zip([t] * p_in.size, p_a, [eta] * p_in.size, p_in,
+                           out.gain, out.p_out)
         return results, time.perf_counter() - start
 
 
@@ -100,8 +105,8 @@ def loss_identity_residual(state: FockState, eta: float,
 
 def criterion_1_gain_formula_equality(run):
     results, elapsed = run.grid
-    worst = max(abs(o.gain - gain_analytic(t, pa, eta, pin))
-                for t, pa, eta, pin, o in results)
+    worst = max(abs(gain - gain_analytic(t, pa, eta, pin))
+                for t, pa, eta, pin, gain, _ in results)
     return (worst <= 1e-9 and elapsed <= 60.0,
             f"oracle vs closed-form gain on {len(results)} points: "
             f"worst |diff| = {worst:.3e}, grid {elapsed:.1f}s (limit 60s)")
@@ -117,12 +122,10 @@ def criterion_2_maximum_gain(run):
 
 def criterion_3_output_probability_bound(run):
     results, _ = run.grid
-    slack = max(o.p_out - pa * t for t, pa, eta, pin, o in results)
-    best = max(
-        simulate_scenario(
-            "fock-hpa",
-            AmplifierParams(t=0.99, p_in=float(pin), p_a=0.9, eta=0.7)).p_out
-        for pin in np.linspace(0.05, 1.0, 20))
+    slack = max(p_out - pa * t for t, pa, eta, pin, _, p_out in results)
+    best = compile_scenario(
+        "fock-hpa", AmplifierParams(t=0.99, p_in=1.0, p_a=0.9, eta=0.7)
+    ).evaluate(np.linspace(0.05, 1.0, 20), 0.9, 1.0).p_out.max()
     return (slack <= 1e-12 and best > 0.823,
             f"max p_out - p_a*t = {slack:.3e}, "
             f"best p_out at t = 0.99 = {best:.4f} (> 0.823)")

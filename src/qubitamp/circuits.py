@@ -48,18 +48,7 @@ class PhaseShift:
     path: str
 
 
-@dataclass(frozen=True)
-class Loss:
-    """Photon loss keeping each photon with probability eta_keep."""
-    eta_keep: float
-    path: str
-
-    def __post_init__(self):
-        if not 0.0 <= self.eta_keep <= 1.0:
-            raise ValueError(f"eta_keep must lie in [0, 1], got {self.eta_keep}")
-
-
-Element = BeamSplitter | PhaseShift | Loss
+Element = BeamSplitter | PhaseShift
 
 
 @dataclass(frozen=True)
@@ -100,9 +89,6 @@ class Mixture:
     def pure(cls, state: FockState) -> "Mixture":
         return cls([Branch(1.0, state)])
 
-    def total_weight(self) -> float:
-        return sum(b.weight for b in self.branches)
-
     def __len__(self):
         return len(self.branches)
 
@@ -115,9 +101,7 @@ class Mixture:
 
 
 def apply_element(m: Mixture, e: Element) -> Mixture:
-    """Apply one element to every branch; only Loss may split branches."""
-    if isinstance(e, Loss):
-        return apply_loss(m, e.path, e.eta_keep)
+    """Apply one element to every branch, keeping the branch order."""
     out = []
     for b in m:
         s = b.state

@@ -25,11 +25,11 @@ from .amplifier import (
     SCENARIOS,
     UndefinedGainError,
     ZeroHeraldError,
+    compile_scenario,
     fringe_scan,
     gain_analytic,
     hom_coincidence,
     hom_coincidence_fock,
-    simulate_scenario,
 )
 # Not called here: benchmarks/spans.py wraps cli.mu_for_visibility by name,
 # so the name stays importable from this module.
@@ -173,14 +173,14 @@ def cmd_gain_curve(cfg: dict) -> int:
     if cfg["scenario"] not in SCENARIOS:
         raise ValueError(f"unknown scenario {cfg['scenario']!r}")
     grid = np.linspace(cfg["pin_from"], cfg["pin_to"], cfg["pin_steps"])
+    # AmplifierParams validates every point
+    points = [params_from_config(cfg, pin=float(pin)) for pin in grid]
+    oracle = compile_scenario(cfg["scenario"], points[0]).evaluate(
+        grid, points[0].p_a, points[0].mu)
     rows = []
-    for pin in grid:
-        pin = float(pin)
-        params = params_from_config(cfg, pin=pin)
-        g_formula = gain_analytic(params.t, params.p_a, params.eta, pin)
-        outcome = simulate_scenario(cfg["scenario"], params)
-        rows.append([pin, g_formula, outcome.gain,
-                     g_formula * pin, outcome.p_out])
+    for p, gain, p_out in zip(points, oracle.gain, oracle.p_out):
+        g_formula = gain_analytic(p.t, p.p_a, p.eta, p.p_in)
+        rows.append([p.p_in, g_formula, gain, g_formula * p.p_in, p_out])
     write_csv(cfg.get("out"),
               ["p_in", "gain_analytic", "gain_oracle",
                "p_out_analytic", "p_out_oracle"], rows)

@@ -83,10 +83,6 @@ class FockState:
     def norm(self) -> float:
         return math.sqrt(self.norm_squared())
 
-    @property
-    def is_normalized(self) -> bool:
-        return abs(self.norm_squared() - 1.0) <= 1e-12
-
     def normalized(self) -> "FockState":
         n = self.norm()
         if n == 0.0:
@@ -111,13 +107,6 @@ class FockState:
     def path_indices(self, path: str) -> tuple[int, int]:
         return (self.labels.index((path, MATCHED)),
                 self.labels.index((path, ORTHOGONAL)))
-
-    def paths(self) -> tuple[str, ...]:
-        seen = []
-        for p, _ in self.labels:
-            if p not in seen:
-                seen.append(p)
-        return tuple(seen)
 
 
 def basis_state(occ, labels=()) -> FockState:
@@ -189,18 +178,6 @@ def apply_phase(state: FockState, i: int, phi: float) -> FockState:
         occ: amp * np.exp(1j * occ[i] * phi)
         for occ, amp in state.amplitudes.items()
     })
-
-
-def occupation_marginal(state: FockState, modes) -> dict[Occupation, float]:
-    """Probability of each joint occupation of the given modes."""
-    modes = tuple(modes)
-    if len(set(modes)) != len(modes):
-        raise ValueError("modes must be distinct")
-    probs: dict[Occupation, float] = {}
-    for occ, amp in state.amplitudes.items():
-        sub = tuple(occ[m] for m in modes)
-        probs[sub] = probs.get(sub, 0.0) + abs(amp) ** 2
-    return probs
 
 
 def _canonical_phase(amps: dict[Occupation, complex]) -> dict[Occupation, complex]:

@@ -192,12 +192,3 @@ def estimate_gain(counts: CountsTable, herald_class: str) -> EstimateWithError:
     error = math.sqrt((pout.error / pin.value) ** 2
                       + (pout.value * pin.error / pin.value ** 2) ** 2)
     return EstimateWithError(value, error)
-
-
-def plan_measurement_time(p_in: float, base_pulses: int) -> int:
-    """Pulses needed at transmission p_in for the statistics of base_pulses."""
-    if p_in <= 0.0:
-        raise ValueError("p_in must be positive to plan a measurement")
-    if base_pulses <= 0:
-        raise ValueError("base_pulses must be positive")
-    return math.ceil(base_pulses / p_in)

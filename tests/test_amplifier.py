@@ -5,16 +5,21 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from qubitamp import amplifier
 from qubitamp.amplifier import (
     AmplifierParams,
     PRESETS,
     QubitSpec,
+    SCENARIOS,
+    HeraldClass,
     UndefinedGainError,
     ZeroHeraldError,
     _class_rates,
+    _combine,
     _heralded_analysis,
     build_scenario,
     build_timebin_hqa,
+    compile_scenario,
     fidelity_from_visibility,
     fringe_scan,
     gain_analytic,
@@ -27,6 +32,8 @@ from qubitamp.amplifier import (
     simulate_scenario,
     visibility,
 )
+from qubitamp.checks import GRID
+from qubitamp.detection import CLICK
 
 BALANCED = QubitSpec.from_phase(0.0)
 
@@ -277,7 +284,7 @@ def bisect_mu_for_visibility(target, params, herald_class):
     against an exact two-point (0, pi) fringe, to a bracket of 1e-13."""
 
     def vis(mu):
-        rates = _class_rates(replace(params, mu=mu), (0.0, math.pi))
+        rates, _ = _class_rates(replace(params, mu=mu), (0.0, math.pi))
         return visibility(rates[herald_class])
 
     lo, hi = 0.0, 1.0
@@ -362,3 +369,56 @@ def test_oracle_grid_subsample():
             scenario, AmplifierParams(t=t, p_in=pin, p_a=pa, eta=eta))
         assert out.gain == pytest.approx(gain_analytic(t, pa, eta, pin),
                                          abs=1e-9)
+
+
+class TestScenarioTable:
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_zero_herald_without_photons(self, scenario):
+        table = compile_scenario(
+            scenario, AmplifierParams(t=0.9, p_in=0.0, p_a=0.0, eta=0.7))
+        with pytest.raises(ZeroHeraldError):
+            table.evaluate(0.0, 0.0, 1.0)
+        with pytest.raises(ZeroHeraldError):  # one such point spoils a grid
+            table.evaluate(np.array([0.0, 0.5]), np.array([0.0, 0.5]), 1.0)
+
+    def test_impossible_class_has_probability_zero(self, monkeypatch):
+        # a two-click class on the Fock amplifier needs two distinguishable
+        # photons, so it is impossible without the input photon and dark
+        # counts
+        build = amplifier.build_scenario
+
+        def with_coincidence(*args):
+            bundle = build(*args)
+            return replace(bundle, herald_classes=bundle.herald_classes + (
+                HeraldClass("both", ({"bsm_a": CLICK, "bsm_b": CLICK},)),))
+
+        monkeypatch.setattr(amplifier, "build_scenario", with_coincidence)
+        params = AmplifierParams(t=0.7, p_in=0.0, p_a=0.8, eta=0.9, mu=0.5)
+        bundle = with_coincidence("fock-hpa", params)
+        assert _heralded_analysis(bundle)["both"].prob == 0.0
+        out = compile_scenario("fock-hpa", params).evaluate(
+            np.array([0.0, 0.4]), 0.8, 0.5)
+        both = out.per_class["both"]
+        assert both.herald_prob[0] == 0.0 and both.herald_prob[1] > 0.01
+        for field in (both.p_out, both.vacuum_weight, both.multi_weight):
+            assert field[0] == 0.0
+        assert not np.any(both.output_qubit_density[0])
+        assert np.isnan(both.fidelity_conditional[0])
+        herald = out.per_class["herald"]
+        assert out.herald_prob[0] == herald.herald_prob[0] > 0.0
+        assert out.p_out[0] == pytest.approx(herald.p_out[0], abs=1e-15)
+
+    def test_acceptance_grid_matches_full_mixture_runs(self):
+        p_a, p_in = (a.ravel() for a in np.meshgrid(GRID["p_a"], GRID["p_in"],
+                                                     indexing="ij"))
+        for scenario, t, eta in itertools.product(SCENARIOS, GRID["t"],
+                                                  GRID["eta"]):
+            params = AmplifierParams(t=t, p_in=1.0, p_a=1.0, eta=eta)
+            out = compile_scenario(scenario, params).evaluate(p_in, p_a, 1.0)
+            for k, (a, pin) in enumerate(zip(p_a, p_in)):
+                bundle = build_scenario(scenario, replace(params, p_in=pin,
+                                                          p_a=a))
+                ref = _combine(bundle, _heralded_analysis(bundle), pin, a)
+                assert abs(out.herald_prob[k] - ref.herald_prob) <= 1e-12
+                assert abs(out.p_out[k] - ref.p_out) <= 1e-12
+                assert abs(out.gain[k] - ref.gain) <= 1e-12 * ref.gain

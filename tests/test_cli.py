@@ -67,6 +67,15 @@ class TestGainCurve:
         assert code == EXIT_VALIDATION
         assert not out.exists()
 
+    def test_point_that_cannot_herald(self, tmp_path, capsys):
+        # without ancillas, p_in = 0 leaves nothing to click
+        out = tmp_path / "gain.csv"
+        code = run(["gain-curve", "--pa", "0", "--pin-from", "0",
+                    "--pin-steps", "5", "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        assert "herald probability vanishes" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_timebin_scenario(self, tmp_path):
         out = tmp_path / "gain.csv"
         code = run(["gain-curve", "--scenario", "timebin-hqa", "--t", "0.7",
@@ -94,6 +103,24 @@ class TestFringe:
                     "--out", str(out)])
         assert code == EXIT_VALIDATION
         assert "mu must lie in [0, 1]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value", [("--pa", "0"), ("--t", "1.0")])
+    def test_cannot_herald(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "fringe.csv"
+        code = run(["fringe", flag, value, "--phi-steps", "8",
+                    "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        assert "herald probability vanishes" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_no_single_photon_output(self, tmp_path, capsys):
+        # heralds from the ancillas alone, but no photon reaches the analyzer
+        out = tmp_path / "fringe.csv"
+        code = run(["fringe", "--pin", "0", "--phi-steps", "8",
+                    "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert "all-zero rates" in capsys.readouterr().err
         assert not out.exists()
 
     def test_ideal_visibility_columns(self, tmp_path):
@@ -281,7 +308,7 @@ class TestConfigHandling:
 def test_selftest_passes_quickly(capsys):
     start = time.time()
     assert run(["selftest"]) == EXIT_OK
-    assert time.time() - start < 60.0
+    assert time.time() - start < 20.0
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1] == "selftest: OK"
     # one line per registered check, in registry order, each timed

@@ -20,7 +20,6 @@ from qubitamp.montecarlo import (
     estimate_gain,
     estimate_pin,
     estimate_pout,
-    plan_measurement_time,
     sample_events,
 )
 
@@ -201,16 +200,3 @@ class TestConsistency:
             want = float((a.conj() @ oc.output_qubit_density @ a).real) / 2.0
             pout = estimate_pout(c, cls.name)
             assert abs(pout.value - want) <= 5 * pout.error
-
-
-class TestPlanning:
-    def test_scaling(self):
-        assert plan_measurement_time(1.0, 1000) == 1000
-        assert plan_measurement_time(0.5, 1000) == 2000
-        assert plan_measurement_time(0.1, 1000) == 10_000
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            plan_measurement_time(0.0, 1000)
-        with pytest.raises(ValueError):
-            plan_measurement_time(0.5, 0)
