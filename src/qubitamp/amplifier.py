@@ -620,7 +620,7 @@ _ANALYZER = np.array([1.0, 1.0]) / math.sqrt(2.0)
 
 
 def _class_rates(params: AmplifierParams, phis
-                 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
+                 ) -> tuple[dict[str, np.ndarray], list[float]]:
     """Analyzer rate per herald class (herald probability times the overlap
     of the raw, uncorrected conditional output with the zero-phase qubit)
     and the total herald probability, at each phase."""
