@@ -15,6 +15,12 @@ and, with at most three photons, affine in mu^2. So `compile_scenario`
 measures each presence combination once at mu = 0 and once at mu = 1, and
 any (p_in, p_a, mu) is a weighted sum over the table.
 
+The same table fixes the time-bin fringes. Conjugation maps the circuit
+onto itself (a splitter has U* = Z U Z; the ancillas are real), so each
+class's analyzer rate is even in the input phase: R_k(-phi) = R_k(phi). A
+pi phase on in_l swaps l_a and l_b, so R_minus(phi) = R_plus(phi + pi).
+Hence R_plus, R_minus = a +- b cos(phi), fixed by the rates at phi = 0.
+
 The closed-form gain
 
     G = p_a * t / (p_a * (1 - t) * (1 - p_in * eta) + p_in)
@@ -37,7 +43,6 @@ from .circuits import (
     Branch,
     Circuit,
     Mixture,
-    PhaseShift,
     mixture_density,
     run_circuit,
 )
@@ -472,11 +477,13 @@ def _qubit_fidelity(rho: np.ndarray, qubit: QubitSpec | None,
 
 
 def _gain(spec, p_in, p_a, p_out):
-    """p_out / p_in; at p_in = 0 the continuous limit of the closed form."""
+    """p_out / p_in; below the smallest normal p_in, where that quotient has
+    no precision, the closed form (continuous down to p_in = 0)."""
     p_in, p_a = np.broadcast_arrays(p_in, p_a)
-    gain = np.array(p_out / np.where(p_in > 0.0, p_in, 1.0))
-    gain[p_in == 0.0] = [gain_analytic(spec.params.t, a, spec.params.eta, 0.0)
-                         for a in p_a[p_in == 0.0]]
+    tiny = p_in < np.finfo(float).tiny
+    gain = np.array(p_out / np.where(tiny, 1.0, p_in))
+    gain[tiny] = [gain_analytic(spec.params.t, a, spec.params.eta, p)
+                  for a, p in zip(p_a[tiny], p_in[tiny])]
     return gain[()]
 
 
@@ -541,13 +548,17 @@ class ScenarioTable:
     cells: np.ndarray
     rails: np.ndarray
 
+    def presence_weights(self, p_in, p_a) -> np.ndarray:
+        """Weights of the presence combinations (the cells' last axis)."""
+        n_ancillas = self.cells.shape[2].bit_length() - 2
+        return _presence_weights([p_in] + [p_a] * n_ancillas)
+
     def evaluate(self, p_in, p_a, mu: float) -> HeraldedOutcome:
         """Heralded outcome at input and ancilla presence probabilities
         p_in, p_a and overlap mu. p_in and p_a may be arrays: they
         broadcast against each other, and so does every outcome field."""
         m = mu * mu
-        n_ancillas = self.cells.shape[2].bit_length() - 2
-        weights = _presence_weights([p_in] + [p_a] * n_ancillas)
+        weights = self.presence_weights(p_in, p_a)
         analysis = {}
         for cls, cells, rails in zip(
                 self.herald_classes,
@@ -619,37 +630,21 @@ class FringeScan:
 _ANALYZER = np.array([1.0, 1.0]) / math.sqrt(2.0)
 
 
-def _class_rates(params: AmplifierParams, phis
-                 ) -> tuple[dict[str, np.ndarray], list[float]]:
-    """Analyzer rate per herald class (herald probability times the overlap
-    of the raw, uncorrected conditional output with the zero-phase qubit)
-    and the total herald probability, at each phase."""
-    bundle = build_timebin_hqa(params, QubitSpec.from_phase(0.0))
-    rates = {cls.name: [] for cls in bundle.herald_classes}
-    heralds = []
-    for phi in phis:
-        circuit = Circuit(bundle.circuit.paths,
-                          (PhaseShift(float(phi), "in_l"),)
-                          + bundle.circuit.elements)
-        analysis = _heralded_analysis(replace(bundle, circuit=circuit))
-        heralds.append(sum(a.prob for a in analysis.values()))
-        for name, a in analysis.items():
-            overlap = float((_ANALYZER.conj() @ a.qubit_density
-                             @ _ANALYZER).real)
-            # a PSD density has a non-negative overlap; clamp rounding dust
-            rates[name].append(max(0.0, a.prob * overlap))
-    return {name: np.array(vals) for name, vals in rates.items()}, heralds
-
-
-def _fringe_ends(params: AmplifierParams, phis) -> list[dict[str, np.ndarray]]:
-    """_class_rates at mu = 0 and mu = 1. The herald probability is affine
-    in mu^2 and a non-negative a + b cos(phi) + c sin(phi), so if it
-    vanishes at both mus and at phi = 0 and pi it vanishes everywhere."""
-    runs = [_class_rates(replace(params, mu=mu), phis) for mu in (0.0, 1.0)]
-    if max(max(heralds) for _, heralds in runs) <= 1e-30:
+def _fringe_ends(params: AmplifierParams) -> np.ndarray:
+    """Analyzer rates at input phase 0, indexed [mu in {0, 1}, class]: herald
+    probability times the overlap of the uncorrected output with the
+    zero-phase qubit, or 0 for a class that cannot herald. The total herald
+    probability is affine in mu^2 and the same at every phase."""
+    table = compile_scenario("timebin-hqa", params)
+    weights = table.presence_weights(params.p_in, params.p_a)
+    prob = table.cells[..., 0] @ weights
+    if prob.sum(axis=1).max() <= 1e-30:
         raise ZeroHeraldError(
             "herald probability vanishes for scenario timebin-hqa")
-    return [rates for rates, _ in runs]
+    overlap = np.einsum("c,mkcij,i,j->mk", weights, table.rails, _ANALYZER,
+                        _ANALYZER).real
+    # a PSD density has a non-negative overlap; clamp rounding dust
+    return np.where(prob > MIN_OUTCOME_PROB, np.maximum(overlap, 0.0), 0.0)
 
 
 def fringe_scan(params: AmplifierParams, phis,
@@ -658,36 +653,27 @@ def fringe_scan(params: AmplifierParams, phis,
     """Per-class analyzer rates versus the input-qubit phase.
 
     Each herald class may use its own indistinguishability mu; both default
-    to params.mu. Each rate is a + b cos(phi) + c sin(phi) with a, b, c
-    affine in mu^2, so six exact runs (mu in {0, 1}, phi in {0, pi/2, pi})
-    fix both classes' fringes. Raises ZeroHeraldError if no herald can
-    occur.
+    to params.mu. By the module docstring's identities each rate is
+    a +- b cos(phi), where a, b = (R_plus(0) +- R_minus(0)) / 2 are affine
+    in mu^2, so one scenario table fixes both fringes. Raises
+    ZeroHeraldError if no herald can occur.
     """
     phis = np.asarray(list(phis), dtype=float)
     if phis.size < 2:
         raise ValueError("phase grid needs at least two phases")
-    ends = _fringe_ends(params, (0.0, math.pi / 2, math.pi))
-    rates = {}
-    for name, mu in (("psi_plus", mu_plus), ("psi_minus", mu_minus)):
+    ends = _fringe_ends(params)
+    rates = []  # psi_plus, psi_minus
+    for k, mu in enumerate((mu_plus, mu_minus)):
         # replace() rejects a mu outside [0, 1]
         mu = replace(params, mu=params.mu if mu is None else mu).mu
-        at_0, at_1 = ends[0][name], ends[1][name]
-        r0, r_half, r_pi = at_0 + mu * mu * (at_1 - at_0)
-        a = 0.5 * (r0 + r_pi)
-        fringe = (a + 0.5 * (r0 - r_pi) * np.cos(phis)
-                  + (r_half - a) * np.sin(phis))
-        rates[name] = np.maximum(fringe, 0.0)  # clamp rounding dust
-    v_plus = visibility(rates["psi_plus"])
-    v_minus = visibility(rates["psi_minus"])
-    return FringeScan(
-        phis=phis,
-        rate_plus=rates["psi_plus"],
-        rate_minus=rates["psi_minus"],
-        visibility_plus=v_plus,
-        visibility_minus=v_minus,
-        fidelity_plus=fidelity_from_visibility(v_plus),
-        fidelity_minus=fidelity_from_visibility(v_minus),
-    )
+        at_mu = ends[0] + mu * mu * (ends[1] - ends[0])
+        r0, r_pi = at_mu[k], at_mu[1 - k]  # R_k(pi) is the other R(0)
+        fringe = 0.5 * (r0 + r_pi) + 0.5 * (r0 - r_pi) * np.cos(phis)
+        rates.append(np.maximum(fringe, 0.0))  # clamp rounding dust
+    v_plus, v_minus = map(visibility, rates)
+    return FringeScan(phis, *rates, v_plus, v_minus,
+                      fidelity_from_visibility(v_plus),
+                      fidelity_from_visibility(v_minus))
 
 
 def mu_for_visibility(target: float, params: AmplifierParams,
@@ -695,11 +681,13 @@ def mu_for_visibility(target: float, params: AmplifierParams,
     """Indistinguishability mu whose two-point (0, pi) fringe visibility
     equals `target`: 1.0 or 0.0 when the target is at least the visibility
     at mu = 1 or at most the one at mu = 0, else the root of
-    |R(0) - R(pi)| = target (R(0) + R(pi)), which is linear in mu^2."""
+    |R(0) - R(pi)| = target (R(0) + R(pi)), which is linear in mu^2. As
+    R_minus(0) = R_plus(pi), both classes share this curve."""
     if not 0.0 <= target <= 1.0:
         raise ValueError(f"target visibility must lie in [0, 1], got {target}")
-    ends = np.array([rates[herald_class]
-                     for rates in _fringe_ends(params, (0.0, math.pi))])
+    if herald_class not in {cls.name for cls in _TIMEBIN_CLASSES}:
+        raise KeyError(f"unknown herald class {herald_class!r}")
+    ends = _fringe_ends(params)  # [mu, (R_plus(0), R_plus(pi))]
     if target >= visibility(ends[1]):
         return 1.0
     if target <= visibility(ends[0]):

@@ -180,21 +180,14 @@ def apply_phase(state: FockState, i: int, phi: float) -> FockState:
     })
 
 
-def _canonical_phase(amps: dict[Occupation, complex]) -> dict[Occupation, complex]:
-    """Rotate a global phase so the dominant amplitude is real positive."""
-    pivot = max(sorted(amps), key=lambda k: abs(amps[k]))
-    a = amps[pivot]
-    phase = a / abs(a)
-    return {k: v / phase for k, v in amps.items()}
-
-
 def split_by_occupation(state: FockState, modes) -> list[
         tuple[Occupation, float, FockState]]:
     """Measure the given modes in the occupation basis and discard them.
 
     Returns one entry per observed joint occupation, sorted by occupation:
     (occupation, probability weight, conditional normalized state over the
-    remaining modes). Conditional states carry a canonical global phase.
+    remaining modes). A conditional state keeps the phases its amplitudes
+    had in `state`.
     """
     modes = tuple(modes)
     if len(set(modes)) != len(modes):
@@ -213,8 +206,8 @@ def split_by_occupation(state: FockState, modes) -> list[
         if weight <= 0.0:
             continue
         scale = 1.0 / math.sqrt(weight)
-        cond = FockState(len(keep), _canonical_phase(
-            {k: a * scale for k, a in amps.items()}), labels)
+        cond = FockState(len(keep), {k: a * scale for k, a in amps.items()},
+                         labels)
         result.append((sub, weight, cond))
     return result
 

@@ -80,7 +80,8 @@ class EstimateWithError:
 
 
 def _analyzer_setup(bundle, analyzer_phi: float, eta_out: float):
-    """Extend the circuit with the output analyzer and return its detector.
+    """The output analyzer, as a circuit over the bundle's output paths,
+    and its detector.
 
     For the time-bin scenario the two output rails are recombined on a
     50/50 splitter with the long rail rotated so that the qubit
@@ -90,24 +91,22 @@ def _analyzer_setup(bundle, analyzer_phi: float, eta_out: float):
     """
     spec = DetectorSpec(eta_out, 0.0)
     if bundle.scenario == "fock-hpa":
-        return bundle.circuit, Detector("d4", "out", spec)
-    elements = bundle.circuit.elements + (
+        return Circuit(bundle.output_paths, ()), Detector("d4", "out", spec)
+    tail = Circuit(bundle.output_paths, (
         PhaseShift(-analyzer_phi - math.pi / 2.0, "out_l"),
         BeamSplitter(0.5, ("out_s", "out_l")),
-    )
-    return Circuit(bundle.circuit.paths, elements), Detector("d4", "out_s", spec)
+    ))
+    return tail, Detector("d4", "out_s", spec)
 
 
-def _branch_outcome_table(bundle, circuit, d4: Detector) -> np.ndarray:
+def _branch_outcome_table(bundle, tail: Circuit, d4: Detector) -> np.ndarray:
     """Exact probability of each (herald class, analyzer click) pair.
 
     The whole source mixture runs through the amplifier once; each herald
-    class's conditional output then runs through the analyzer tail.
+    class's conditional output then runs through the analyzer `tail`.
     Returns an (n_classes, 2) array indexed by [class, d4 clicked]; the
     remaining probability corresponds to "no herald".
     """
-    tail = Circuit(bundle.output_paths,  # the analyzer-only suffix
-                   circuit.elements[len(bundle.circuit.elements):])
     cells = np.zeros((len(bundle.herald_classes), 2))
     for ci, (_, prob, cond) in enumerate(herald_conditionals(bundle)):
         p4, _ = measure(run_circuit(cond, tail), [d4], {d4.name: CLICK})
@@ -135,8 +134,8 @@ def sample_events(params: AmplifierParams, n_pulses: int, seed: int,
             raise ValueError(f"{name} must lie in [0, 1], got {v}")
 
     bundle = build_scenario(scenario, params, qubit)
-    circuit, d4 = _analyzer_setup(bundle, analyzer_phi, eta_out)
-    herald = _branch_outcome_table(bundle, circuit, d4)
+    tail, d4 = _analyzer_setup(bundle, analyzer_phi, eta_out)
+    herald = _branch_outcome_table(bundle, tail, d4)
 
     p_d1_d2 = eta_herald * params.p_in
     cells = np.concatenate((

@@ -14,7 +14,6 @@ from qubitamp.amplifier import (
     HeraldClass,
     UndefinedGainError,
     ZeroHeraldError,
-    _class_rates,
     _combine,
     _heralded_analysis,
     build_scenario,
@@ -34,6 +33,8 @@ from qubitamp.amplifier import (
 )
 from qubitamp.checks import GRID
 from qubitamp.detection import CLICK
+
+from exact_fringe import class_rates
 
 BALANCED = QubitSpec.from_phase(0.0)
 
@@ -266,6 +267,10 @@ class TestFringes:
         assert mu_for_visibility(1.0, self.PARAMS) == 1.0
         assert mu_for_visibility(0.0, self.PARAMS) == 0.0
 
+    def test_mu_calibration_unknown_class(self):
+        with pytest.raises(KeyError):
+            mu_for_visibility(0.98, self.PARAMS, "psi_bogus")
+
     def test_mu_calibration_off_the_acceptance_grid(self):
         # at mu = 1 rounding leaves the fringe minimum here at about -2e-19
         params = AmplifierParams(t=0.683826, p_in=0.405639, p_a=0.619225,
@@ -284,7 +289,7 @@ def bisect_mu_for_visibility(target, params, herald_class):
     against an exact two-point (0, pi) fringe, to a bracket of 1e-13."""
 
     def vis(mu):
-        rates, _ = _class_rates(replace(params, mu=mu), (0.0, math.pi))
+        rates = class_rates(replace(params, mu=mu), (0.0, math.pi))
         return visibility(rates[herald_class])
 
     lo, hi = 0.0, 1.0

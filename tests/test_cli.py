@@ -86,6 +86,20 @@ class TestGainCurve:
             assert abs(float(r[1]) - float(r[2])) <= 1e-9
 
 
+    @pytest.mark.parametrize("scenario", ["fock-hpa", "timebin-hqa"])
+    @pytest.mark.parametrize("pin", ["5e-324", "1e-320"])
+    def test_subnormal_pin_gives_closed_form_gain(self, tmp_path, scenario,
+                                                  pin):
+        # p_out / p_in has no precision below the smallest normal float
+        out = tmp_path / "gain.csv"
+        code = run(["gain-curve", "--scenario", scenario, "--t", "0.9",
+                    "--pa", "0.9", "--pin-from", pin, "--pin-to", pin,
+                    "--pin-steps", "1", "--out", str(out)])
+        assert code == EXIT_OK
+        _, _, rows = read_csv(out)
+        assert rows[0][1:3] == ["9", "9"]
+
+
 class TestFringe:
     def test_single_phase_rejected(self, tmp_path, capsys):
         out = tmp_path / "fringe.csv"

@@ -98,8 +98,8 @@ class TestOutcomeTable:
                                              ("timebin-hqa", 1.0)])
     def test_herald_cells_match_oracle(self, scenario, mu):
         bundle = build_scenario(scenario, AmplifierParams(mu=mu, **ANALYZER_POINT))
-        circuit, d4 = _analyzer_setup(bundle, 0.0, 1.0)
-        cells = _branch_outcome_table(bundle, circuit, d4)
+        tail, d4 = _analyzer_setup(bundle, 0.0, 1.0)
+        cells = _branch_outcome_table(bundle, tail, d4)
         oracle = simulate(bundle)
         assert cells.shape == (len(bundle.herald_classes), 2)
         for ci, cls in enumerate(bundle.herald_classes):

@@ -7,6 +7,7 @@ seconds at most.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
@@ -15,7 +16,6 @@ from qubitamp.amplifier import (
     AmplifierParams,
     QubitSpec,
     SCENARIOS,
-    _class_rates,
     _combine,
     _heralded_analysis,
     build_scenario,
@@ -39,6 +39,8 @@ from qubitamp.fock import (
     apply_two_mode_unitary,
     beam_splitter_matrix,
 )
+
+from exact_fringe import class_rates
 
 seeds = st.integers(0, 2**32 - 1)
 unit = st.floats(0.0, 1.0)
@@ -109,16 +111,19 @@ def test_detector_efficiency_equals_loss(seed, eta, dark, pattern):
 
 @settings(max_examples=20, deadline=None)
 @given(t=st.floats(0.05, 0.99), p_in=positive, p_a=positive, eta=positive,
-       dark=st.floats(0.0, 0.5), mu=unit,
+       dark=st.floats(0.0, 0.5), mu_plus=unit, mu_minus=unit,
        phis=st.lists(st.floats(0.0, 2.0 * math.pi, exclude_max=True),
                      min_size=2, max_size=3))
-def test_fringe_rates_equal_exact_runs(t, p_in, p_a, eta, dark, mu, phis):
-    # fringe_scan evaluates a + b cos(phi) + c sin(phi), affine in mu^2,
-    # from six exact runs; _class_rates runs the circuit at each phase
-    params = AmplifierParams(t=t, p_in=p_in, p_a=p_a, eta=eta, mu=mu,
+def test_fringe_rates_equal_exact_runs(t, p_in, p_a, eta, dark, mu_plus,
+                                       mu_minus, phis):
+    # fringe_scan evaluates a +- b cos(phi), affine in mu^2, from one
+    # scenario table at input phase 0; class_rates runs the circuit at each
+    # phase, each class at its own mu
+    params = AmplifierParams(t=t, p_in=p_in, p_a=p_a, eta=eta,
                              dark_click_prob=dark)
-    exact, _ = _class_rates(params, phis)
-    scan = fringe_scan(params, phis)
+    scan = fringe_scan(params, phis, mu_plus=mu_plus, mu_minus=mu_minus)
+    exact = {name: class_rates(replace(params, mu=mu), phis)[name]
+             for name, mu in (("psi_plus", mu_plus), ("psi_minus", mu_minus))}
     scale = max(float(r.max()) for r in exact.values())
     for got, name in ((scan.rate_plus, "psi_plus"),
                       (scan.rate_minus, "psi_minus")):
