@@ -12,8 +12,11 @@ herald classes, one of which needs a pi phase correction on the long rail.
 Exact outcomes come from a scenario table. Every unnormalised herald-class
 output is multilinear in the presence probabilities of the source photons
 and, with at most three photons, affine in mu^2. So `compile_scenario`
-measures each presence combination once at mu = 0 and once at mu = 1, and
-any (p_in, p_a, mu) is a weighted sum over the table.
+tabulates each presence combination at mu = 0 and at mu = 1, and any
+(p_in, p_a, mu) is a weighted sum over the table. The passive linear
+circuits map each photon's creation operator on its own, so each source
+photon runs through the circuit alone, and one pass over the kets of each
+combination's output (the product of its mapped photons) fills the table.
 
 The same table fixes the time-bin fringes. Conjugation maps the circuit
 onto itself (a splitter has U* = Z U Z; the ancillas are real), so each
@@ -31,6 +34,7 @@ dark counts; the simulator is the independent cross-check of it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -43,15 +47,18 @@ from .circuits import (
     Branch,
     Circuit,
     Mixture,
-    mixture_density,
     run_circuit,
 )
+# Not called here: benchmarks/spans.py wraps amplifier.mixture_density by
+# name, so the name stays importable from this module.
+from .circuits import mixture_density  # noqa: F401
 from .detection import (
     CLICK,
     MIN_OUTCOME_PROB,
     NO_CLICK,
     Detector,
     DetectorSpec,
+    click_outcomes,
     condition,
     measure,
     measure_all,
@@ -138,6 +145,11 @@ class HeraldClass:
     name: str
     patterns: tuple[dict, ...]
     correction_phase: float = 0.0
+
+    def outcomes(self, detectors) -> set[tuple[bool, ...]]:
+        """The click tuples, ordered as `detectors`, that herald this class."""
+        return {o for pattern in self.patterns
+                for o in pattern_outcomes(pattern, detectors)}
 
 
 @dataclass(frozen=True)
@@ -410,50 +422,15 @@ class ClassAnalysis:
     qubit_density: np.ndarray  # over output rails, trace = single_weight
 
 
-def herald_conditionals(bundle: ScenarioBundle, mix: Mixture | None = None
+def herald_conditionals(bundle: ScenarioBundle
                         ) -> list[tuple[HeraldClass, float, Mixture]]:
     """(class, herald probability, conditional output ensemble) per class,
-    from one joint measurement of `mix`, the ensemble leaving the circuit
-    (by default the bundle's source run through it). An impossible class
-    has probability 0 and an empty ensemble."""
-    if mix is None:
-        mix = run_circuit(bundle.source, bundle.circuit)
-    table = measure_all(mix, list(bundle.detectors))
-    return [(cls, *condition(table, {
-                outcome for pattern in cls.patterns
-                for outcome in pattern_outcomes(pattern, bundle.detectors)}))
+    from one joint measurement of the bundle's source run through its
+    circuit. An impossible class has probability 0 and an empty ensemble."""
+    table = measure_all(run_circuit(bundle.source, bundle.circuit),
+                        list(bundle.detectors))
+    return [(cls, *condition(table, cls.outcomes(bundle.detectors)))
             for cls in bundle.herald_classes]
-
-
-def _heralded_analysis(bundle: ScenarioBundle, mix: Mixture | None = None
-                       ) -> dict[str, ClassAnalysis]:
-    n_rails = len(bundle.output_paths)
-    result = {}
-    for cls, prob, cond in herald_conditionals(bundle, mix):
-        basis, rho = mixture_density(cond)  # empty for an impossible class
-        vacuum = single = multi = 0.0
-        rails = np.zeros((n_rails, n_rails), dtype=complex)
-        for ia, occ_a in enumerate(basis):
-            n_a = sum(occ_a)
-            p_diag = rho[ia, ia].real
-            if n_a == 0:
-                vacuum += p_diag
-            elif n_a == 1:
-                single += p_diag
-            else:
-                multi += p_diag
-            if n_a != 1:
-                continue
-            mode_a = occ_a.index(1)
-            for ib, occ_b in enumerate(basis):
-                if sum(occ_b) != 1:
-                    continue
-                mode_b = occ_b.index(1)
-                if mode_a % 2 != mode_b % 2:
-                    continue  # internal modes are traced out
-                rails[mode_a // 2, mode_b // 2] += rho[ia, ib]
-        result[cls.name] = ClassAnalysis(prob, vacuum, single, multi, rails)
-    return result
 
 
 def _apply_correction(rho: np.ndarray, phase: float) -> np.ndarray:
@@ -477,14 +454,18 @@ def _qubit_fidelity(rho: np.ndarray, qubit: QubitSpec | None,
 
 
 def _gain(spec, p_in, p_a, p_out):
-    """p_out / p_in; below the smallest normal p_in, where that quotient has
-    no precision, the closed form (continuous down to p_in = 0)."""
-    p_in, p_a = np.broadcast_arrays(p_in, p_a)
-    tiny = p_in < np.finfo(float).tiny
-    gain = np.array(p_out / np.where(tiny, 1.0, p_in))
-    gain[tiny] = [gain_analytic(spec.params.t, a, spec.params.eta, p)
-                  for a, p in zip(p_a[tiny], p_in[tiny])]
-    return gain[()]
+    """(gain, p_out): p_out / p_in and p_out, but below the smallest normal
+    p_in without dark counts, the closed form (the p_in -> 0 limit at any mu)
+    and gain * p_in. Dark counts herald a photon out at p_in = 0 (gain inf)."""
+    p_in, p_a, p_out = np.broadcast_arrays(p_in, p_a, p_out)
+    with np.errstate(all="ignore"):
+        gain = np.array(p_out / p_in)
+    if spec.params.dark_click_prob == 0.0:
+        tiny = p_in < np.finfo(float).tiny
+        gain[tiny] = [gain_analytic(spec.params.t, a, spec.params.eta, p)
+                      for a, p in zip(p_a[tiny], p_in[tiny])]
+        p_out = np.where(tiny, gain * p_in, p_out)
+    return gain[()], p_out[()]
 
 
 def _combine(spec, analysis: dict[str, ClassAnalysis], p_in,
@@ -504,11 +485,12 @@ def _combine(spec, analysis: dict[str, ClassAnalysis], p_in,
     for cls in spec.herald_classes:
         a = analysis[cls.name]
         rho_corr = _apply_correction(a.qubit_density, cls.correction_phase)
+        gain, p_out = _gain(spec, p_in, p_a, a.single_weight)
         per_class[cls.name] = HeraldedOutcome(
             herald_class=cls.name,
             herald_prob=a.prob,
-            p_out=a.single_weight,
-            gain=_gain(spec, p_in, p_a, a.single_weight),
+            p_out=p_out,
+            gain=gain,
             vacuum_weight=a.vacuum_weight,
             multi_weight=a.multi_weight,
             output_qubit_density=rho_corr,
@@ -520,11 +502,12 @@ def _combine(spec, analysis: dict[str, ClassAnalysis], p_in,
         vacuum += share * a.vacuum_weight
         single += share * a.single_weight
         multi += share * a.multi_weight
+    gain, p_out = _gain(spec, p_in, p_a, single)
     return HeraldedOutcome(
         herald_class="combined",
         herald_prob=total_prob,
-        p_out=single,
-        gain=_gain(spec, p_in, p_a, single),
+        p_out=p_out,
+        gain=gain,
         vacuum_weight=vacuum,
         multi_weight=multi,
         output_qubit_density=combined_rho,
@@ -574,27 +557,67 @@ class ScenarioTable:
         return _combine(self, analysis, p_in, p_a)
 
 
+def _run_photon(circuit: Circuit, wf: dict) -> dict:
+    """Wavefunction of the one photon `wf` after the circuit."""
+    out = run_circuit(Mixture.pure(_source_state(circuit.paths, [wf])),
+                      circuit).branches[0].state
+    return {out.labels[occ.index(1)]: a for occ, a in out.amplitudes.items()}
+
+
+def _herald_cells(bundle: ScenarioBundle, outputs) -> tuple[np.ndarray, ...]:
+    """cells and rails (see ScenarioTable) of the output states outputs[m][c]
+    in one pass over their kets. Kets with one occupation of the detected
+    modes are coherent; class probabilities depend on the photon counts."""
+    ref, n_rails = outputs[0][0], len(bundle.output_paths)
+    detected = [i for d in bundle.detectors for i in ref.path_indices(d.path)]
+    kept = [i for i in range(ref.n_modes) if i not in detected]
+    classes = [cls.outcomes(bundle.detectors) for cls in bundle.herald_classes]
+
+    @functools.cache
+    def class_probs(counts):
+        outcomes = click_outcomes(counts, bundle.detectors)
+        return [sum(p for o, p in outcomes if o in cls) for cls in classes]
+
+    cells = np.zeros((len(outputs), len(classes), len(outputs[0]), 4))
+    rails = np.zeros(cells.shape[:3] + (n_rails, n_rails), dtype=complex)
+    for m, row in enumerate(outputs):
+        for c, state in enumerate(row):
+            # detected occupation -> norm with 0, 1 and 2+ photons out, then
+            # the single-photon amplitudes out [2 * rail + internal mode]
+            groups: dict[tuple, list] = {}
+            for occ, amp in state.amplitudes.items():
+                out = [occ[i] for i in kept]
+                group = groups.setdefault(tuple(occ[i] for i in detected),
+                                          [0j] * (3 + 2 * n_rails))
+                group[min(sum(out), 2)] += abs(amp) ** 2
+                if sum(out) == 1:
+                    group[3 + out.index(1)] = amp
+            weights = np.array([class_probs(tuple(map(sum, zip(
+                key[::2], key[1::2])))) for key in groups])  # per-detector counts
+            sums = np.array(list(groups.values()))
+            norms, amps = sums[:, :3].real, sums[:, 3:].reshape(-1, n_rails, 2)
+            cells[m, :, c] = weights.T @ np.column_stack((norms.sum(axis=1),
+                                                          norms))
+            rails[m, :, c] = np.einsum("gk,gri,gsi->krs", weights, amps,
+                                       amps.conj())
+    impossible = cells[..., 0] <= MIN_OUTCOME_PROB
+    cells[impossible], rails[impossible] = 0.0, 0.0
+    return cells, rails
+
+
 def compile_scenario(scenario: str, params: AmplifierParams,
                      qubit: QubitSpec | None = None) -> ScenarioTable:
-    """The scenario table at params' t, eta and dark count: one build and
-    one circuit run per mu in {0, 1} over every presence combination, each
-    combination then measured on its own."""
-    cells, rails = [], []
-    for mu in (0.0, 1.0):
-        bundle = build_scenario(scenario, replace(params, mu=mu), qubit)
-        combos = _combinations(bundle.circuit.paths, bundle.slots)
-        out = run_circuit(Mixture([Branch(1.0, s) for s in combos]),
-                          bundle.circuit)
-        per_combo = [_heralded_analysis(bundle, Mixture([b])) for b in out]
-        by_class = [[r[cls.name] for r in per_combo]
-                    for cls in bundle.herald_classes]
-        cells.append([[a.prob * np.array((1.0, a.vacuum_weight, a.single_weight,
-                                          a.multi_weight)) for a in row]
-                      for row in by_class])
-        rails.append([[a.prob * a.qubit_density for a in row]
-                      for row in by_class])
-    return ScenarioTable(scenario, params, bundle.qubit, bundle.herald_classes,
-                         np.array(cells), np.array(rails))
+    """The scenario table at params' t, eta and dark count: per mu in {0, 1},
+    one circuit run per source photon, then one pass over the output kets of
+    every presence combination (see the module docstring)."""
+    bundles = [build_scenario(scenario, replace(params, mu=mu), qubit)
+               for mu in (0.0, 1.0)]
+    outputs = [_combinations(b.circuit.paths, [(p, _run_photon(b.circuit, wf))
+                                               for p, wf in b.slots])
+               for b in bundles]
+    cells, rails = _herald_cells(bundles[0], outputs)  # mu moves no detector
+    return ScenarioTable(scenario, params, bundles[0].qubit,
+                         bundles[0].herald_classes, cells, rails)
 
 
 def simulate(bundle: ScenarioBundle) -> HeraldedOutcome:

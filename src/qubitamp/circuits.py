@@ -103,10 +103,10 @@ class Mixture:
 def apply_element(m: Mixture, e: Element) -> Mixture:
     """Apply one element to every branch, keeping the branch order."""
     out = []
+    u = beam_splitter_matrix(e.t) if isinstance(e, BeamSplitter) else None
     for b in m:
         s = b.state
         if isinstance(e, BeamSplitter):
-            u = beam_splitter_matrix(e.t)
             ia = s.path_indices(e.paths[0])
             ib = s.path_indices(e.paths[1])
             for k in (0, 1):  # matched pair, then orthogonal pair

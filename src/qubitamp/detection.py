@@ -66,6 +66,24 @@ def click_prob(n: int, eta: float, dark_click_prob: float = 0.0) -> float:
     return -math.expm1(math.log1p(-dark_click_prob) + n * math.log1p(-eta))
 
 
+def click_outcomes(counts, detectors: list[Detector]
+                   ) -> list[tuple[tuple[bool, ...], float]]:
+    """(click tuple ordered as `detectors`, probability) of each possible
+    outcome when each detector sees its entry of `counts` photons."""
+    outcome_probs = [((), 1.0)]
+    for n, d in zip(counts, detectors):
+        silent = no_click_weight(n, d.spec.eta, d.spec.dark_click_prob)
+        clicked = click_prob(n, d.spec.eta, d.spec.dark_click_prob)
+        grown = []
+        for prefix, p in outcome_probs:
+            if silent > 0.0:
+                grown.append((prefix + (False,), p * silent))
+            if clicked > 0.0:
+                grown.append((prefix + (True,), p * clicked))
+        outcome_probs = grown
+    return outcome_probs
+
+
 def measure_all(m: Mixture, detectors: list[Detector]
                 ) -> dict[tuple[bool, ...], tuple[float, Mixture]]:
     """Joint click distribution over every detector, with conditional states.
@@ -77,12 +95,7 @@ def measure_all(m: Mixture, detectors: list[Detector]
     if not m.branches:
         return {}
     ref = m.branches[0].state
-    det_modes: list[tuple[int, int]] = []
-    all_modes: list[int] = []
-    for d in detectors:
-        pair = ref.path_indices(d.path)
-        det_modes.append(pair)
-        all_modes.extend(pair)
+    all_modes = [i for d in detectors for i in ref.path_indices(d.path)]
     if len(set(all_modes)) != len(all_modes):
         raise ValueError("detectors must watch disjoint paths")
 
@@ -91,18 +104,7 @@ def measure_all(m: Mixture, detectors: list[Detector]
         for occ, weight, cond in split_by_occupation(b.state, all_modes):
             # photons seen by each detector under this occupation group
             counts = [occ[2 * i] + occ[2 * i + 1] for i in range(len(detectors))]
-            outcome_probs = [(tuple(), 1.0)]
-            for n, d in zip(counts, detectors):
-                silent = no_click_weight(n, d.spec.eta, d.spec.dark_click_prob)
-                clicked = click_prob(n, d.spec.eta, d.spec.dark_click_prob)
-                grown = []
-                for prefix, p in outcome_probs:
-                    if silent > 0.0:
-                        grown.append((prefix + (False,), p * silent))
-                    if clicked > 0.0:
-                        grown.append((prefix + (True,), p * clicked))
-                outcome_probs = grown
-            for outcome, p in outcome_probs:
+            for outcome, p in click_outcomes(counts, detectors):
                 w = b.weight * weight * p
                 if w <= 0.0:
                     continue

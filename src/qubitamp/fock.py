@@ -31,7 +31,12 @@ def mode_labels(paths) -> tuple[ModeLabel, ...]:
 
 def is_unitary(u: np.ndarray) -> bool:
     u = np.asarray(u, dtype=complex)
-    return u.shape == (2, 2) and np.max(np.abs(u @ u.conj().T - np.eye(2))) <= 1e-12
+    if u.shape != (2, 2):
+        return False
+    (a, b), (c, d) = u.tolist()  # entries of u u^dagger - 1; NaN fails
+    return all(abs(x) <= 1e-12 for x in (
+        abs(a) ** 2 + abs(b) ** 2 - 1.0, abs(c) ** 2 + abs(d) ** 2 - 1.0,
+        a * c.conjugate() + b * d.conjugate()))
 
 
 def beam_splitter_matrix(t: float) -> np.ndarray:

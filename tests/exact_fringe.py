@@ -12,8 +12,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from qubitamp.amplifier import QubitSpec, _heralded_analysis, build_timebin_hqa
+from qubitamp.amplifier import QubitSpec, build_timebin_hqa
 from qubitamp.circuits import Circuit, PhaseShift
+
+from exact_herald import heralded_analysis
 
 #: Projection onto the zero-phase qubit (|s> + |l>) / sqrt(2).
 ANALYZER = np.array([1.0, 1.0]) / math.sqrt(2.0)
@@ -29,7 +31,7 @@ def class_rates(params, phis) -> dict[str, np.ndarray]:
         circuit = Circuit(bundle.circuit.paths,
                           (PhaseShift(float(phi), "in_l"),)
                           + bundle.circuit.elements)
-        analysis = _heralded_analysis(replace(bundle, circuit=circuit))
+        analysis = heralded_analysis(replace(bundle, circuit=circuit))
         for name, a in analysis.items():
             overlap = float((ANALYZER.conj() @ a.qubit_density
                              @ ANALYZER).real)

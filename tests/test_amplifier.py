@@ -15,7 +15,6 @@ from qubitamp.amplifier import (
     UndefinedGainError,
     ZeroHeraldError,
     _combine,
-    _heralded_analysis,
     build_scenario,
     build_timebin_hqa,
     compile_scenario,
@@ -35,6 +34,7 @@ from qubitamp.checks import GRID
 from qubitamp.detection import CLICK
 
 from exact_fringe import class_rates
+from exact_herald import heralded_analysis
 
 BALANCED = QubitSpec.from_phase(0.0)
 
@@ -195,7 +195,7 @@ class TestTimebinOracle:
         out = simulate(bundle)
         assert abs(out.per_class["psi_minus"].fidelity_conditional - 1.0) <= 1e-9
         # without the correction the overlap drops to |<psi|flipped psi>|^2
-        analysis = _heralded_analysis(bundle)["psi_minus"]
+        analysis = heralded_analysis(bundle)["psi_minus"]
         rho = analysis.qubit_density
         psi = q.vector()
         raw = float((psi.conj() @ rho @ psi).real) / analysis.single_weight
@@ -400,7 +400,7 @@ class TestScenarioTable:
         monkeypatch.setattr(amplifier, "build_scenario", with_coincidence)
         params = AmplifierParams(t=0.7, p_in=0.0, p_a=0.8, eta=0.9, mu=0.5)
         bundle = with_coincidence("fock-hpa", params)
-        assert _heralded_analysis(bundle)["both"].prob == 0.0
+        assert heralded_analysis(bundle)["both"].prob == 0.0
         out = compile_scenario("fock-hpa", params).evaluate(
             np.array([0.0, 0.4]), 0.8, 0.5)
         both = out.per_class["both"]
@@ -423,7 +423,7 @@ class TestScenarioTable:
             for k, (a, pin) in enumerate(zip(p_a, p_in)):
                 bundle = build_scenario(scenario, replace(params, p_in=pin,
                                                           p_a=a))
-                ref = _combine(bundle, _heralded_analysis(bundle), pin, a)
+                ref = _combine(bundle, heralded_analysis(bundle), pin, a)
                 assert abs(out.herald_prob[k] - ref.herald_prob) <= 1e-12
                 assert abs(out.p_out[k] - ref.p_out) <= 1e-12
                 assert abs(out.gain[k] - ref.gain) <= 1e-12 * ref.gain

@@ -99,6 +99,32 @@ class TestGainCurve:
         _, _, rows = read_csv(out)
         assert rows[0][1:3] == ["9", "9"]
 
+    @pytest.mark.parametrize("scenario", ["fock-hpa", "timebin-hqa"])
+    def test_subnormal_pin_gives_closed_form_pout(self, tmp_path, scenario):
+        # p_out_oracle is gain_oracle * p_in there, like p_out_analytic
+        out = tmp_path / "gain.csv"
+        code = run(["gain-curve", "--scenario", scenario, "--t", "0.9",
+                    "--pa", "0.9", "--pin-from", "5e-324", "--pin-to",
+                    "5e-324", "--pin-steps", "1", "--out", str(out)])
+        assert code == EXIT_OK
+        _, _, rows = read_csv(out)
+        assert rows[0][3:5] == ["4.44659081e-323", "4.44659081e-323"]
+
+    @pytest.mark.parametrize("scenario", ["fock-hpa", "timebin-hqa"])
+    def test_dark_counts_keep_oracle_gain_at_tiny_pin(self, tmp_path,
+                                                      scenario):
+        # dark counts herald a single photon out at p_in = 0, so the gain
+        # p_out / p_in diverges there instead of reaching t / (1 - t)
+        out = tmp_path / "gain.csv"
+        code = run(["gain-curve", "--scenario", scenario, "--dark", "0.1",
+                    "--pin-from", "0", "--pin-to", "1e-300",
+                    "--pin-steps", "2", "--out", str(out)])
+        assert code == EXIT_OK
+        _, _, rows = read_csv(out)
+        assert rows[0][2] == "inf" and float(rows[0][4]) > 0.1
+        assert float(rows[1][2]) == pytest.approx(float(rows[1][4]) / 1e-300,
+                                                  rel=1e-8)
+
 
 class TestFringe:
     def test_single_phase_rejected(self, tmp_path, capsys):

@@ -10,6 +10,7 @@ from qubitamp.fock import (
     apply_two_mode_unitary,
     basis_state,
     beam_splitter_matrix,
+    is_unitary,
     mode_labels,
     split_by_occupation,
     tensor,
@@ -126,6 +127,25 @@ class TestTwoModeUnitary:
         with pytest.raises(ValueError):
             apply_two_mode_unitary(basis_state((1, 0)), 0, 1,
                                    np.array([[1.0, 0.0], [0.0, 2.0]]))
+
+    @pytest.mark.parametrize("off, accepted", [(2e-12, False),
+                                               (5e-13, True)])
+    def test_unitarity_tolerance(self, off, accepted):
+        # u u^dagger misses the identity by `off`: on the diagonal (a
+        # stretched row), then off it (rows that are not orthogonal)
+        stretched = beam_splitter_matrix(0.3) * np.array(
+            [[math.sqrt(1.0 + off)], [1.0]])
+        skewed = np.array([[1.0, 0.0], [off, math.sqrt(1.0 - off * off)]])
+        for u in (stretched, skewed):
+            assert is_unitary(u) == accepted
+            if not accepted:
+                with pytest.raises(ValueError, match="not unitary"):
+                    apply_two_mode_unitary(basis_state((1, 0)), 0, 1, u)
+
+    def test_malformed_matrix_not_unitary(self):
+        assert not is_unitary(np.eye(3))
+        assert not is_unitary(np.array([[math.nan, 0.0], [0.0, 1.0]]))
+        assert not is_unitary(np.array([[math.inf, 0.0], [0.0, 1.0]]))
 
     def test_mode_out_of_range(self):
         with pytest.raises(ValueError):

@@ -16,8 +16,9 @@ from qubitamp.amplifier import (
     AmplifierParams,
     QubitSpec,
     SCENARIOS,
+    _combinations,
     _combine,
-    _heralded_analysis,
+    _run_photon,
     build_scenario,
     compile_scenario,
     fringe_scan,
@@ -25,7 +26,7 @@ from qubitamp.amplifier import (
     simulate_scenario,
 )
 from qubitamp.checks import loss_identity_residual, random_two_path_state
-from qubitamp.circuits import Branch, Mixture
+from qubitamp.circuits import Branch, Mixture, run_circuit
 from qubitamp.detection import (
     CLICK,
     NO_CLICK,
@@ -41,6 +42,7 @@ from qubitamp.fock import (
 )
 
 from exact_fringe import class_rates
+from exact_herald import heralded_analysis
 
 seeds = st.integers(0, 2**32 - 1)
 unit = st.floats(0.0, 1.0)
@@ -140,6 +142,11 @@ def test_fringe_rates_equal_exact_runs(t, p_in, p_a, eta, dark, mu_plus,
 # the ancilla's transmitted amplitude, 1e-15 * mu, is pruned at mu = 0.5
 @example(scenario="fock-hpa", t=1e-30, p_in=0.5, p_a=1.0, eta=1.0, dark=0.25,
          mu=0.5, delta_phi=0.0)
+# with dark counts at p_in = 0 the gain is inf, or NaN without a photon out
+@example(scenario="timebin-hqa", t=0.5, p_in=0.0, p_a=1.0, eta=1.0, dark=0.25,
+         mu=0.5, delta_phi=0.0)
+@example(scenario="fock-hpa", t=0.0, p_in=0.0, p_a=1.0, eta=1.0, dark=0.25,
+         mu=0.0, delta_phi=0.0)
 def test_table_equals_full_mixture_run(scenario, t, p_in, p_a, eta, dark, mu,
                                        delta_phi):
     # the scenario table, contracted at one point, against one run of the
@@ -148,7 +155,7 @@ def test_table_equals_full_mixture_run(scenario, t, p_in, p_a, eta, dark, mu,
                              dark_click_prob=dark)
     qubit = QubitSpec.from_phase(delta_phi)
     bundle = build_scenario(scenario, params, qubit)
-    ref = _combine(bundle, _heralded_analysis(bundle), p_in, p_a)
+    ref = _combine(bundle, heralded_analysis(bundle), p_in, p_a)
     got = compile_scenario(scenario, params, qubit).evaluate(p_in, p_a, mu)
     pairs = [(got, ref)] + [(got.per_class[k], ref.per_class[k])
                             for k in ref.per_class]
@@ -162,12 +169,51 @@ def test_table_equals_full_mixture_run(scenario, t, p_in, p_a, eta, dark, mu,
                             r.p_out)
 
 
+@settings(max_examples=15, deadline=None)
+@given(scenario=st.sampled_from(SCENARIOS), t=unit, mu=unit, eta=unit,
+       dark=st.floats(0.0, 0.9), delta_phi=angles)
+def test_table_cells_equal_multiphoton_runs(scenario, t, mu, eta, dark,
+                                            delta_phi):
+    # a passive linear circuit maps each creation operator on its own, so
+    # running the photons one at a time gives every combination's output;
+    # the table reads its cells off those kets without measuring them
+    params = AmplifierParams(t=t, p_in=1.0, p_a=1.0, eta=eta, mu=mu,
+                             dark_click_prob=dark)
+    qubit = QubitSpec.from_phase(delta_phi)
+    table = compile_scenario(scenario, params, qubit)
+    for m, at_mu in enumerate((mu, 0.0, 1.0)):
+        bundle = build_scenario(scenario, replace(params, mu=at_mu), qubit)
+        runs = run_circuit(Mixture([Branch(1.0, s) for s in _combinations(
+            bundle.circuit.paths, bundle.slots)]), bundle.circuit)
+        outputs = _combinations(bundle.circuit.paths, [
+            (p, _run_photon(bundle.circuit, wf)) for p, wf in bundle.slots])
+        for c, (got, run) in enumerate(zip(outputs, runs)):
+            want = run.state.amplitudes
+            for occ in set(got.amplitudes) | set(want):
+                assert abs(got.amplitudes.get(occ, 0.0)
+                           - want.get(occ, 0.0)) <= 1e-12
+            if m == 0:
+                continue  # the table holds mu = 0 and mu = 1 only
+            ref = heralded_analysis(bundle, Mixture([run]))
+            for k, cls in enumerate(bundle.herald_classes):
+                a = ref[cls.name]
+                cells = a.prob * np.array((1.0, a.vacuum_weight,
+                                           a.single_weight, a.multi_weight))
+                assert np.max(np.abs(table.cells[m - 1, k, c] - cells)) <= 1e-12
+                assert np.max(np.abs(table.rails[m - 1, k, c]
+                                     - a.prob * a.qubit_density)) <= 1e-12
+
+
 def ratios_agree(got, want, denom):
     """Two values of a ratio x / denom agree to 1e-12 relative. Amplitudes
     below DROP_TOLERANCE are pruned, at other points on each route (the
     table runs at mu = 0 and 1 only), so x may also differ by the square
-    of that; None stands for a ratio undefined at x <= 1e-30."""
+    of that; None stands for a ratio undefined at x <= 1e-30. At denom = 0
+    (the gain at p_in = 0 with dark counts) the ratio is inf or NaN, and
+    both routes must give the same one."""
     floor = DROP_TOLERANCE ** 2
     if got is None or want is None:
         return got is want or denom <= 1e-30 + floor
+    if denom == 0.0 and not np.isfinite(want):
+        return np.array_equal(got, want, equal_nan=True)
     return abs(got - want) * denom <= 1e-12 * abs(want) * denom + floor
