@@ -42,16 +42,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .circuits import (
-    BeamSplitter,
-    Branch,
-    Circuit,
-    Mixture,
-    run_circuit,
-)
-# Not called here: benchmarks/spans.py wraps amplifier.mixture_density by
-# name, so the name stays importable from this module.
-from .circuits import mixture_density  # noqa: F401
+from .circuits import BeamSplitter, Circuit, Mixture, run_circuit
 from .detection import (
     CLICK,
     MIN_OUTCOME_PROB,
@@ -59,11 +50,13 @@ from .detection import (
     Detector,
     DetectorSpec,
     click_outcomes,
-    condition,
     measure,
-    measure_all,
     pattern_outcomes,
 )
+# Not called here: benchmarks/spans.py wraps amplifier.mixture_density and
+# amplifier.measure_all by name, so the names stay importable from this module.
+from .circuits import mixture_density  # noqa: F401
+from .detection import measure_all  # noqa: F401
 from .fock import FockState, MATCHED, ORTHOGONAL, mode_labels
 
 
@@ -162,14 +155,6 @@ class ScenarioBundle:
     slots: tuple[tuple[float, dict], ...]
     detectors: tuple[Detector, ...]
     herald_classes: tuple[HeraldClass, ...]
-    output_paths: tuple[str, ...]
-
-    @property
-    def source(self) -> Mixture:
-        """The presence combinations of non-zero weight, as a mixture."""
-        weights = _presence_weights([p for p, _ in self.slots])
-        return Mixture([Branch(float(w), state) for w, state in zip(
-            weights, _combinations(self.circuit.paths, self.slots)) if w > 0])
 
 
 @dataclass(frozen=True)
@@ -200,11 +185,6 @@ def gain_analytic(t: float, p_a: float, eta: float, p_in: float) -> float:
         raise UndefinedGainError(
             f"gain undefined for t={t}, p_a={p_a}, eta={eta}, p_in={p_in}")
     return p_a * t / denom
-
-
-def p_out_analytic(t: float, p_a: float, eta: float, p_in: float) -> float:
-    """Closed-form heralded output probability G * p_in."""
-    return gain_analytic(t, p_a, eta, p_in) * p_in if p_in > 0.0 else 0.0
 
 
 def gain_asymptote(t: float) -> float:
@@ -343,7 +323,7 @@ def build_fock_hpa(params: AmplifierParams) -> ScenarioBundle:
         {"bsm_a": NO_CLICK, "bsm_b": CLICK},
     ))
     return ScenarioBundle("fock-hpa", params, None, circuit, tuple(slots),
-                          detectors, (herald,), ("out",))
+                          detectors, (herald,))
 
 
 #: Herald classes of the time-bin amplifier. Clicks on the same port of
@@ -393,7 +373,7 @@ def build_timebin_hqa(params: AmplifierParams,
         Detector("l_a", "in_l", spec), Detector("l_b", "anc_l", spec),
     )
     return ScenarioBundle("timebin-hqa", params, qubit, circuit, tuple(slots),
-                          detectors, _TIMEBIN_CLASSES, ("out_s", "out_l"))
+                          detectors, _TIMEBIN_CLASSES)
 
 
 SCENARIOS = ("fock-hpa", "timebin-hqa")
@@ -420,17 +400,6 @@ class ClassAnalysis:
     single_weight: float
     multi_weight: float
     qubit_density: np.ndarray  # over output rails, trace = single_weight
-
-
-def herald_conditionals(bundle: ScenarioBundle
-                        ) -> list[tuple[HeraldClass, float, Mixture]]:
-    """(class, herald probability, conditional output ensemble) per class,
-    from one joint measurement of the bundle's source run through its
-    circuit. An impossible class has probability 0 and an empty ensemble."""
-    table = measure_all(run_circuit(bundle.source, bundle.circuit),
-                        list(bundle.detectors))
-    return [(cls, *condition(table, cls.outcomes(bundle.detectors)))
-            for cls in bundle.herald_classes]
 
 
 def _apply_correction(rho: np.ndarray, phase: float) -> np.ndarray:
@@ -564,13 +533,22 @@ def _run_photon(circuit: Circuit, wf: dict) -> dict:
     return {out.labels[occ.index(1)]: a for occ, a in out.amplitudes.items()}
 
 
+def _photon_outputs(bundle: ScenarioBundle) -> list[FockState]:
+    """Circuit output of every presence combination of the bundle's source
+    photons (indexed as in _combinations), from one run per photon."""
+    return _combinations(bundle.circuit.paths, [
+        (p, _run_photon(bundle.circuit, wf)) for p, wf in bundle.slots])
+
+
 def _herald_cells(bundle: ScenarioBundle, outputs) -> tuple[np.ndarray, ...]:
     """cells and rails (see ScenarioTable) of the output states outputs[m][c]
-    in one pass over their kets. Kets with one occupation of the detected
-    modes are coherent; class probabilities depend on the photon counts."""
-    ref, n_rails = outputs[0][0], len(bundle.output_paths)
+    in one pass over their kets; the rails are the paths no detector
+    watches. Kets with one occupation of the detected modes are coherent;
+    class probabilities depend on the photon counts."""
+    ref = outputs[0][0]
     detected = [i for d in bundle.detectors for i in ref.path_indices(d.path)]
     kept = [i for i in range(ref.n_modes) if i not in detected]
+    n_rails = len(kept) // 2
     classes = [cls.outcomes(bundle.detectors) for cls in bundle.herald_classes]
 
     @functools.cache
@@ -595,7 +573,8 @@ def _herald_cells(bundle: ScenarioBundle, outputs) -> tuple[np.ndarray, ...]:
             weights = np.array([class_probs(tuple(map(sum, zip(
                 key[::2], key[1::2])))) for key in groups])  # per-detector counts
             sums = np.array(list(groups.values()))
-            norms, amps = sums[:, :3].real, sums[:, 3:].reshape(-1, n_rails, 2)
+            norms = sums[:, :3].real
+            amps = sums[:, 3:].reshape(len(groups), n_rails, 2)
             cells[m, :, c] = weights.T @ np.column_stack((norms.sum(axis=1),
                                                           norms))
             rails[m, :, c] = np.einsum("gk,gri,gsi->krs", weights, amps,
@@ -612,10 +591,9 @@ def compile_scenario(scenario: str, params: AmplifierParams,
     every presence combination (see the module docstring)."""
     bundles = [build_scenario(scenario, replace(params, mu=mu), qubit)
                for mu in (0.0, 1.0)]
-    outputs = [_combinations(b.circuit.paths, [(p, _run_photon(b.circuit, wf))
-                                               for p, wf in b.slots])
-               for b in bundles]
-    cells, rails = _herald_cells(bundles[0], outputs)  # mu moves no detector
+    # mu moves no detector
+    cells, rails = _herald_cells(bundles[0], [_photon_outputs(b)
+                                              for b in bundles])
     return ScenarioTable(scenario, params, bundles[0].qubit,
                          bundles[0].herald_classes, cells, rails)
 

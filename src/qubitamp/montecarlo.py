@@ -29,16 +29,19 @@ a ratio a/b), i.e. sigma(a/b) = sqrt(a (b - a) / b^3).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .amplifier import (AmplifierParams, QubitSpec, build_scenario,
-                        herald_conditionals)
-from .circuits import BeamSplitter, Circuit, PhaseShift, run_circuit
-from .detection import CLICK, Detector, DetectorSpec, measure
-# Not called here: benchmarks/spans.py wraps montecarlo.measure_all by name.
-from .detection import measure_all  # noqa: F401
+from .amplifier import (AmplifierParams, HeraldClass, QubitSpec,
+                        _herald_cells, _photon_outputs, _presence_weights,
+                        build_scenario)
+from .circuits import BeamSplitter, Circuit, PhaseShift
+from .detection import CLICK, NO_CLICK, Detector, DetectorSpec
+# Not called here: benchmarks/spans.py wraps montecarlo.run_circuit, measure
+# and measure_all by name, so the names stay importable from this module.
+from .circuits import run_circuit  # noqa: F401
+from .detection import measure, measure_all  # noqa: F401
 
 #: Default input-herald efficiency: source heralding times detector efficiency.
 ETA_HERALD_DEFAULT = 0.86 * 0.70
@@ -80,8 +83,8 @@ class EstimateWithError:
 
 
 def _analyzer_setup(bundle, analyzer_phi: float, eta_out: float):
-    """The output analyzer, as a circuit over the bundle's output paths,
-    and its detector.
+    """The output analyzer, as a circuit over the bundle's paths, and its
+    detector.
 
     For the time-bin scenario the two output rails are recombined on a
     50/50 splitter with the long rail rotated so that the qubit
@@ -91,8 +94,8 @@ def _analyzer_setup(bundle, analyzer_phi: float, eta_out: float):
     """
     spec = DetectorSpec(eta_out, 0.0)
     if bundle.scenario == "fock-hpa":
-        return Circuit(bundle.output_paths, ()), Detector("d4", "out", spec)
-    tail = Circuit(bundle.output_paths, (
+        return Circuit(bundle.circuit.paths, ()), Detector("d4", "out", spec)
+    tail = Circuit(bundle.circuit.paths, (
         PhaseShift(-analyzer_phi - math.pi / 2.0, "out_l"),
         BeamSplitter(0.5, ("out_s", "out_l")),
     ))
@@ -102,16 +105,25 @@ def _analyzer_setup(bundle, analyzer_phi: float, eta_out: float):
 def _branch_outcome_table(bundle, tail: Circuit, d4: Detector) -> np.ndarray:
     """Exact probability of each (herald class, analyzer click) pair.
 
-    The whole source mixture runs through the amplifier once; each herald
-    class's conditional output then runs through the analyzer `tail`.
-    Returns an (n_classes, 2) array indexed by [class, d4 clicked]; the
-    remaining probability corresponds to "no herald".
+    The analyzer `tail` is passive and linear too, so it joins the
+    amplifier circuit, d4 joins the heralding detectors and each herald
+    class splits in two by the d4 outcome; one photon-by-photon pass at the
+    bundle's mu (see amplifier.compile_scenario) gives every pair. Returns
+    an (n_classes, 2) array indexed by [class, d4 clicked]; the remaining
+    probability corresponds to "no herald".
     """
-    cells = np.zeros((len(bundle.herald_classes), 2))
-    for ci, (_, prob, cond) in enumerate(herald_conditionals(bundle)):
-        p4, _ = measure(run_circuit(cond, tail), [d4], {d4.name: CLICK})
-        cells[ci] = (prob * (1.0 - p4), prob * p4)
-    return cells
+    probe = replace(
+        bundle,
+        circuit=Circuit(bundle.circuit.paths,
+                        bundle.circuit.elements + tail.elements),
+        detectors=bundle.detectors + (d4,),
+        herald_classes=tuple(
+            HeraldClass(cls.name, tuple({**p, d4.name: o}
+                                        for p in cls.patterns))
+            for cls in bundle.herald_classes for o in (NO_CLICK, CLICK)))
+    cells, _ = _herald_cells(probe, [_photon_outputs(probe)])
+    weights = _presence_weights([p for p, _ in bundle.slots])
+    return (cells[0, ..., 0] @ weights).reshape(-1, 2)
 
 
 def sample_events(params: AmplifierParams, n_pulses: int, seed: int,
@@ -127,8 +139,8 @@ def sample_events(params: AmplifierParams, n_pulses: int, seed: int,
     does not grow with n_pulses. Reproducible: a fixed seed yields
     identical counts (counter-based Philox stream).
     """
-    if n_pulses <= 0:
-        raise ValueError("n_pulses must be positive")
+    if not 0 < n_pulses <= 2**63 - 1:  # the most a multinomial draw takes
+        raise ValueError(f"n_pulses must lie in [1, 2**63 - 1], got {n_pulses}")
     for name, v in (("eta_herald", eta_herald), ("eta_out", eta_out)):
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"{name} must lie in [0, 1], got {v}")

@@ -1,31 +1,58 @@
-"""Exact reference for the herald-class analysis of a scenario table.
+"""Exact full-mixture reference for the herald classes of a scenario.
 
-`heralded_analysis` measures an output ensemble with `measure_all`,
-conditions it on each herald class (with `detection.condition`, as
-`amplifier.herald_conditionals` does for the sampler) and reduces the
-conditional density matrix over the output rails. `amplifier.compile_scenario` instead builds
-each presence combination photon by photon and reads the same numbers off
-its output kets in one pass, so the tests that compare the two check that
-route.
+The whole source mixture (`source`) runs through the circuit, and one joint
+measurement with `measure_all`, conditioned on each herald class with
+`detection.condition`, gives each class's conditional output ensemble.
+`heralded_analysis` reduces it to the conditional density matrix over the
+output rails; `branch_outcomes` runs it through the output analyzer and
+measures the analyzer click. `amplifier.compile_scenario` and
+`montecarlo._branch_outcome_table` instead build each presence combination
+photon by photon and read the same numbers off its output kets in one
+pass, so the tests that compare the two check that route.
 """
 
 import numpy as np
 
-from qubitamp.amplifier import ClassAnalysis
-from qubitamp.circuits import mixture_density, run_circuit
-from qubitamp.detection import condition, measure_all
+from qubitamp.amplifier import ClassAnalysis, _combinations, _presence_weights
+from qubitamp.circuits import Branch, Mixture, mixture_density, run_circuit
+from qubitamp.detection import CLICK, condition, measure, measure_all
+
+
+def source(bundle) -> Mixture:
+    """The presence combinations of non-zero weight, as a mixture."""
+    weights = _presence_weights([p for p, _ in bundle.slots])
+    return Mixture([Branch(float(w), state) for w, state in zip(
+        weights, _combinations(bundle.circuit.paths, bundle.slots)) if w > 0])
+
+
+def conditionals(bundle, mix=None):
+    """(class, herald probability, conditional output ensemble) per herald
+    class of `mix`, the ensemble leaving the circuit (by default the
+    bundle's source mixture run through it). An impossible class has
+    probability 0 and an empty ensemble."""
+    if mix is None:
+        mix = run_circuit(source(bundle), bundle.circuit)
+    table = measure_all(mix, list(bundle.detectors))
+    return [(cls, *condition(table, cls.outcomes(bundle.detectors)))
+            for cls in bundle.herald_classes]
+
+
+def branch_outcomes(bundle, tail, d4) -> np.ndarray:
+    """Probability of each (herald class, analyzer click) pair, indexed
+    [class, d4 clicked]: each class's conditional output runs through the
+    analyzer `tail` and d4 measures it."""
+    cells = np.zeros((len(bundle.herald_classes), 2))
+    for k, (_, prob, cond) in enumerate(conditionals(bundle)):
+        p4, _ = measure(run_circuit(cond, tail), [d4], {d4.name: CLICK})
+        cells[k] = (prob * (1.0 - p4), prob * p4)
+    return cells
 
 
 def heralded_analysis(bundle, mix=None) -> dict[str, ClassAnalysis]:
-    """ClassAnalysis per herald class of `mix`, the ensemble leaving the
-    circuit (by default the bundle's full source mixture run through it)."""
-    if mix is None:
-        mix = run_circuit(bundle.source, bundle.circuit)
-    table = measure_all(mix, list(bundle.detectors))
-    n_rails = len(bundle.output_paths)
+    """ClassAnalysis per herald class of `mix` (see `conditionals`)."""
+    n_rails = len(bundle.circuit.paths) - len(bundle.detectors)
     result = {}
-    for cls in bundle.herald_classes:
-        prob, cond = condition(table, cls.outcomes(bundle.detectors))
+    for cls, prob, cond in conditionals(bundle, mix):
         basis, rho = mixture_density(cond)  # empty for an impossible class
         vacuum = single = multi = 0.0
         rails = np.zeros((n_rails, n_rails), dtype=complex)

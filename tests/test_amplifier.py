@@ -25,7 +25,6 @@ from qubitamp.amplifier import (
     hom_coincidence,
     hom_coincidence_fock,
     mu_for_visibility,
-    p_out_analytic,
     simulate,
     simulate_scenario,
     visibility,
@@ -72,11 +71,6 @@ class TestGainFormula:
         for pin in np.linspace(0.01, 1.0, 10):
             assert (gain_analytic(0.9, 0.8, 0.7, float(pin))
                     > gain_analytic(0.7, 0.8, 0.7, float(pin)))
-
-    def test_p_out_analytic(self):
-        assert p_out_analytic(0.9, 0.8, 0.7, 0.0) == 0.0
-        assert p_out_analytic(0.9, 0.8, 0.7, 0.3) == pytest.approx(
-            0.3 * gain_analytic(0.9, 0.8, 0.7, 0.3))
 
 
 class TestAsymptote:

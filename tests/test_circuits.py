@@ -149,9 +149,11 @@ class TestRunCircuit:
         # ancilla injected on the output-side port of the unbalanced splitter
         from qubitamp.amplifier import AmplifierParams, build_fock_hpa
 
+        from exact_herald import source
+
         t = 0.77
         bundle = build_fock_hpa(AmplifierParams(t=t, p_in=0.0, p_a=1.0, eta=1.0))
-        out = run_circuit(bundle.source, bundle.circuit)
+        out = run_circuit(source(bundle), bundle.circuit)
         p_out = 0.0
         for b in out:
             im, io = b.state.path_indices("out")

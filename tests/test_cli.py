@@ -304,6 +304,14 @@ class TestConfigHandling:
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
         assert not out.exists()
 
+    def test_huge_pulse_count_is_validation_error(self, tmp_path, capsys):
+        out = tmp_path / "est.csv"
+        code = run(["estimate", "--pulses", "99999999999999999999",
+                    "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert "2**63 - 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_value_after_flag(self, tmp_path):
         spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
         base = ["estimate", "--scenario", "timebin-hqa", "--mu", "0.8",

@@ -73,6 +73,12 @@ class TestSampling:
             sample_events(GRID_POINT, n_pulses=0, seed=1)
         with pytest.raises(ValueError):
             sample_events(GRID_POINT, n_pulses=10, seed=1, eta_herald=1.5)
+        with pytest.raises(ValueError, match=r"2\*\*63 - 1"):
+            sample_events(GRID_POINT, n_pulses=2**63, seed=1)
+
+    def test_largest_pulse_count_runs(self):
+        assert sample_events(GRID_POINT, n_pulses=2**63 - 1,
+                             seed=1).n_pulses == 2**63 - 1
 
     def test_cost_does_not_grow_with_pulses(self):
         n = 10 ** 12

@@ -18,7 +18,7 @@ from qubitamp.amplifier import (
     SCENARIOS,
     _combinations,
     _combine,
-    _run_photon,
+    _photon_outputs,
     build_scenario,
     compile_scenario,
     fringe_scan,
@@ -40,9 +40,10 @@ from qubitamp.fock import (
     apply_two_mode_unitary,
     beam_splitter_matrix,
 )
+from qubitamp.montecarlo import _analyzer_setup, _branch_outcome_table
 
 from exact_fringe import class_rates
-from exact_herald import heralded_analysis
+from exact_herald import branch_outcomes, heralded_analysis
 
 seeds = st.integers(0, 2**32 - 1)
 unit = st.floats(0.0, 1.0)
@@ -185,9 +186,7 @@ def test_table_cells_equal_multiphoton_runs(scenario, t, mu, eta, dark,
         bundle = build_scenario(scenario, replace(params, mu=at_mu), qubit)
         runs = run_circuit(Mixture([Branch(1.0, s) for s in _combinations(
             bundle.circuit.paths, bundle.slots)]), bundle.circuit)
-        outputs = _combinations(bundle.circuit.paths, [
-            (p, _run_photon(bundle.circuit, wf)) for p, wf in bundle.slots])
-        for c, (got, run) in enumerate(zip(outputs, runs)):
+        for c, (got, run) in enumerate(zip(_photon_outputs(bundle), runs)):
             want = run.state.amplitudes
             for occ in set(got.amplitudes) | set(want):
                 assert abs(got.amplitudes.get(occ, 0.0)
@@ -202,6 +201,28 @@ def test_table_cells_equal_multiphoton_runs(scenario, t, mu, eta, dark,
                 assert np.max(np.abs(table.cells[m - 1, k, c] - cells)) <= 1e-12
                 assert np.max(np.abs(table.rails[m - 1, k, c]
                                      - a.prob * a.qubit_density)) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(scenario=st.sampled_from(SCENARIOS), t=unit, p_in=unit, p_a=unit,
+       eta=unit, dark=st.floats(0.0, 0.5), mu=unit, analyzer_phi=angles,
+       eta_out=unit, delta_phi=angles)
+# both time-bin ancillas reach the output, the input photon clicks on one
+# rail and a dark count on the other: the analyzer sees two photons
+@example(scenario="timebin-hqa", t=0.8, p_in=1.0, p_a=1.0, eta=0.9, dark=0.4,
+         mu=0.6, analyzer_phi=0.3, eta_out=0.7, delta_phi=1.1)
+def test_analyzer_split_equals_full_mixture_run(scenario, t, p_in, p_a, eta,
+                                                dark, mu, analyzer_phi,
+                                                eta_out, delta_phi):
+    # the sampler's (herald class, analyzer click) cells from one
+    # photon-by-photon pass through amplifier and analyzer, against each
+    # class's conditional output run through the analyzer and measured
+    params = AmplifierParams(t=t, p_in=p_in, p_a=p_a, eta=eta, mu=mu,
+                             dark_click_prob=dark)
+    bundle = build_scenario(scenario, params, QubitSpec.from_phase(delta_phi))
+    tail, d4 = _analyzer_setup(bundle, analyzer_phi, eta_out)
+    got = _branch_outcome_table(bundle, tail, d4)
+    assert np.max(np.abs(got - branch_outcomes(bundle, tail, d4))) <= 1e-12
 
 
 def ratios_agree(got, want, denom):
