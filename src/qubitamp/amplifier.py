@@ -14,9 +14,11 @@ output is multilinear in the presence probabilities of the source photons
 and, with at most three photons, affine in mu^2. So `compile_scenario`
 tabulates each presence combination at mu = 0 and at mu = 1, and any
 (p_in, p_a, mu) is a weighted sum over the table. The passive linear
-circuits map each photon's creation operator on its own, so each source
-photon runs through the circuit alone, and one pass over the kets of each
-combination's output (the product of its mapped photons) fills the table.
+circuits map each photon's creation operator on its own and act alike on
+both internal modes, so each source photon runs through the circuit once,
+at mu = 1; at mu = 0 an ancilla leaves the same way in the orthogonal
+mode. Each combination's output ket is the product of its mapped photons,
+and one batched pass over the kets of every combination fills the table.
 
 The same table fixes the time-bin fringes. Conjugation maps the circuit
 onto itself (a splitter has U* = Z U Z; the ancillas are real), so each
@@ -34,8 +36,6 @@ dark counts; the simulator is the independent cross-check of it.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -57,7 +57,7 @@ from .detection import (
 # amplifier.measure_all by name, so the names stay importable from this module.
 from .circuits import mixture_density  # noqa: F401
 from .detection import measure_all  # noqa: F401
-from .fock import FockState, MATCHED, ORTHOGONAL, mode_labels
+from .fock import DROP_TOLERANCE, FockState, MATCHED, ORTHOGONAL, mode_labels
 
 
 class UndefinedGainError(ValueError):
@@ -248,24 +248,35 @@ def hom_coincidence_fock(mu: float) -> float:
 # -- source construction ----------------------------------------------
 
 
+def _combination_kets(paths, photons) -> list[dict]:
+    """Ket {occupation: amplitude} of every presence combination of the
+    one-photon wavefunctions `photons`: entry c holds the combination whose
+    presence bits, photon 0 first, are the binary digits of c. Each
+    combination extends the one without its last photon, and amplitudes
+    below DROP_TOLERANCE are dropped after each added photon."""
+    index = {label: i for i, label in enumerate(mode_labels(paths))}
+    kets = [{(0,) * len(index): 1.0 + 0.0j}]
+    for wf in photons:
+        modes = [(index[label], c) for label, c in wf.items()]
+        grown = []
+        for ket in kets:
+            amps: dict[tuple, complex] = {}
+            for occ, amp in ket.items():
+                for i, c in modes:
+                    new = list(occ)
+                    new[i] += 1
+                    key = tuple(new)
+                    amps[key] = amps.get(key, 0.0) + amp * c * math.sqrt(new[i])
+            grown += [ket, {k: complex(a) for k, a in amps.items()
+                            if abs(a) >= DROP_TOLERANCE}]
+        kets = grown
+    return kets
+
+
 def _source_state(paths, photons) -> FockState:
     """State with one photon per wavefunction added on top of vacuum."""
     labels = mode_labels(paths)
-    state = FockState(len(labels), {(0,) * len(labels): 1.0 + 0.0j}, labels)
-    for wf in photons:
-        amps: dict[tuple, complex] = {}
-        for occ, amp in state.amplitudes.items():
-            for label, c in wf.items():
-                if abs(c) < 1e-18:
-                    continue
-                idx = state.mode_index(label)
-                new = list(occ)
-                new[idx] += 1
-                value = amp * c * math.sqrt(new[idx])
-                key = tuple(new)
-                amps[key] = amps.get(key, 0.0) + value
-        state = state.with_amplitudes(amps)
-    return state
+    return FockState(len(labels), _combination_kets(paths, photons)[-1], labels)
 
 
 def _ancilla_wavefunction(params: AmplifierParams, path: str) -> dict:
@@ -278,7 +289,8 @@ def _ancilla_wavefunction(params: AmplifierParams, path: str) -> dict:
 
 def _presence_weights(probs) -> np.ndarray:
     """Weight of each presence combination of independent slots present
-    with probabilities `probs`, on a last axis indexed as in _combinations.
+    with probabilities `probs`, on a last axis whose entry c is the
+    combination with presence bits, slot 0 first, the binary digits of c.
     Entries of probs may be arrays; they broadcast against each other."""
     weights = np.ones(np.broadcast_shapes(*map(np.shape, probs)) + (1,))
     for p in probs:
@@ -286,15 +298,6 @@ def _presence_weights(probs) -> np.ndarray:
         weights = (weights[..., :, None] * np.concatenate((1.0 - p, p), -1)
                    ).reshape(weights.shape[:-1] + (-1,))
     return weights
-
-
-def _combinations(paths, slots) -> list[FockState]:
-    """Source state of every presence combination of the slots' photons.
-    Entry c holds the combination whose presence bits, slot 0 first, are
-    the binary digits of c."""
-    return [_source_state(paths, [wf for bit, (_, wf) in zip(bits, slots)
-                                  if bit])
-            for bits in itertools.product((0, 1), repeat=len(slots))]
 
 
 def build_fock_hpa(params: AmplifierParams) -> ScenarioBundle:
@@ -489,8 +492,9 @@ def _combine(spec, analysis: dict[str, ClassAnalysis], p_in,
 class ScenarioTable:
     """Unnormalised herald-class outputs of one scenario at fixed t, eta,
     dark count and qubit. cells[m, k, c] holds (prob, prob * vacuum,
-    prob * single, prob * multi) of herald class k at mu = m for presence
-    combination c (indexed as in _combinations), rails[m, k, c] the class's
+    prob * single, prob * multi) of herald class k at mu = m for the
+    presence combination c whose presence bits, slot 0 (the input photon)
+    first, are the binary digits of c; rails[m, k, c] holds the class's
     output rail density times prob."""
 
     scenario: str
@@ -533,52 +537,64 @@ def _run_photon(circuit: Circuit, wf: dict) -> dict:
     return {out.labels[occ.index(1)]: a for occ, a in out.amplitudes.items()}
 
 
-def _photon_outputs(bundle: ScenarioBundle) -> list[FockState]:
-    """Circuit output of every presence combination of the bundle's source
-    photons (indexed as in _combinations), from one run per photon."""
-    return _combinations(bundle.circuit.paths, [
-        (p, _run_photon(bundle.circuit, wf)) for p, wf in bundle.slots])
+def _photon_outputs(bundle: ScenarioBundle) -> list[dict]:
+    """Output ket of every presence combination of the bundle's source
+    photons (see _combination_kets), from one circuit run per photon."""
+    return _combination_kets(bundle.circuit.paths, [
+        _run_photon(bundle.circuit, wf) for _, wf in bundle.slots])
 
 
 def _herald_cells(bundle: ScenarioBundle, outputs) -> tuple[np.ndarray, ...]:
-    """cells and rails (see ScenarioTable) of the output states outputs[m][c]
-    in one pass over their kets; the rails are the paths no detector
-    watches. Kets with one occupation of the detected modes are coherent;
-    class probabilities depend on the photon counts."""
-    ref = outputs[0][0]
-    detected = [i for d in bundle.detectors for i in ref.path_indices(d.path)]
-    kept = [i for i in range(ref.n_modes) if i not in detected]
+    """cells and rails (see ScenarioTable) of the output kets outputs[m][c]
+    in one batched pass; the rails are the paths no detector watches. Kets
+    of one cell with one occupation of the detected modes are coherent;
+    class probabilities depend on the photon count at each detector."""
+    labels = mode_labels(bundle.circuit.paths)
+    detected = [labels.index((d.path, i)) for d in bundle.detectors
+                for i in (MATCHED, ORTHOGONAL)]
+    kept = [i for i in range(len(labels)) if i not in detected]
     n_rails = len(kept) // 2
+    kets = [ket for row in outputs for ket in row]  # cell m * n_comb + c
+    cell = np.repeat(np.arange(len(kets)), [len(ket) for ket in kets])
+    occ = np.array([o for ket in kets for o in ket])
+    amp = np.array([a for ket in kets for a in ket.values()])
+
+    # group the kets by cell and detected occupation, as digits of one key
+    base = occ.sum(axis=1).max() + 1  # above any occupation or count
+    det = occ[:, detected]
+    key = cell * base ** len(detected) + det @ base ** np.arange(len(detected))
+    _, first, group = np.unique(key, return_index=True, return_inverse=True)
+    n_groups = len(first)
+    # norm with 0, 1 and 2+ photons out, their sum first; the amplitudes of
+    # single photons out, [group, rail, internal mode]
+    n_out = occ[:, kept].sum(axis=1)
+    norms = np.zeros((n_groups, 4))
+    np.add.at(norms, (group, 1 + np.minimum(n_out, 2)), abs(amp) ** 2)
+    norms[:, 0] = norms[:, 1:].sum(axis=1)
+    single = np.zeros((n_groups, len(kept)), dtype=complex)
+    at, mode = np.nonzero(occ[:, kept] * (n_out == 1)[:, None])
+    single[group[at], mode] = amp[at]  # one such ket per group and mode
+    single = single.reshape(n_groups, n_rails, 2)
+
+    # class probabilities, once per distinct per-detector count vector
+    counts = (det[:, 0::2] + det[:, 1::2])[first]
+    _, pick, which = np.unique(counts @ base ** np.arange(counts.shape[1]),
+                               return_index=True, return_inverse=True)
     classes = [cls.outcomes(bundle.detectors) for cls in bundle.herald_classes]
-
-    @functools.cache
-    def class_probs(counts):
-        outcomes = click_outcomes(counts, bundle.detectors)
-        return [sum(p for o, p in outcomes if o in cls) for cls in classes]
-
-    cells = np.zeros((len(outputs), len(classes), len(outputs[0]), 4))
-    rails = np.zeros(cells.shape[:3] + (n_rails, n_rails), dtype=complex)
-    for m, row in enumerate(outputs):
-        for c, state in enumerate(row):
-            # detected occupation -> norm with 0, 1 and 2+ photons out, then
-            # the single-photon amplitudes out [2 * rail + internal mode]
-            groups: dict[tuple, list] = {}
-            for occ, amp in state.amplitudes.items():
-                out = [occ[i] for i in kept]
-                group = groups.setdefault(tuple(occ[i] for i in detected),
-                                          [0j] * (3 + 2 * n_rails))
-                group[min(sum(out), 2)] += abs(amp) ** 2
-                if sum(out) == 1:
-                    group[3 + out.index(1)] = amp
-            weights = np.array([class_probs(tuple(map(sum, zip(
-                key[::2], key[1::2])))) for key in groups])  # per-detector counts
-            sums = np.array(list(groups.values()))
-            norms = sums[:, :3].real
-            amps = sums[:, 3:].reshape(len(groups), n_rails, 2)
-            cells[m, :, c] = weights.T @ np.column_stack((norms.sum(axis=1),
-                                                          norms))
-            rails[m, :, c] = np.einsum("gk,gri,gsi->krs", weights, amps,
-                                       amps.conj())
+    probs = []
+    for n in counts[pick].tolist():
+        outcomes = click_outcomes(n, bundle.detectors)
+        probs.append([sum(p for o, p in outcomes if o in cls)
+                      for cls in classes])
+    # each group's class weights in its cell's columns: [group, cell, class]
+    weights = np.zeros((n_groups, len(kets), len(classes)))
+    weights[np.arange(n_groups), cell[first]] = np.array(probs)[which]
+    weights = weights.reshape(n_groups, -1).T
+    outer = np.einsum("gri,gsi->grs", single, single.conj())
+    shape = (len(outputs), len(outputs[0]), len(classes))
+    cells = (weights @ norms).reshape(shape + (4,)).swapaxes(1, 2)
+    rails = (weights @ outer.reshape(n_groups, -1)).reshape(
+        shape + (n_rails, n_rails)).swapaxes(1, 2)
     impossible = cells[..., 0] <= MIN_OUTCOME_PROB
     cells[impossible], rails[impossible] = 0.0, 0.0
     return cells, rails
@@ -586,16 +602,21 @@ def _herald_cells(bundle: ScenarioBundle, outputs) -> tuple[np.ndarray, ...]:
 
 def compile_scenario(scenario: str, params: AmplifierParams,
                      qubit: QubitSpec | None = None) -> ScenarioTable:
-    """The scenario table at params' t, eta and dark count: per mu in {0, 1},
-    one circuit run per source photon, then one pass over the output kets of
-    every presence combination (see the module docstring)."""
-    bundles = [build_scenario(scenario, replace(params, mu=mu), qubit)
-               for mu in (0.0, 1.0)]
-    # mu moves no detector
-    cells, rails = _herald_cells(bundles[0], [_photon_outputs(b)
-                                              for b in bundles])
-    return ScenarioTable(scenario, params, bundles[0].qubit,
-                         bundles[0].herald_classes, cells, rails)
+    """The scenario table at params' t, eta and dark count: one circuit run
+    per source photon at mu = 1, then one pass over the output kets of every
+    presence combination at mu = 0 and 1 (see the module docstring)."""
+    bundle = build_scenario(scenario, replace(params, mu=1.0), qubit)
+    at_1 = [_run_photon(bundle.circuit, wf) for _, wf in bundle.slots]
+    # the circuit acts alike on both internal modes, so an ancilla at mu = 0
+    # (all orthogonal) leaves as at mu = 1 with its modes relabelled; the
+    # input photon (slot 0) does not depend on mu
+    at_0 = at_1[:1] + [{(path, ORTHOGONAL): a for (path, _), a in out.items()}
+                       for out in at_1[1:]]
+    cells, rails = _herald_cells(bundle, [
+        _combination_kets(bundle.circuit.paths, photons)
+        for photons in (at_0, at_1)])
+    return ScenarioTable(scenario, params, bundle.qubit,
+                         bundle.herald_classes, cells, rails)
 
 
 def simulate(bundle: ScenarioBundle) -> HeraldedOutcome:

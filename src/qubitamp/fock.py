@@ -106,9 +106,6 @@ class FockState:
             return np.conj(other.inner(self))
         return sum(np.conj(a) * big.get(k, 0.0) for k, a in small.items())
 
-    def mode_index(self, label: ModeLabel) -> int:
-        return self.labels.index(label)
-
     def path_indices(self, path: str) -> tuple[int, int]:
         return (self.labels.index((path, MATCHED)),
                 self.labels.index((path, ORTHOGONAL)))

@@ -11,18 +11,29 @@ photon by photon and read the same numbers off its output kets in one
 pass, so the tests that compare the two check that route.
 """
 
+import itertools
+
 import numpy as np
 
-from qubitamp.amplifier import ClassAnalysis, _combinations, _presence_weights
+from qubitamp.amplifier import ClassAnalysis, _presence_weights, _source_state
 from qubitamp.circuits import Branch, Mixture, mixture_density, run_circuit
 from qubitamp.detection import CLICK, condition, measure, measure_all
+
+
+def combinations(paths, slots):
+    """Source state of every presence combination of the slots' photons.
+    Entry c holds the combination whose presence bits, slot 0 first, are
+    the binary digits of c."""
+    return [_source_state(paths, [wf for _, wf in itertools.compress(slots,
+                                                                     bits)])
+            for bits in itertools.product((0, 1), repeat=len(slots))]
 
 
 def source(bundle) -> Mixture:
     """The presence combinations of non-zero weight, as a mixture."""
     weights = _presence_weights([p for p, _ in bundle.slots])
     return Mixture([Branch(float(w), state) for w, state in zip(
-        weights, _combinations(bundle.circuit.paths, bundle.slots)) if w > 0])
+        weights, combinations(bundle.circuit.paths, bundle.slots)) if w > 0])
 
 
 def conditionals(bundle, mix=None):

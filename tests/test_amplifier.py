@@ -30,6 +30,7 @@ from qubitamp.amplifier import (
     visibility,
 )
 from qubitamp.checks import GRID
+from qubitamp.circuits import run_circuit
 from qubitamp.detection import CLICK
 
 from exact_fringe import class_rates
@@ -421,3 +422,20 @@ class TestScenarioTable:
                 assert abs(out.herald_prob[k] - ref.herald_prob) <= 1e-12
                 assert abs(out.p_out[k] - ref.p_out) <= 1e-12
                 assert abs(out.gain[k] - ref.gain) <= 1e-12 * ref.gain
+
+    @pytest.mark.parametrize("scenario, photons", [("fock-hpa", 2),
+                                                   ("timebin-hqa", 3)])
+    def test_one_circuit_run_per_source_photon(self, scenario, photons,
+                                               monkeypatch):
+        # the circuit acts alike on both internal modes, so the mu = 0 half
+        # of the table needs no runs of its own
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return run_circuit(*args)
+
+        monkeypatch.setattr(amplifier, "run_circuit", counting)
+        compile_scenario(scenario, AmplifierParams(t=0.7, p_in=0.5, p_a=0.8,
+                                                   eta=0.7, mu=0.6))
+        assert len(calls) == photons

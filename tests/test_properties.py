@@ -16,7 +16,6 @@ from qubitamp.amplifier import (
     AmplifierParams,
     QubitSpec,
     SCENARIOS,
-    _combinations,
     _combine,
     _photon_outputs,
     build_scenario,
@@ -43,7 +42,7 @@ from qubitamp.fock import (
 from qubitamp.montecarlo import _analyzer_setup, _branch_outcome_table
 
 from exact_fringe import class_rates
-from exact_herald import branch_outcomes, heralded_analysis
+from exact_herald import branch_outcomes, combinations, heralded_analysis
 
 seeds = st.integers(0, 2**32 - 1)
 unit = st.floats(0.0, 1.0)
@@ -176,21 +175,22 @@ def test_table_equals_full_mixture_run(scenario, t, p_in, p_a, eta, dark, mu,
 def test_table_cells_equal_multiphoton_runs(scenario, t, mu, eta, dark,
                                             delta_phi):
     # a passive linear circuit maps each creation operator on its own, so
-    # running the photons one at a time gives every combination's output;
-    # the table reads its cells off those kets without measuring them
+    # running the photons one at a time gives every combination's output
+    # ket; the table runs them at mu = 1 only, relabels the ancillas'
+    # internal mode for mu = 0, and reads its cells off the kets without
+    # measuring them
     params = AmplifierParams(t=t, p_in=1.0, p_a=1.0, eta=eta, mu=mu,
                              dark_click_prob=dark)
     qubit = QubitSpec.from_phase(delta_phi)
     table = compile_scenario(scenario, params, qubit)
     for m, at_mu in enumerate((mu, 0.0, 1.0)):
         bundle = build_scenario(scenario, replace(params, mu=at_mu), qubit)
-        runs = run_circuit(Mixture([Branch(1.0, s) for s in _combinations(
+        runs = run_circuit(Mixture([Branch(1.0, s) for s in combinations(
             bundle.circuit.paths, bundle.slots)]), bundle.circuit)
         for c, (got, run) in enumerate(zip(_photon_outputs(bundle), runs)):
             want = run.state.amplitudes
-            for occ in set(got.amplitudes) | set(want):
-                assert abs(got.amplitudes.get(occ, 0.0)
-                           - want.get(occ, 0.0)) <= 1e-12
+            for occ in set(got) | set(want):
+                assert abs(got.get(occ, 0.0) - want.get(occ, 0.0)) <= 1e-12
             if m == 0:
                 continue  # the table holds mu = 0 and mu = 1 only
             ref = heralded_analysis(bundle, Mixture([run]))
