@@ -17,8 +17,9 @@ tabulates each presence combination at mu = 0 and at mu = 1, and any
 circuits map each photon's creation operator on its own and act alike on
 both internal modes, so each source photon runs through the circuit once,
 at mu = 1; at mu = 0 an ancilla leaves the same way in the orthogonal
-mode. Each combination's output ket is the product of its mapped photons,
-and one batched pass over the kets of every combination fills the table.
+mode. The kets of every combination are built as arrays from the mapped
+photons, and each herald class weighs them by a sum over its exclusive
+click patterns of per-detector click and no-click probabilities.
 
 The same table fixes the time-bin fringes. Conjugation maps the circuit
 onto itself (a splitter has U* = Z U Z; the ancillas are real), so each
@@ -36,6 +37,7 @@ dark counts; the simulator is the independent cross-check of it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -44,14 +46,15 @@ import numpy as np
 
 from .circuits import BeamSplitter, Circuit, Mixture, run_circuit
 from .detection import (
+    ANY,
     CLICK,
     MIN_OUTCOME_PROB,
     NO_CLICK,
     Detector,
     DetectorSpec,
-    click_outcomes,
+    click_prob,
     measure,
-    pattern_outcomes,
+    no_click_weight,
 )
 # Not called here: benchmarks/spans.py wraps amplifier.mixture_density and
 # amplifier.measure_all by name, so the names stay importable from this module.
@@ -129,20 +132,25 @@ class QubitSpec:
 
 @dataclass(frozen=True)
 class HeraldClass:
-    """A set of mutually exclusive click patterns heralding success.
-
-    correction_phase is the phase to apply to the long output rail to
-    recover the input qubit for this class (0 or pi).
+    """Click patterns heralding success: each maps detector names to CLICK
+    or NO_CLICK, and a detector it does not name may do either. The class's
+    probability is the sum over its patterns of per-detector products of
+    the click probability, the no-click probability or 1, so the patterns
+    must be mutually exclusive: some detector clicks in one and stays
+    silent in the other. correction_phase is the phase to apply to the long
+    output rail to recover the input qubit for this class (0 or pi).
     """
 
     name: str
     patterns: tuple[dict, ...]
     correction_phase: float = 0.0
 
-    def outcomes(self, detectors) -> set[tuple[bool, ...]]:
-        """The click tuples, ordered as `detectors`, that herald this class."""
-        return {o for pattern in self.patterns
-                for o in pattern_outcomes(pattern, detectors)}
+    def __post_init__(self):
+        for a, b in itertools.combinations(self.patterns, 2):
+            if not any({a[d], b[d]} == {CLICK, NO_CLICK}
+                       for d in a.keys() & b.keys()):
+                raise ValueError(f"herald class {self.name!r}: patterns {a} "
+                                 f"and {b} are not mutually exclusive")
 
 
 @dataclass(frozen=True)
@@ -248,35 +256,49 @@ def hom_coincidence_fock(mu: float) -> float:
 # -- source construction ----------------------------------------------
 
 
-def _combination_kets(paths, photons) -> list[dict]:
-    """Ket {occupation: amplitude} of every presence combination of the
-    one-photon wavefunctions `photons`: entry c holds the combination whose
-    presence bits, photon 0 first, are the binary digits of c. Each
-    combination extends the one without its last photon, and amplitudes
-    below DROP_TOLERANCE are dropped after each added photon."""
-    index = {label: i for i, label in enumerate(mode_labels(paths))}
-    kets = [{(0,) * len(index): 1.0 + 0.0j}]
-    for wf in photons:
-        modes = [(index[label], c) for label, c in wf.items()]
-        grown = []
-        for ket in kets:
-            amps: dict[tuple, complex] = {}
-            for occ, amp in ket.items():
-                for i, c in modes:
-                    new = list(occ)
-                    new[i] += 1
-                    key = tuple(new)
-                    amps[key] = amps.get(key, 0.0) + amp * c * math.sqrt(new[i])
-            grown += [ket, {k: complex(a) for k, a in amps.items()
-                            if abs(a) >= DROP_TOLERANCE}]
-        kets = grown
-    return kets
+def _combination_kets(photons: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Kets of every presence combination of the one-photon states
+    photons[set, photon, mode], as arrays (cell, occupation, amplitude) of
+    one row per ket, sorted by cell and then occupation (mode 0 first).
+    Cell s * 2**n_photons + c is the combination of set s whose presence
+    bits, photon 0 first, are the binary digits of c. Each choice of one
+    mode per present photon adds the product of their amplitudes to the
+    occupation it fills, times sqrt(prod n!); amplitudes below
+    DROP_TOLERANCE are set to 0."""
+    n_sets, n_photons, n_modes = photons.shape
+    # a row's key: its cell and occupation as digits in base n_photons + 1
+    base, scale = n_photons + 1, (n_photons + 1) ** n_modes
+    place = base ** np.arange(n_modes - 1, -1, -1)
+    # option 0 leaves a photon out, option 1 + i puts it in mode i; every
+    # choice of one option per photon spans amp[set, choice], key[set, choice]
+    options = np.concatenate((np.ones((n_sets, n_photons, 1)), photons), axis=2)
+    amp = np.ones((n_sets, 1))
+    key = (np.arange(n_sets)[:, None] << n_photons) * scale
+    for j in range(n_photons):
+        amp = (amp[:, :, None] * options[:, j, None]).reshape(n_sets, -1)
+        key = (key[:, :, None] + np.concatenate((
+            [0], place + (scale << n_photons - 1 - j)))).reshape(n_sets, -1)
+    at = amp.ravel().nonzero()[0]
+    key = key.ravel()[at]
+    order = key.argsort(kind="stable")  # merge the choices of one ket
+    key = key[order]
+    first = np.concatenate(([True], key[1:] != key[:-1])).nonzero()[0]
+    amp = np.add.reduceat(amp.ravel()[at[order]], first)
+    occ = key[first, None] // place % base
+    amp *= np.sqrt([math.factorial(n) for n in range(base)])[occ].prod(axis=1)
+    amp[abs(amp) < DROP_TOLERANCE] = 0.0
+    return key[first] // scale, occ, amp
 
 
 def _source_state(paths, photons) -> FockState:
     """State with one photon per wavefunction added on top of vacuum."""
     labels = mode_labels(paths)
-    return FockState(len(labels), _combination_kets(paths, photons)[-1], labels)
+    cell, occ, amp = _combination_kets(np.array(
+        [[wf.get(label, 0.0) for label in labels] for wf in photons],
+        dtype=complex).reshape(1, len(photons), len(labels)))
+    every = cell == (1 << len(photons)) - 1
+    return FockState(len(labels), dict(zip(map(tuple, occ[every].tolist()),
+                                           amp[every])), labels)
 
 
 def _ancilla_wavefunction(params: AmplifierParams, path: str) -> dict:
@@ -530,71 +552,81 @@ class ScenarioTable:
         return _combine(self, analysis, p_in, p_a)
 
 
-def _run_photon(circuit: Circuit, wf: dict) -> dict:
-    """Wavefunction of the one photon `wf` after the circuit."""
-    out = run_circuit(Mixture.pure(_source_state(circuit.paths, [wf])),
-                      circuit).branches[0].state
-    return {out.labels[occ.index(1)]: a for occ, a in out.amplitudes.items()}
+def _run_photon(circuit: Circuit, wf: dict) -> np.ndarray:
+    """Mode amplitudes, over the circuit's mode labels, of the one photon
+    `wf` after the circuit."""
+    labels = mode_labels(circuit.paths)
+    state = FockState(len(labels), {
+        tuple(int(label == m) for m in labels): c for label, c in wf.items()},
+        labels)
+    out = run_circuit(Mixture.pure(state), circuit).branches[0].state
+    vector = np.zeros(out.n_modes, dtype=complex)
+    for occ, a in out.amplitudes.items():
+        vector[occ.index(1)] = a
+    return vector
 
 
-def _photon_outputs(bundle: ScenarioBundle) -> list[dict]:
-    """Output ket of every presence combination of the bundle's source
-    photons (see _combination_kets), from one circuit run per photon."""
-    return _combination_kets(bundle.circuit.paths, [
-        _run_photon(bundle.circuit, wf) for _, wf in bundle.slots])
+def _photon_outputs(bundle: ScenarioBundle) -> np.ndarray:
+    """Mode amplitudes of each of the bundle's source photons after the
+    circuit, [slot, mode], from one circuit run per photon."""
+    return np.array([_run_photon(bundle.circuit, wf) for _, wf in bundle.slots])
 
 
-def _herald_cells(bundle: ScenarioBundle, outputs) -> tuple[np.ndarray, ...]:
-    """cells and rails (see ScenarioTable) of the output kets outputs[m][c]
-    in one batched pass; the rails are the paths no detector watches. Kets
-    of one cell with one occupation of the detected modes are coherent;
-    class probabilities depend on the photon count at each detector."""
+def _herald_cells(bundle: ScenarioBundle, photons) -> tuple[np.ndarray, ...]:
+    """cells and rails (see ScenarioTable) of every presence combination of
+    the photon outputs photons[m] (see _combination_kets) in one pass; the
+    rails are the paths no detector watches."""
     labels = mode_labels(bundle.circuit.paths)
     detected = [labels.index((d.path, i)) for d in bundle.detectors
                 for i in (MATCHED, ORTHOGONAL)]
     kept = [i for i in range(len(labels)) if i not in detected]
-    n_rails = len(kept) // 2
-    kets = [ket for row in outputs for ket in row]  # cell m * n_comb + c
-    cell = np.repeat(np.arange(len(kets)), [len(ket) for ket in kets])
-    occ = np.array([o for ket in kets for o in ket])
-    amp = np.array([a for ket in kets for a in ket.values()])
+    n_det, n_rails = len(bundle.detectors), len(kept) // 2
+    n_sets, n_photons = photons.shape[:2]
+    base = n_photons + 1  # above any photon count
+    # detected modes first: the kets of a cell come grouped by detected
+    # occupation, and the kets of one group are coherent
+    cell, occ, amp = _combination_kets(photons[..., detected + kept])
+    det, out = occ[:, :2 * n_det], occ[:, 2 * n_det:]
 
-    # group the kets by cell and detected occupation, as digits of one key
-    base = occ.sum(axis=1).max() + 1  # above any occupation or count
-    det = occ[:, detected]
-    key = cell * base ** len(detected) + det @ base ** np.arange(len(detected))
-    _, first, group = np.unique(key, return_index=True, return_inverse=True)
-    n_groups = len(first)
-    # norm with 0, 1 and 2+ photons out, their sum first; the amplitudes of
-    # single photons out, [group, rail, internal mode]
-    n_out = occ[:, kept].sum(axis=1)
-    norms = np.zeros((n_groups, 4))
-    np.add.at(norms, (group, 1 + np.minimum(n_out, 2)), abs(amp) ** 2)
-    norms[:, 0] = norms[:, 1:].sum(axis=1)
-    single = np.zeros((n_groups, len(kept)), dtype=complex)
-    at, mode = np.nonzero(occ[:, kept] * (n_out == 1)[:, None])
-    single[group[at], mode] = amp[at]  # one such ket per group and mode
-    single = single.reshape(n_groups, n_rails, 2)
+    # each class's probability at every vector of photon counts at the
+    # detectors, [class, count vector]: the sum over its patterns of the
+    # product over detectors of the no-click or click probability, or 1
+    eta, dark = np.array([(d.spec.eta, d.spec.dark_click_prob)
+                          for d in bundle.detectors]).T[..., None]
+    n = np.arange(base)
+    model = np.array((no_click_weight(n, eta, dark), click_prob(n, eta, dark),
+                      np.ones((n_det, base))))  # [requirement, detector, n]
+    choice = {NO_CLICK: 0, CLICK: 1, ANY: 2}
+    factors = model[[[choice[p.get(d.name, ANY)] for d in bundle.detectors]
+                     for cls in bundle.herald_classes for p in cls.patterns],
+                    np.arange(n_det)]  # [pattern, detector, n]
+    products = factors[:, 0]
+    for d in range(1, n_det):  # detector 0 the most significant digit
+        products = (products[:, :, None] * factors[:, d, None]).reshape(
+            len(factors), -1)
+    starts = list(itertools.accumulate(
+        (len(cls.patterns) for cls in bundle.herald_classes[:-1]), initial=0))
+    # each ket's class weights, [ket, class, 1]
+    weights = np.add.reduceat(products, starts).T[
+        det @ (base ** np.arange(n_det - 1, -1, -1)).repeat(2), :, None]
+    in_cell = cell == np.arange(n_sets << n_photons)[:, None]
 
-    # class probabilities, once per distinct per-detector count vector
-    counts = (det[:, 0::2] + det[:, 1::2])[first]
-    _, pick, which = np.unique(counts @ base ** np.arange(counts.shape[1]),
-                               return_index=True, return_inverse=True)
-    classes = [cls.outcomes(bundle.detectors) for cls in bundle.herald_classes]
-    probs = []
-    for n in counts[pick].tolist():
-        outcomes = click_outcomes(n, bundle.detectors)
-        probs.append([sum(p for o, p in outcomes if o in cls)
-                      for cls in classes])
-    # each group's class weights in its cell's columns: [group, cell, class]
-    weights = np.zeros((n_groups, len(kets), len(classes)))
-    weights[np.arange(n_groups), cell[first]] = np.array(probs)[which]
-    weights = weights.reshape(n_groups, -1).T
-    outer = np.einsum("gri,gsi->grs", single, single.conj())
-    shape = (len(outputs), len(outputs[0]), len(classes))
-    cells = (weights @ norms).reshape(shape + (4,)).swapaxes(1, 2)
-    rails = (weights @ outer.reshape(n_groups, -1)).reshape(
-        shape + (n_rails, n_rails)).swapaxes(1, 2)
+    # the norm, then the norm with 0, 1 and 2+ photons out
+    n_out = out.sum(axis=1)
+    cells = in_cell @ (weights * abs(amp[:, None, None]) ** 2 * np.array(
+        ((1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1)))[np.minimum(n_out, 2), None]
+                       ).reshape(len(amp), -1)
+    # the single photons out of each group, [group, rail, internal mode]
+    group = cell * base ** (2 * n_det) + det @ base ** np.arange(2 * n_det)
+    first = np.concatenate(([True], group[1:] != group[:-1])).nonzero()[0]
+    single = np.add.reduceat(out * (amp * (n_out == 1))[:, None], first
+                             ).reshape(len(first), n_rails, 2)
+    shape = (n_sets, 1 << n_photons, len(bundle.herald_classes))
+    rails = in_cell[:, first] @ (weights[first] * (
+        single @ single.conj().swapaxes(1, 2)).reshape(
+            len(first), 1, n_rails ** 2)).reshape(len(first), -1)
+    cells = cells.reshape(shape + (4,)).swapaxes(1, 2)
+    rails = rails.reshape(shape + (n_rails, n_rails)).swapaxes(1, 2)
     impossible = cells[..., 0] <= MIN_OUTCOME_PROB
     cells[impossible], rails[impossible] = 0.0, 0.0
     return cells, rails
@@ -606,15 +638,15 @@ def compile_scenario(scenario: str, params: AmplifierParams,
     per source photon at mu = 1, then one pass over the output kets of every
     presence combination at mu = 0 and 1 (see the module docstring)."""
     bundle = build_scenario(scenario, replace(params, mu=1.0), qubit)
-    at_1 = [_run_photon(bundle.circuit, wf) for _, wf in bundle.slots]
-    # the circuit acts alike on both internal modes, so an ancilla at mu = 0
-    # (all orthogonal) leaves as at mu = 1 with its modes relabelled; the
-    # input photon (slot 0) does not depend on mu
-    at_0 = at_1[:1] + [{(path, ORTHOGONAL): a for (path, _), a in out.items()}
-                       for out in at_1[1:]]
-    cells, rails = _herald_cells(bundle, [
-        _combination_kets(bundle.circuit.paths, photons)
-        for photons in (at_0, at_1)])
+    at_1 = _photon_outputs(bundle)
+    # the photons at mu = 0, then at mu = 1. The circuit acts alike on both
+    # internal modes, so an ancilla at mu = 0 (all orthogonal) leaves as at
+    # mu = 1 with its modes relabelled; the input photon (slot 0) does not
+    # depend on mu
+    photons = np.array((at_1, at_1))
+    photons[0, 1:] = 0.0
+    photons[0, 1:, 1::2] = at_1[1:, 0::2]
+    cells, rails = _herald_cells(bundle, photons)
     return ScenarioTable(scenario, params, bundle.qubit,
                          bundle.herald_classes, cells, rails)
 

@@ -6,7 +6,8 @@ before either. CSV output uses 9 significant digits, '.' decimals and
 bare newline line endings.
 
 Exit codes: 0 success, 2 parse error, 3 validation error (including a
-non-finite float value), 4 internal numerical failure.
+non-finite float value), 4 internal numerical failure (including running
+out of memory).
 """
 
 from __future__ import annotations
@@ -358,6 +359,9 @@ def main(argv=None) -> int:
     except (UndefinedGainError, UndefinedEstimateError, ZeroHeraldError,
             ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as exc:  # numpy's message names the array's size
+        print(f"numerical failure: out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, KeyError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)

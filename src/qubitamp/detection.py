@@ -16,6 +16,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .circuits import Branch, Mixture, merge_branches
 from .fock import split_by_occupation
 
@@ -47,41 +49,43 @@ class Detector:
     spec: DetectorSpec
 
 
-def no_click_weight(n: int, eta: float, dark_click_prob: float = 0.0) -> float:
-    """Probability that a threshold detector stays silent on |n>."""
-    if n < 0:
+def _photon_numbers(n) -> np.ndarray:
+    n = np.asarray(n)
+    if (n < 0).any():
         raise ValueError("photon number must be non-negative")
-    return (1.0 - dark_click_prob) * (1.0 - eta) ** n
+    return n
 
 
-def click_prob(n: int, eta: float, dark_click_prob: float = 0.0) -> float:
+def no_click_weight(n, eta, dark_click_prob=0.0):
+    """Probability that a threshold detector stays silent on |n>. The
+    arguments may be arrays; they broadcast against each other."""
+    return ((1.0 - dark_click_prob) * (1.0 - eta) ** _photon_numbers(n))[()]
+
+
+def click_prob(n, eta, dark_click_prob=0.0):
     """Probability that a threshold detector clicks on |n>, to full relative
-    precision also when eta and dark_click_prob are small."""
-    if n < 0:
-        raise ValueError("photon number must be non-negative")
-    if n == 0:
-        return dark_click_prob
-    if eta == 1.0:
-        return 1.0
-    return -math.expm1(math.log1p(-dark_click_prob) + n * math.log1p(-eta))
+    precision also when eta and dark_click_prob are small. The arguments
+    may be arrays; they broadcast against each other."""
+    n = _photon_numbers(n)
+    sure = np.equal(eta, 1.0)
+    # eta - sure is 0 where eta is 1, so that no log1p(-1) = -inf (and no
+    # 0 * -inf at n = 0) arises; those points click for sure when n > 0
+    clicked = -np.expm1(np.log1p(-dark_click_prob)
+                        + n * np.log1p(sure - eta))
+    return np.where(n == 0, dark_click_prob,
+                    np.maximum(clicked, sure))[()]
 
 
 def click_outcomes(counts, detectors: list[Detector]
                    ) -> list[tuple[tuple[bool, ...], float]]:
     """(click tuple ordered as `detectors`, probability) of each possible
     outcome when each detector sees its entry of `counts` photons."""
-    outcome_probs = [((), 1.0)]
-    for n, d in zip(counts, detectors):
-        silent = no_click_weight(n, d.spec.eta, d.spec.dark_click_prob)
-        clicked = click_prob(n, d.spec.eta, d.spec.dark_click_prob)
-        grown = []
-        for prefix, p in outcome_probs:
-            if silent > 0.0:
-                grown.append((prefix + (False,), p * silent))
-            if clicked > 0.0:
-                grown.append((prefix + (True,), p * clicked))
-        outcome_probs = grown
-    return outcome_probs
+    eta, dark = np.array([(d.spec.eta, d.spec.dark_click_prob)
+                          for d in detectors]).T
+    factors = list(zip(no_click_weight(counts, eta, dark).tolist(),
+                       click_prob(counts, eta, dark).tolist()))
+    return [(o, p) for o in itertools.product((False, True), repeat=len(counts))
+            if (p := math.prod(f[c] for f, c in zip(factors, o))) > 0.0]
 
 
 def measure_all(m: Mixture, detectors: list[Detector]

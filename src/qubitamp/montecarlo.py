@@ -121,7 +121,7 @@ def _branch_outcome_table(bundle, tail: Circuit, d4: Detector) -> np.ndarray:
             HeraldClass(cls.name, tuple({**p, d4.name: o}
                                         for p in cls.patterns))
             for cls in bundle.herald_classes for o in (NO_CLICK, CLICK)))
-    cells, _ = _herald_cells(probe, [_photon_outputs(probe)])
+    cells, _ = _herald_cells(probe, _photon_outputs(probe)[None])
     weights = _presence_weights([p for p, _ in bundle.slots])
     return (cells[0, ..., 0] @ weights).reshape(-1, 2)
 
@@ -141,6 +141,8 @@ def sample_events(params: AmplifierParams, n_pulses: int, seed: int,
     """
     if not 0 < n_pulses <= 2**63 - 1:  # the most a multinomial draw takes
         raise ValueError(f"n_pulses must lie in [1, 2**63 - 1], got {n_pulses}")
+    if not 0 <= seed <= 2**128 - 1:  # the key range of the Philox stream
+        raise ValueError(f"seed must lie in [0, 2**128 - 1], got {seed}")
     for name, v in (("eta_herald", eta_herald), ("eta_out", eta_out)):
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"{name} must lie in [0, 1], got {v}")

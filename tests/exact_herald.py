@@ -6,9 +6,10 @@ measurement with `measure_all`, conditioned on each herald class with
 `heralded_analysis` reduces it to the conditional density matrix over the
 output rails; `branch_outcomes` runs it through the output analyzer and
 measures the analyzer click. `amplifier.compile_scenario` and
-`montecarlo._branch_outcome_table` instead build each presence combination
-photon by photon and read the same numbers off its output kets in one
-pass, so the tests that compare the two check that route.
+`montecarlo._branch_outcome_table` instead build the output kets of every
+presence combination as arrays from the mapped photons and weight them
+with per-pattern products of the click model, so the tests that compare
+the two check that route.
 """
 
 import itertools
@@ -17,7 +18,8 @@ import numpy as np
 
 from qubitamp.amplifier import ClassAnalysis, _presence_weights, _source_state
 from qubitamp.circuits import Branch, Mixture, mixture_density, run_circuit
-from qubitamp.detection import CLICK, condition, measure, measure_all
+from qubitamp.detection import (CLICK, condition, measure, measure_all,
+                                pattern_outcomes)
 
 
 def combinations(paths, slots):
@@ -27,6 +29,12 @@ def combinations(paths, slots):
     return [_source_state(paths, [wf for _, wf in itertools.compress(slots,
                                                                      bits)])
             for bits in itertools.product((0, 1), repeat=len(slots))]
+
+
+def outcomes(cls, detectors) -> set[tuple[bool, ...]]:
+    """The click tuples, ordered as `detectors`, that herald class `cls`."""
+    return {o for pattern in cls.patterns
+            for o in pattern_outcomes(pattern, detectors)}
 
 
 def source(bundle) -> Mixture:
@@ -44,7 +52,7 @@ def conditionals(bundle, mix=None):
     if mix is None:
         mix = run_circuit(source(bundle), bundle.circuit)
     table = measure_all(mix, list(bundle.detectors))
-    return [(cls, *condition(table, cls.outcomes(bundle.detectors)))
+    return [(cls, *condition(table, outcomes(cls, bundle.detectors)))
             for cls in bundle.herald_classes]
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -31,7 +32,7 @@ from qubitamp.amplifier import (
 )
 from qubitamp.checks import GRID
 from qubitamp.circuits import run_circuit
-from qubitamp.detection import CLICK
+from qubitamp.detection import CLICK, NO_CLICK
 
 from exact_fringe import class_rates
 from exact_herald import heralded_analysis
@@ -369,6 +370,45 @@ def test_oracle_grid_subsample():
             scenario, AmplifierParams(t=t, p_in=pin, p_a=pa, eta=eta))
         assert out.gain == pytest.approx(gain_analytic(t, pa, eta, pin),
                                          abs=1e-9)
+
+
+class TestHeraldClass:
+    def test_overlapping_patterns_rejected(self):
+        # both patterns match the outcome in which s_a and l_a click
+        with pytest.raises(ValueError, match="'overlap'.*mutually exclusive"):
+            HeraldClass("overlap", ({"s_a": CLICK}, {"l_a": CLICK}))
+        with pytest.raises(ValueError, match="'same'"):
+            HeraldClass("same", ({"s_a": CLICK}, {"s_a": CLICK, "l_a": CLICK}))
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_builder_and_sampler_classes_accepted(self, scenario):
+        bundle = build_scenario(scenario, AmplifierParams(t=0.9, p_in=0.5,
+                                                          p_a=0.8, eta=0.7))
+        for cls in bundle.herald_classes:
+            # the sampler splits each class by the analyzer detector d4,
+            # and the two halves together are a class too
+            halves = [tuple({**p, "d4": o} for p in cls.patterns)
+                      for o in (NO_CLICK, CLICK)]
+            for patterns in halves + [halves[0] + halves[1]]:
+                HeraldClass(cls.name, patterns)
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+@pytest.mark.parametrize("eta, dark", [(8.6e-11, 8.6e-11), (1.0, 0.0)])
+def test_class_probabilities_keep_relative_precision(scenario, eta, dark):
+    # the table weighs its kets with per-pattern products of click_prob and
+    # no_click_weight; the full-mixture route expands every click tuple
+    params = AmplifierParams(t=0.7, p_in=0.6, p_a=0.8, eta=eta, mu=0.9,
+                             dark_click_prob=dark)
+    qubit = QubitSpec.from_phase(0.4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = compile_scenario(scenario, params, qubit).evaluate(
+            params.p_in, params.p_a, params.mu)
+    ref = heralded_analysis(build_scenario(scenario, params, qubit))
+    for name, a in ref.items():
+        assert a.prob > 0.0
+        assert abs(got.per_class[name].herald_prob - a.prob) <= 1e-12 * a.prob
 
 
 class TestScenarioTable:

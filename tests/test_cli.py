@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from qubitamp import cli
 from qubitamp.checks import CHECKS
 from qubitamp.cli import (
     EXIT_NUMERICAL,
@@ -233,6 +234,28 @@ class TestEstimate:
         _, header, rows = read_csv(out)
         assert header[:4] == ["scenario", "herald_class", "n_pulses", "seed"]
         assert sorted(r[1] for r in rows) == ["psi_minus", "psi_plus"]
+
+
+    @pytest.mark.parametrize("seed", ["-5", str(2**128)])
+    def test_seed_out_of_range_is_validation_error(self, capsys, seed):
+        code = run(["estimate", "--pulses", "100", "--seed", seed])
+        assert code == EXIT_VALIDATION
+        assert "seed must lie in [0, 2**128 - 1]" in capsys.readouterr().err
+
+    def test_largest_seed_is_accepted(self, tmp_path):
+        out = tmp_path / "est.csv"
+        assert run(["estimate", "--pulses", "100", "--seed",
+                    str(2**128 - 1), "--out", str(out)]) == EXIT_OK
+
+
+def test_out_of_memory_is_numerical_error(monkeypatch, capsys):
+    def fringe(cfg):
+        raise MemoryError("Unable to allocate 745. GiB for an array")
+    monkeypatch.setitem(cli.COMMANDS, "fringe", fringe)
+    assert run(["fringe", "--phi-steps", "100000000000"]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err == ("numerical failure: out of memory: "
+                   "Unable to allocate 745. GiB for an array\n")
 
 
 class TestConfigHandling:

@@ -6,6 +6,7 @@ generator. Example counts are kept small: each property runs in a few
 seconds at most.
 """
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -14,9 +15,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from qubitamp.amplifier import (
     AmplifierParams,
+    HeraldClass,
     QubitSpec,
     SCENARIOS,
+    _combination_kets,
     _combine,
+    _herald_cells,
     _photon_outputs,
     build_scenario,
     compile_scenario,
@@ -25,7 +29,7 @@ from qubitamp.amplifier import (
     simulate_scenario,
 )
 from qubitamp.checks import loss_identity_residual, random_two_path_state
-from qubitamp.circuits import Branch, Mixture, run_circuit
+from qubitamp.circuits import Branch, Circuit, Mixture, run_circuit
 from qubitamp.detection import (
     CLICK,
     NO_CLICK,
@@ -187,10 +191,12 @@ def test_table_cells_equal_multiphoton_runs(scenario, t, mu, eta, dark,
         bundle = build_scenario(scenario, replace(params, mu=at_mu), qubit)
         runs = run_circuit(Mixture([Branch(1.0, s) for s in combinations(
             bundle.circuit.paths, bundle.slots)]), bundle.circuit)
-        for c, (got, run) in enumerate(zip(_photon_outputs(bundle), runs)):
+        cell, occ, amp = _combination_kets(_photon_outputs(bundle)[None])
+        for c, run in enumerate(runs):
+            got = dict(zip(map(tuple, occ[cell == c].tolist()), amp[cell == c]))
             want = run.state.amplitudes
-            for occ in set(got) | set(want):
-                assert abs(got.get(occ, 0.0) - want.get(occ, 0.0)) <= 1e-12
+            for ket in set(got) | set(want):
+                assert abs(got.get(ket, 0.0) - want.get(ket, 0.0)) <= 1e-12
             if m == 0:
                 continue  # the table holds mu = 0 and mu = 1 only
             ref = heralded_analysis(bundle, Mixture([run]))
@@ -223,6 +229,47 @@ def test_analyzer_split_equals_full_mixture_run(scenario, t, p_in, p_a, eta,
     tail, d4 = _analyzer_setup(bundle, analyzer_phi, eta_out)
     got = _branch_outcome_table(bundle, tail, d4)
     assert np.max(np.abs(got - branch_outcomes(bundle, tail, d4))) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(scenario=st.sampled_from(SCENARIOS), probe=st.booleans(), t=unit,
+       eta=unit, dark=st.floats(0.0, 0.9), mu=unit, delta_phi=angles,
+       analyzer_phi=angles, eta_out=unit)
+def test_outcome_classes_partition_every_cell(scenario, probe, t, eta, dark,
+                                              mu, delta_phi, analyzer_phi,
+                                              eta_out):
+    # the production pass with one herald class per click tuple, on the
+    # scenario or on the sampler's probe (amplifier, analyzer and d4), with
+    # the photons at mu and at mu = 0
+    params = AmplifierParams(t=t, p_in=1.0, p_a=1.0, eta=eta, mu=mu,
+                             dark_click_prob=dark)
+    qubit = QubitSpec.from_phase(delta_phi)
+    bundle = build_scenario(scenario, params, qubit)
+    if probe:
+        tail, d4 = _analyzer_setup(bundle, analyzer_phi, eta_out)
+        bundle = replace(bundle, circuit=Circuit(
+            bundle.circuit.paths, bundle.circuit.elements + tail.elements),
+                         detectors=bundle.detectors + (d4,))
+    bundle = replace(bundle, herald_classes=tuple(
+        HeraldClass(str(o), ({d.name: CLICK if c else NO_CLICK
+                              for d, c in zip(bundle.detectors, o)},))
+        for o in itertools.product((False, True),
+                                   repeat=len(bundle.detectors))))
+    at_0 = build_scenario(scenario, replace(params, mu=0.0), qubit).slots
+    photons = np.stack((_photon_outputs(bundle),
+                        _photon_outputs(replace(bundle, slots=at_0))))
+    cells, rails = _herald_cells(bundle, photons)
+    # each cell's class probabilities add up to its ket's norm, 1 up to
+    # the amplitudes pruned below DROP_TOLERANCE
+    cell, _, amp = _combination_kets(photons)
+    norms = np.bincount(cell, abs(amp) ** 2).reshape(2, -1)
+    assert np.max(np.abs(cells[..., 0].sum(axis=1) - norms)) <= 1e-12
+    assert np.max(np.abs(norms - 1.0)) <= 1e-12
+    # and each rail density is Hermitian and positive semidefinite
+    assert np.allclose(rails, rails.conj().swapaxes(-1, -2), rtol=0.0,
+                       atol=1e-12)
+    if rails.size:
+        assert np.linalg.eigvalsh(rails).min() >= -1e-12
 
 
 def ratios_agree(got, want, denom):
