@@ -1,20 +1,24 @@
 """Command-line front end: parameter sweeps and CSV emission.
 
+`qubitamp COMMAND --flag VALUE ...`: a flag is a configuration key with '_'
+written as '-', given as `--key value` or `--key=value`, and its value is
+read as in a configuration file. The word after a flag is always its value
+and the last repeat wins; abbreviations are unknown flags. `-h` or `--help`
+lists each command's flags, from the same key tables.
+
 Configuration is a flat key=value file with '#' comments; command-line
 flags override file values, and a named preset fills in parameter defaults
 before either. CSV output uses 9 significant digits, '.' decimals and
 bare newline line endings.
 
 Exit codes: 0 success, 2 parse error, 3 validation error (including a
-non-finite float value), 4 internal numerical failure (including running
-out of memory).
+non-finite float value or an unknown scenario), 4 internal numerical
+failure (including running out of memory).
 """
 
 from __future__ import annotations
 
-import argparse
 import math
-import re
 import sys
 
 import numpy as np
@@ -55,6 +59,21 @@ _FLOAT_KEYS = ("t", "pa", "eta", "mu", "pin", "dark", "pin_from", "pin_to",
                "eta_out", "analyzer_phi", "delta_phi")
 _INT_KEYS = ("seed", "pulses", "pin_steps", "phi_steps", "mu_steps")
 _STR_KEYS = ("scenario", "preset", "out")
+#: Flags of every command; `config` is a flag only, the path of a file.
+_COMMON_KEYS = ("config", "out", "scenario", "preset", "t", "pa", "eta", "mu",
+                "pin", "dark", "seed", "pulses")
+#: command -> (summary, its own flags beside _COMMON_KEYS)
+_COMMAND_KEYS = {
+    "gain-curve": ("gain and output probability versus p_in",
+                   ("pin_from", "pin_to", "pin_steps")),
+    "fringe": ("per-class analyzer rates versus input phase",
+               ("phi_steps", "mu_plus", "mu_minus")),
+    "hom": ("two-photon interference dip versus overlap",
+            ("mu_from", "mu_to", "mu_steps")),
+    "estimate": ("Monte Carlo coincidence counts and estimators",
+                 ("eta_herald", "eta_out", "analyzer_phi", "delta_phi")),
+    "selftest": ("run the acceptance grid and cross-checks", ()),
+}
 
 DEFAULTS: dict = {
     "scenario": "fock-hpa",
@@ -78,7 +97,7 @@ DEFAULTS: dict = {
 
 
 class ConfigError(Exception):
-    """Malformed configuration text or unknown key."""
+    """Malformed flag or configuration text, unknown key or bad value."""
 
 
 def parse_config_file(path: str) -> dict:
@@ -100,7 +119,7 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
-def _parse_value(key: str, value: str, where: str = "flag"):
+def _parse_value(key: str, value: str, where: str):
     try:
         if key in _FLOAT_KEYS:
             return float(value)
@@ -113,12 +132,11 @@ def _parse_value(key: str, value: str, where: str = "flag"):
     raise ConfigError(f"{where}: unknown key {key!r}")
 
 
-def resolve_config(args: argparse.Namespace) -> dict:
+def resolve_config(flags: dict) -> dict:
     """Merge defaults, preset, config file and flags (later wins)."""
-    file_values = parse_config_file(args.config) if args.config else {}
-    flag_values = {k: v for k, v in vars(args).items()
-                   if k in _FLOAT_KEYS + _INT_KEYS + _STR_KEYS
-                   if v is not None}
+    flag_values = dict(flags)
+    path = flag_values.pop("config", None)
+    file_values = parse_config_file(path) if path is not None else {}
     for source in (file_values, flag_values):
         for key, value in source.items():
             if key in _FLOAT_KEYS and not math.isfinite(value):
@@ -133,6 +151,9 @@ def resolve_config(args: argparse.Namespace) -> dict:
             cfg[{"p_a": "pa"}.get(pkey, pkey)] = pval
     cfg.update({k: v for k, v in file_values.items() if k != "preset"})
     cfg.update({k: v for k, v in flag_values.items() if k != "preset"})
+    if cfg["scenario"] not in SCENARIOS:
+        raise ValueError(f"unknown scenario {cfg['scenario']!r}; "
+                         f"available: {list(SCENARIOS)}")
     return cfg
 
 
@@ -171,8 +192,6 @@ def cmd_gain_curve(cfg: dict) -> int:
         raise ValueError("pin_steps must be at least 1")
     if not cfg["pin_from"] <= cfg["pin_to"]:
         raise ValueError("pin_from must not exceed pin_to")
-    if cfg["scenario"] not in SCENARIOS:
-        raise ValueError(f"unknown scenario {cfg['scenario']!r}")
     grid = np.linspace(cfg["pin_from"], cfg["pin_to"], cfg["pin_steps"])
     # AmplifierParams validates every point
     points = [params_from_config(cfg, pin=float(pin)) for pin in grid]
@@ -228,8 +247,6 @@ def cmd_hom(cfg: dict) -> int:
 
 
 def cmd_estimate(cfg: dict) -> int:
-    if cfg["scenario"] not in SCENARIOS:
-        raise ValueError(f"unknown scenario {cfg['scenario']!r}")
     if cfg["pulses"] < 1:
         raise ValueError("pulses must be at least 1")
     params = params_from_config(cfg)
@@ -272,56 +289,6 @@ def cmd_selftest(cfg: dict) -> int:
 # -- argument parsing ---------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="flat key=value configuration file")
-    common.add_argument("--out", help="output CSV path (default: stdout)")
-    common.add_argument("--scenario", choices=SCENARIOS)
-    common.add_argument("--preset", help="named parameter preset")
-    common.add_argument("--t", type=float)
-    common.add_argument("--pa", type=float)
-    common.add_argument("--eta", type=float)
-    common.add_argument("--mu", type=float)
-    common.add_argument("--pin", type=float)
-    common.add_argument("--dark", type=float)
-    common.add_argument("--seed", type=int)
-    common.add_argument("--pulses", type=int)
-
-    parser = argparse.ArgumentParser(
-        prog="qubitamp",
-        description="Heralded photonic qubit amplifier simulator")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gain-curve", parents=[common],
-                       help="gain and output probability versus p_in")
-    p.add_argument("--pin-from", dest="pin_from", type=float)
-    p.add_argument("--pin-to", dest="pin_to", type=float)
-    p.add_argument("--pin-steps", dest="pin_steps", type=int)
-
-    p = sub.add_parser("fringe", parents=[common],
-                       help="per-class analyzer rates versus input phase")
-    p.add_argument("--phi-steps", dest="phi_steps", type=int)
-    p.add_argument("--mu-plus", dest="mu_plus", type=float)
-    p.add_argument("--mu-minus", dest="mu_minus", type=float)
-
-    p = sub.add_parser("hom", parents=[common],
-                       help="two-photon interference dip versus overlap")
-    p.add_argument("--mu-from", dest="mu_from", type=float)
-    p.add_argument("--mu-to", dest="mu_to", type=float)
-    p.add_argument("--mu-steps", dest="mu_steps", type=int)
-
-    p = sub.add_parser("estimate", parents=[common],
-                       help="Monte Carlo coincidence counts and estimators")
-    p.add_argument("--eta-herald", dest="eta_herald", type=float)
-    p.add_argument("--eta-out", dest="eta_out", type=float)
-    p.add_argument("--analyzer-phi", dest="analyzer_phi", type=float)
-    p.add_argument("--delta-phi", dest="delta_phi", type=float)
-
-    sub.add_parser("selftest", parents=[common],
-                   help="run the acceptance grid and cross-checks")
-    return parser
-
-
 COMMANDS = {
     "gain-curve": cmd_gain_curve,
     "fringe": cmd_fringe,
@@ -331,30 +298,58 @@ COMMANDS = {
 }
 
 
-def _attach_negative_values(argv) -> list[str]:
-    """Join `--flag -1e-3` into `--flag=-1e-3`. argparse takes a word that
-    starts with '-' for a flag unless it is a plain negative decimal, so
-    `-1e-3` and `-inf` would otherwise lose their flag."""
-    out: list[str] = []
-    for token in sys.argv[1:] if argv is None else argv:
-        if (out and out[-1].startswith("--") and "=" not in out[-1]
-                and re.match(r"-(\.?\d|inf|nan)", token, re.IGNORECASE)):
-            out[-1] += "=" + token
-        else:
-            out.append(token)
-    return out
+def usage() -> str:
+    """Every command and its flags, written from the key tables."""
+    def flags(keys):
+        return "  ".join(f"--{k.replace('_', '-')} " + (
+            "PATH" if k in ("config", "out") else "FLOAT" if k in _FLOAT_KEYS
+            else "INT" if k in _INT_KEYS else "NAME") for k in keys)
+    lines = ["usage: qubitamp COMMAND [--flag VALUE | --flag=VALUE]...\n",
+             "A flag is a configuration key with '_' written as '-'; its "
+             "value is read as in\na configuration file. The last repeat "
+             "wins.\n", "commands:"]
+    for name, (summary, keys) in _COMMAND_KEYS.items():
+        lines.append(f"  {name:<12}{summary}"
+                     + (f"\n{'':<14}{flags(keys)}" if keys else ""))
+    lines += ["\nflags of every command:"] + [
+        f"  {flags(_COMMON_KEYS[i:i + 4])}" for i in range(0, 12, 4)]
+    lines += [f"\nscenarios: {', '.join(SCENARIOS)}",
+              f"presets: {', '.join(sorted(PRESETS))}"]
+    return "\n".join(lines) + "\n"
+
+
+def parse_flags(argv: list[str]) -> tuple[str, dict]:
+    """Split argv into its command and the values of its flags by key."""
+    if not argv or argv[0] not in COMMANDS:
+        raise ConfigError(f"expected a command ({', '.join(COMMANDS)}), "
+                          f"got {' '.join(argv[:1]) or 'none'}")
+    command, words = argv[0], iter(argv[1:])
+    allowed = _COMMON_KEYS + _COMMAND_KEYS[command][1]
+    flags: dict = {}
+    for word in words:
+        flag, eq, value = word.partition("=")
+        key = flag[2:].replace("-", "_")
+        if not flag.startswith("--") or "_" in flag or key not in allowed:
+            raise ConfigError(f"{flag}: not a flag of {command}")
+        if not eq:
+            value = next(words, None)
+            if value is None:
+                raise ConfigError(f"{flag}: expected a value")
+        flags[key] = (value if key == "config"
+                      else _parse_value(key, value, where=flag))
+    return command, flags
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(usage())
+        return EXIT_OK
     try:
-        args = parser.parse_args(_attach_negative_values(argv))
-    except SystemExit as exc:
-        return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
-    try:
-        return COMMANDS[args.command](resolve_config(args))
+        command, flags = parse_flags(argv)
+        return COMMANDS[command](resolve_config(flags))
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (UndefinedGainError, UndefinedEstimateError, ZeroHeraldError,
             ArithmeticError) as exc:

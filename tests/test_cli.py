@@ -1,6 +1,10 @@
 import math
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,7 @@ from qubitamp.cli import (
     EXIT_VALIDATION,
     main,
     parse_config_file,
+    parse_flags,
 )
 
 
@@ -309,6 +314,15 @@ class TestConfigHandling:
     def test_unknown_preset_is_validation_error(self):
         assert run(["gain-curve", "--preset", "nope"]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("command", ["gain-curve", "estimate", "hom"])
+    def test_unknown_scenario_is_validation_error(self, tmp_path, capsys,
+                                                  command):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("scenario = bogus\n")
+        for args in (["--scenario", "bogus"], ["--config", str(cfg)]):
+            assert run([command, *args]) == EXIT_VALIDATION
+            assert "unknown scenario 'bogus'" in capsys.readouterr().err
+
     def test_degenerate_gain_is_numerical_error(self, tmp_path):
         out = tmp_path / "gain.csv"
         code = run(["gain-curve", "--t", "1.0", "--pa", "0.0",
@@ -386,3 +400,85 @@ def test_selftest_passes_quickly(capsys):
     pattern = re.compile(r"\[PASS\] (\S+)  .* \(\d+\.\ds\)")
     names = [pattern.fullmatch(line).group(1) for line in lines[:-1]]
     assert names == list(CHECKS)
+
+
+#: Each command's flags: the common ones and its own.
+COMMON_FLAGS = ["config", "out", "scenario", "preset", "t", "pa", "eta", "mu",
+                "pin", "dark", "seed", "pulses"]
+OWN_FLAGS = {
+    "gain-curve": ["pin-from", "pin-to", "pin-steps"],
+    "fringe": ["phi-steps", "mu-plus", "mu-minus"],
+    "hom": ["mu-from", "mu-to", "mu-steps"],
+    "estimate": ["eta-herald", "eta-out", "analyzer-phi", "delta-phi"],
+    "selftest": [],
+}
+
+
+class TestFlagParsing:
+    @pytest.mark.parametrize("args", [["--help"], ["-h"], ["hom", "--help"],
+                                      ["gain-curve", "--t", "0.5", "-h"]])
+    def test_help_exits_ok(self, capsys, args):
+        assert run(args) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.startswith("usage: qubitamp COMMAND")
+        for command, own in OWN_FLAGS.items():
+            assert command in out
+            for flag in COMMON_FLAGS + own:
+                assert f"--{flag} " in out
+
+    @pytest.mark.parametrize("command", sorted(OWN_FLAGS))
+    def test_every_flag_of_a_command_is_accepted(self, command):
+        for flag in COMMON_FLAGS + OWN_FLAGS[command]:
+            value = "fock-hpa" if flag == "scenario" else "1"
+            name, flags = parse_flags([command, f"--{flag}", value])
+            assert name == command and list(flags) == [flag.replace("-", "_")]
+
+    @pytest.mark.parametrize("args,named", [
+        ([], "expected a command"),
+        (["bogus", "--t", "0.5"], "bogus"),
+        (["--t", "0.5"], "--t"),
+        (["gain-curve", "--phi-steps", "4"], "--phi-steps"),
+        (["estimate", "--pin-from", "0.1"], "--pin-from"),
+        (["gain-curve", "--pin-steps", "4", "--t"], "--t"),
+        (["gain-curve", "--t", "fast"], "--t"),
+        (["gain-curve", "--pin-steps=2.5"], "--pin-steps"),
+        (["gain-curve", "--pin-f", "0.5"], "--pin-f"),
+        (["gain-curve", "--pin_from", "0.5"], "--pin_from"),
+        (["gain-curve", "0.5"], "0.5"),
+    ])
+    def test_parse_error_names_the_flag(self, tmp_path, capsys, args, named):
+        out = tmp_path / "out.csv"
+        # --out goes first, so that a flag left without a value stays last
+        argv = args[:1] + ["--out", str(out)] + args[1:] if args else []
+        assert run(argv) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert named in captured.err
+        assert not out.exists()
+
+    def test_repeated_flag_last_wins(self, capsys):
+        assert run(["hom", "--mu", "0.2", "--mu=0.5",
+                    "--mu", "0.959"]) == EXIT_OK
+        once = capsys.readouterr().out
+        assert run(["hom", "--mu", "0.959"]) == EXIT_OK
+        assert once == capsys.readouterr().out
+
+    def test_word_after_a_flag_is_its_value(self):
+        assert parse_flags(["fringe", "--out", "--mu-plus",
+                            "--mu-minus", "-inf"]) == (
+            "fringe", {"out": "--mu-plus", "mu_minus": -math.inf})
+
+
+def test_module_entry_point_reads_sys_argv(tmp_path):
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    child, here = tmp_path / "child.csv", tmp_path / "here.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "qubitamp.cli", "hom", "--mu", "0.5",
+         "--out", str(child)], env=env, capture_output=True, timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert run(["hom", "--mu", "0.5", "--out", str(here)]) == EXIT_OK
+    assert child.read_bytes() == here.read_bytes()
