@@ -14,12 +14,13 @@ output is multilinear in the presence probabilities of the source photons
 and, with at most three photons, affine in mu^2. So `compile_scenario`
 tabulates each presence combination at mu = 0 and at mu = 1, and any
 (p_in, p_a, mu) is a weighted sum over the table. The passive linear
-circuits map each photon's creation operator on its own and act alike on
-both internal modes, so each source photon runs through the circuit once,
-at mu = 1; at mu = 0 an ancilla leaves the same way in the orthogonal
-mode. The kets of every combination are built as arrays from the mapped
-photons, and each herald class weighs them by a sum over its exclusive
-click patterns of per-detector click and no-click probabilities.
+circuits map each photon's creation operator on its own, by the circuit's
+path transfer matrix, and act alike on both internal modes, so all source
+photons go through one circuit run at mu = 1, one branch each; at mu = 0
+an ancilla leaves the same way in the orthogonal mode. The kets of every
+combination are built as arrays from the mapped photons, and each herald
+class weighs them by a sum over its exclusive click patterns of
+per-detector click and no-click probabilities.
 
 The same table fixes the time-bin fringes. Conjugation maps the circuit
 onto itself (a splitter has U* = Z U Z; the ancillas are real), so each
@@ -44,7 +45,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .circuits import BeamSplitter, Circuit, Mixture, run_circuit
+from .circuits import BeamSplitter, Branch, Circuit, Mixture, run_circuit
 from .detection import (
     ANY,
     CLICK,
@@ -60,7 +61,8 @@ from .detection import (
 # amplifier.measure_all by name, so the names stay importable from this module.
 from .circuits import mixture_density  # noqa: F401
 from .detection import measure_all  # noqa: F401
-from .fock import DROP_TOLERANCE, FockState, MATCHED, ORTHOGONAL, mode_labels
+from .fock import (DROP_TOLERANCE, FockState, MATCHED, ORTHOGONAL,
+                   mode_labels, one_photon_occupations)
 
 
 class UndefinedGainError(ValueError):
@@ -183,15 +185,19 @@ class HeraldedOutcome:
 # -- closed forms ------------------------------------------------------
 
 
-def gain_analytic(t: float, p_a: float, eta: float, p_in: float) -> float:
-    """Closed-form heralded gain for threshold detectors of efficiency eta."""
+def gain_analytic(t: float, p_a, eta: float, p_in):
+    """Closed-form heralded gain for threshold detectors of efficiency eta.
+    p_a and p_in may be arrays; they broadcast against each other, and so
+    does the gain. A range error names the first value outside [0, 1]."""
     for name, v in (("t", t), ("p_a", p_a), ("eta", eta), ("p_in", p_in)):
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {v}")
+        v = np.asarray(v)
+        outside = ~((0.0 <= v) & (v <= 1.0))  # NaN is outside
+        if outside.any():
+            raise ValueError(f"{name} must lie in [0, 1], got {v[outside][0]}")
     denom = p_a * (1.0 - t) * (1.0 - p_in * eta) + p_in
-    if denom <= 0.0:
-        raise UndefinedGainError(
-            f"gain undefined for t={t}, p_a={p_a}, eta={eta}, p_in={p_in}")
+    if np.any(denom <= 0.0):  # only at p_in = 0 with p_a * (1 - t) = 0
+        raise UndefinedGainError(f"gain undefined for t={t}, eta={eta} at "
+                                 f"p_in = 0 with p_a * (1 - t) = 0")
     return p_a * t / denom
 
 
@@ -456,8 +462,8 @@ def _gain(spec, p_in, p_a, p_out):
         gain = np.array(p_out / p_in)
     if spec.params.dark_click_prob == 0.0:
         tiny = p_in < np.finfo(float).tiny
-        gain[tiny] = [gain_analytic(spec.params.t, a, spec.params.eta, p)
-                      for a, p in zip(p_a[tiny], p_in[tiny])]
+        gain[tiny] = gain_analytic(spec.params.t, p_a[tiny], spec.params.eta,
+                                   p_in[tiny])
         p_out = np.where(tiny, gain * p_in, p_out)
     return gain[()], p_out[()]
 
@@ -552,24 +558,18 @@ class ScenarioTable:
         return _combine(self, analysis, p_in, p_a)
 
 
-def _run_photon(circuit: Circuit, wf: dict) -> np.ndarray:
-    """Mode amplitudes, over the circuit's mode labels, of the one photon
-    `wf` after the circuit."""
-    labels = mode_labels(circuit.paths)
-    state = FockState(len(labels), {
-        tuple(int(label == m) for m in labels): c for label, c in wf.items()},
-        labels)
-    out = run_circuit(Mixture.pure(state), circuit).branches[0].state
-    vector = np.zeros(out.n_modes, dtype=complex)
-    for occ, a in out.amplitudes.items():
-        vector[occ.index(1)] = a
-    return vector
-
-
 def _photon_outputs(bundle: ScenarioBundle) -> np.ndarray:
-    """Mode amplitudes of each of the bundle's source photons after the
-    circuit, [slot, mode], from one circuit run per photon."""
-    return np.array([_run_photon(bundle.circuit, wf) for _, wf in bundle.slots])
+    """Mode amplitudes, over the circuit's mode labels, of each of the
+    bundle's source photons after the circuit, [slot, mode]: one circuit
+    run of a mixture with one branch per photon."""
+    labels = mode_labels(bundle.circuit.paths)
+    units = one_photon_occupations(len(labels))
+    photons = Mixture([Branch(1.0, FockState(len(labels), {
+        u: wf[label] for u, label in zip(units, labels) if label in wf},
+        labels)) for _, wf in bundle.slots])
+    return np.array([[b.state.amplitudes.get(u, 0.0) for u in units]
+                     for b in run_circuit(photons, bundle.circuit)],
+                    dtype=complex)
 
 
 def _herald_cells(bundle: ScenarioBundle, photons) -> tuple[np.ndarray, ...]:
@@ -635,8 +635,8 @@ def _herald_cells(bundle: ScenarioBundle, photons) -> tuple[np.ndarray, ...]:
 def compile_scenario(scenario: str, params: AmplifierParams,
                      qubit: QubitSpec | None = None) -> ScenarioTable:
     """The scenario table at params' t, eta and dark count: one circuit run
-    per source photon at mu = 1, then one pass over the output kets of every
-    presence combination at mu = 0 and 1 (see the module docstring)."""
+    of all source photons at mu = 1, then one pass over the output kets of
+    every presence combination at mu = 0 and 1 (see the module docstring)."""
     bundle = build_scenario(scenario, replace(params, mu=1.0), qubit)
     at_1 = _photon_outputs(bundle)
     # the photons at mu = 0, then at mu = 1. The circuit acts alike on both

@@ -11,18 +11,30 @@ identically on both internal (matched/orthogonal) modes of its paths, and a
 loss channel applies jointly to them. Branch order is fixed by construction
 (source order, then occupation order within each split), so equal inputs
 give equal outputs bit for bit without any sorting.
+
+A circuit is passive and linear, so it maps each creation operator on its
+own: a_p+ -> sum_q U[q, p] a_q+, with U the n_paths x n_paths transfer
+matrix of `transfer_matrix` (Reck et al., PRL 73, 58 (1994)), the same on
+both internal modes. `run_circuit` maps a mixture of one-photon kets by U in
+one step; any other mixture goes element by element through the binomial
+Fock expansion, the reference for both.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .fock import (
     FockState,
     apply_phase,
     apply_two_mode_unitary,
     beam_splitter_matrix,
+    mode_labels,
+    one_photon_occupations,
     split_by_occupation,
     tensor,
 )
@@ -152,10 +164,48 @@ def apply_loss(m: Mixture, path: str, eta_keep: float) -> Mixture:
     return Mixture(out)
 
 
-def run_circuit(m: Mixture, c: Circuit) -> Mixture:
+def transfer_matrix(c: Circuit) -> np.ndarray:
+    """Path transfer matrix U of the circuit, indexed [out path, in path] in
+    the order of c.paths: a one-photon wavefunction psi over the paths
+    leaves as U @ psi. Each splitter updates the rows of its two paths by
+    beam_splitter_matrix (a_i+ -> u00 a_i+ + u10 a_j+), each phase scales
+    the row of its path."""
+    index = {p: i for i, p in enumerate(c.paths)}
+    u = np.eye(len(index), dtype=complex).tolist()
     for e in c.elements:
-        m = apply_element(m, e)
-    return m
+        if isinstance(e, BeamSplitter):
+            i, j = index[e.paths[0]], index[e.paths[1]]
+            (u00, u01), (u10, u11) = beam_splitter_matrix(e.t).tolist()
+            u[i], u[j] = ([u00 * x + u01 * y for x, y in zip(u[i], u[j])],
+                          [u10 * x + u11 * y for x, y in zip(u[i], u[j])])
+        elif isinstance(e, PhaseShift):
+            phase = cmath.exp(1j * e.phi)
+            u[index[e.path]] = [phase * x for x in u[index[e.path]]]
+        else:
+            raise TypeError(f"unknown element {e!r}")
+    return np.array(u, dtype=complex).reshape(len(index), len(index))
+
+
+def run_circuit(m: Mixture, c: Circuit) -> Mixture:
+    """The mixture after the circuit's elements, in order, with the same
+    weights and branch order. If every ket of every branch holds exactly
+    one photon over the circuit's mode registry, each branch is mapped by
+    the transfer matrix, one FockState per branch; otherwise element by
+    element."""
+    labels = mode_labels(c.paths)
+    if not all(b.state.labels == labels
+               and all(sum(occ) == 1 for occ in b.state.amplitudes) for b in m):
+        for e in c.elements:
+            m = apply_element(m, e)
+        return m
+    n, units = len(labels), one_photon_occupations(len(labels))
+    # [branch, path, internal mode]: U acts on the path axis
+    psi = np.array([[b.state.amplitudes.get(u, 0.0) for u in units] for b in m],
+                   dtype=complex).reshape(len(m), n // 2, 2)
+    out = (transfer_matrix(c) @ psi).reshape(len(m), n).tolist()
+    return Mixture([Branch(b.weight, FockState(
+        n, {u: a for u, a in zip(units, row) if a}, labels))
+        for b, row in zip(m, out)])
 
 
 def merge_branches(m: Mixture) -> Mixture:

@@ -12,8 +12,9 @@ before either. CSV output uses 9 significant digits, '.' decimals and
 bare newline line endings.
 
 Exit codes: 0 success, 2 parse error, 3 validation error (including a
-non-finite float value or an unknown scenario), 4 internal numerical
-failure (including running out of memory).
+non-finite float value, an unknown scenario or an --out path that cannot
+be opened), 4 internal numerical failure (including running out of
+memory).
 """
 
 from __future__ import annotations
@@ -174,14 +175,21 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def write_csv(out: str | None, header: list[str], rows: list[list]) -> None:
+def write_csv(out: str | None, header: list[str], rows) -> None:
+    """CSV text of the header and `rows` (any iterable of rows) to the file
+    `out`, or to stdout if out is None. A file that cannot be opened is a
+    ValueError that names it."""
     text = "\n".join([",".join(header)]
                      + [",".join(_fmt(v) for v in row) for row in rows]) + "\n"
     if out is None:
         sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        return
+    try:
+        fh = open(out, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from exc
+    with fh:
+        fh.write(text)
 
 
 # -- commands ----------------------------------------------------------
@@ -192,18 +200,17 @@ def cmd_gain_curve(cfg: dict) -> int:
         raise ValueError("pin_steps must be at least 1")
     if not cfg["pin_from"] <= cfg["pin_to"]:
         raise ValueError("pin_from must not exceed pin_to")
+    # AmplifierParams validates the grid ends; every point lies between them
+    p = params_from_config(cfg, pin=cfg["pin_from"])
+    params_from_config(cfg, pin=cfg["pin_to"])
     grid = np.linspace(cfg["pin_from"], cfg["pin_to"], cfg["pin_steps"])
-    # AmplifierParams validates every point
-    points = [params_from_config(cfg, pin=float(pin)) for pin in grid]
-    oracle = compile_scenario(cfg["scenario"], points[0]).evaluate(
-        grid, points[0].p_a, points[0].mu)
-    rows = []
-    for p, gain, p_out in zip(points, oracle.gain, oracle.p_out):
-        g_formula = gain_analytic(p.t, p.p_a, p.eta, p.p_in)
-        rows.append([p.p_in, g_formula, gain, g_formula * p.p_in, p_out])
+    oracle = compile_scenario(cfg["scenario"], p).evaluate(grid, p.p_a, p.mu)
+    g_formula = gain_analytic(p.t, p.p_a, p.eta, grid)
     write_csv(cfg.get("out"),
               ["p_in", "gain_analytic", "gain_oracle",
-               "p_out_analytic", "p_out_oracle"], rows)
+               "p_out_analytic", "p_out_oracle"],
+              zip(*(a.tolist() for a in (grid, g_formula, oracle.gain,
+                                         g_formula * grid, oracle.p_out))))
     return EXIT_OK
 
 

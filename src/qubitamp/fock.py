@@ -29,6 +29,11 @@ def mode_labels(paths) -> tuple[ModeLabel, ...]:
     return tuple((p, i) for p in paths for i in (MATCHED, ORTHOGONAL))
 
 
+def one_photon_occupations(n_modes: int) -> list[Occupation]:
+    """Occupation k holds one photon, in mode k."""
+    return [(0,) * k + (1,) + (0,) * (n_modes - 1 - k) for k in range(n_modes)]
+
+
 def is_unitary(u: np.ndarray) -> bool:
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
@@ -74,7 +79,7 @@ class FockState:
         for occ, amp in self.amplitudes.items():
             if len(occ) != self.n_modes:
                 raise ValueError(f"occupation {occ} has wrong length")
-            if any(n < 0 for n in occ):
+            if min(occ, default=0) < 0:
                 raise ValueError(f"occupation {occ} has a negative entry")
             if abs(amp) >= DROP_TOLERANCE:
                 kept[occ] = complex(amp)

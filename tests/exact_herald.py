@@ -5,11 +5,14 @@ measurement with `measure_all`, conditioned on each herald class with
 `detection.condition`, gives each class's conditional output ensemble.
 `heralded_analysis` reduces it to the conditional density matrix over the
 output rails; `branch_outcomes` runs it through the output analyzer and
-measures the analyzer click. `amplifier.compile_scenario` and
-`montecarlo._branch_outcome_table` instead build the output kets of every
-presence combination as arrays from the mapped photons and weight them
-with per-pattern products of the click model, so the tests that compare
-the two check that route.
+measures the analyzer click. Every circuit here is applied element by
+element (`expand`), the binomial Fock expansion, also where a mixture
+holds one photon per ket and `run_circuit` would use the transfer matrix.
+`amplifier.compile_scenario` and `montecarlo._branch_outcome_table` instead
+map the source photons by the transfer matrix, build the output kets of
+every presence combination as arrays from them and weight them with
+per-pattern products of the click model, so the tests that compare the two
+check that route.
 """
 
 import itertools
@@ -17,9 +20,16 @@ import itertools
 import numpy as np
 
 from qubitamp.amplifier import ClassAnalysis, _presence_weights, _source_state
-from qubitamp.circuits import Branch, Mixture, mixture_density, run_circuit
+from qubitamp.circuits import Branch, Mixture, apply_element, mixture_density
 from qubitamp.detection import (CLICK, condition, measure, measure_all,
                                 pattern_outcomes)
+
+
+def expand(mix: Mixture, circuit) -> Mixture:
+    """The mixture after the circuit, one element at a time."""
+    for e in circuit.elements:
+        mix = apply_element(mix, e)
+    return mix
 
 
 def combinations(paths, slots):
@@ -50,7 +60,7 @@ def conditionals(bundle, mix=None):
     bundle's source mixture run through it). An impossible class has
     probability 0 and an empty ensemble."""
     if mix is None:
-        mix = run_circuit(source(bundle), bundle.circuit)
+        mix = expand(source(bundle), bundle.circuit)
     table = measure_all(mix, list(bundle.detectors))
     return [(cls, *condition(table, outcomes(cls, bundle.detectors)))
             for cls in bundle.herald_classes]
@@ -62,7 +72,7 @@ def branch_outcomes(bundle, tail, d4) -> np.ndarray:
     analyzer `tail` and d4 measures it."""
     cells = np.zeros((len(bundle.herald_classes), 2))
     for k, (_, prob, cond) in enumerate(conditionals(bundle)):
-        p4, _ = measure(run_circuit(cond, tail), [d4], {d4.name: CLICK})
+        p4, _ = measure(expand(cond, tail), [d4], {d4.name: CLICK})
         cells[k] = (prob * (1.0 - p4), prob * p4)
     return cells
 

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qubitamp import amplifier
+from qubitamp import amplifier, circuits
 from qubitamp.amplifier import (
     AmplifierParams,
     PRESETS,
@@ -33,6 +33,8 @@ from qubitamp.amplifier import (
 from qubitamp.checks import GRID
 from qubitamp.circuits import run_circuit
 from qubitamp.detection import CLICK, NO_CLICK
+from qubitamp.fock import apply_two_mode_unitary
+from qubitamp.montecarlo import _analyzer_setup, _branch_outcome_table
 
 from exact_fringe import class_rates
 from exact_herald import heralded_analysis
@@ -467,15 +469,26 @@ class TestScenarioTable:
                                                    ("timebin-hqa", 3)])
     def test_one_circuit_run_per_source_photon(self, scenario, photons,
                                                monkeypatch):
-        # the circuit acts alike on both internal modes, so the mu = 0 half
-        # of the table needs no runs of its own
-        calls = []
+        # every source photon of a table goes through one circuit run, a
+        # branch each, mapped by the transfer matrix: the circuit acts alike
+        # on both internal modes, so the mu = 0 half of the table needs no
+        # runs of its own, and the sampler's table needs one run too
+        runs, expansions = [], []
 
-        def counting(*args):
-            calls.append(args)
-            return run_circuit(*args)
+        def counting(m, c):
+            runs.append(len(m))
+            return run_circuit(m, c)
+
+        def expanding(*args):
+            expansions.append(args)
+            return apply_two_mode_unitary(*args)
 
         monkeypatch.setattr(amplifier, "run_circuit", counting)
-        compile_scenario(scenario, AmplifierParams(t=0.7, p_in=0.5, p_a=0.8,
-                                                   eta=0.7, mu=0.6))
-        assert len(calls) == photons
+        monkeypatch.setattr(circuits, "apply_two_mode_unitary", expanding)
+        params = AmplifierParams(t=0.7, p_in=0.5, p_a=0.8, eta=0.7, mu=0.6)
+        compile_scenario(scenario, params)
+        assert runs == [photons]
+        bundle = build_scenario(scenario, params)
+        _branch_outcome_table(bundle, *_analyzer_setup(bundle, 0.3, 0.9))
+        assert runs == [photons, photons]
+        assert not expansions

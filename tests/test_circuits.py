@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qubitamp import circuits
 from qubitamp.checks import density_distance
 from qubitamp.circuits import (
     BeamSplitter,
@@ -16,7 +18,10 @@ from qubitamp.circuits import (
     mixture_density,
     run_circuit,
 )
-from qubitamp.fock import FockState, MATCHED, basis_state, mode_labels
+from qubitamp.fock import (FockState, MATCHED, basis_state, mode_labels,
+                           one_photon_occupations)
+
+from exact_herald import expand
 
 
 def single_photon(path_occupations, paths):
@@ -161,6 +166,74 @@ class TestRunCircuit:
                 if occ[im] + occ[io] == 1:
                     p_out += b.weight * abs(amp) ** 2
         assert p_out == pytest.approx(t, abs=1e-12)
+
+    def test_two_photon_branch_sends_the_mixture_element_by_element(
+            self, monkeypatch):
+        def no_transfer(c):
+            raise AssertionError("a two-photon ket took the transfer matrix")
+
+        paths = ("a", "b", "c")
+        c = Circuit(paths, (BeamSplitter(0.3, ("a", "b")),
+                            PhaseShift(0.4, "b"),
+                            BeamSplitter(0.6, ("b", "c"))))
+        m = Mixture([Branch(0.7, single_photon({"a": 1}, paths)),
+                     Branch(0.3, single_photon({"a": 1, "c": 1}, paths))])
+        monkeypatch.setattr(circuits, "transfer_matrix", no_transfer)
+        got = run_circuit(m, c)
+        want = expand(m, c)
+        assert [b.weight for b in got] == [b.weight for b in want]
+        for g, w in zip(got, want):
+            assert g.state.amplitudes == w.state.amplitudes
+
+
+def one_photon_vectors(m, n_modes):
+    """[branch, mode] amplitudes of a mixture of one-photon kets; a ket
+    that is not in a state (pruned or never there) reads 0."""
+    out = np.zeros((len(m), n_modes), dtype=complex)
+    for row, b in zip(out, m):
+        for occ, a in b.state.amplitudes.items():
+            assert sum(occ) == 1
+            row[occ.index(1)] = a
+    return out
+
+
+@st.composite
+def random_circuits(draw):
+    paths = tuple(f"p{i}" for i in range(draw(st.integers(2, 6))))
+    pair = st.lists(st.sampled_from(paths), min_size=2, max_size=2,
+                    unique=True).map(tuple)
+    element = st.one_of(
+        st.builds(BeamSplitter, st.floats(0.0, 1.0), pair),
+        st.builds(PhaseShift, st.floats(-2.0 * math.pi, 2.0 * math.pi),
+                  st.sampled_from(paths)))
+    return Circuit(paths, tuple(draw(st.lists(element, max_size=10))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(c=random_circuits(), seed=st.integers(0, 2**32 - 1),
+       weights=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=4))
+def test_transfer_matrix_run_equals_element_by_element(c, seed, weights):
+    # one-photon kets with amplitudes on both internal modes of random
+    # paths, one state per branch
+    labels = mode_labels(c.paths)
+    n = len(labels)
+    rng = np.random.default_rng(seed)
+    branches = []
+    for w in weights:
+        amps = (rng.normal(size=n) + 1j * rng.normal(size=n)) * (
+            rng.random(n) < 0.6)
+        amps[rng.integers(n)] += 1.0  # at least one ket
+        amps /= np.linalg.norm(amps)
+        branches.append(Branch(w, FockState(n, {
+            u: a for u, a in zip(one_photon_occupations(n), amps) if a},
+            labels)))
+    m = Mixture(branches)
+    got = run_circuit(m, c)
+    want = expand(m, c)
+    assert [b.weight for b in got] == [b.weight for b in want] == weights
+    assert all(b.state.labels == labels for b in got)
+    assert np.max(np.abs(one_photon_vectors(got, n)
+                         - one_photon_vectors(want, n))) <= 1e-12
 
 
 class TestMixture:

@@ -253,6 +253,18 @@ class TestEstimate:
                     str(2**128 - 1), "--out", str(out)]) == EXIT_OK
 
 
+@pytest.mark.parametrize("command", ["gain-curve", "fringe", "hom",
+                                     "estimate"])
+def test_unwritable_out_is_validation_error(tmp_path, capsys, command):
+    out = tmp_path / "missing" / "x.csv"
+    code = run([command, "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("validation error: ")
+    assert str(out) in err[0]
+    assert not out.parent.exists()
+
+
 def test_out_of_memory_is_numerical_error(monkeypatch, capsys):
     def fringe(cfg):
         raise MemoryError("Unable to allocate 745. GiB for an array")
