@@ -9,17 +9,20 @@ lists each command's flags, from the same key tables.
 Configuration is a flat key=value file with '#' comments; command-line
 flags override file values, and a named preset fills in parameter defaults
 before either. CSV output uses 9 significant digits, '.' decimals and
-bare newline line endings.
+bare newline line endings. An existing --out file is overwritten in place
+and cut to the new length.
 
 Exit codes: 0 success, 2 parse error, 3 validation error (including a
-non-finite float value, an unknown scenario or an --out path that cannot
-be opened), 4 internal numerical failure (including running out of
-memory).
+non-finite float value, an unknown scenario, or an --out path that cannot
+be opened or written, such as a full disk), 4 internal numerical failure
+(including running out of memory).
 """
 
 from __future__ import annotations
 
 import math
+import os
+import stat
 import sys
 
 import numpy as np
@@ -177,19 +180,40 @@ def _fmt(x) -> str:
 
 def write_csv(out: str | None, header: list[str], rows) -> None:
     """CSV text of the header and `rows` (any iterable of rows) to the file
-    `out`, or to stdout if out is None. A file that cannot be opened is a
-    ValueError that names it."""
+    `out`, or to stdout if out is None.
+
+    An existing file is overwritten in place and then cut to the new length,
+    not truncated to zero first: on ext4 (auto_da_alloc) a truncate to zero
+    can make the rewrite of a small file wait on the writeback of the last
+    one. A new file gets mode 0o666 less the umask, an existing one keeps
+    its mode. Only a regular file is cut, so devices and pipes (/dev/null,
+    /dev/stdout) take the bytes as a stream. A write that fails part way
+    cuts the file to zero, so it never holds new rows followed by old ones.
+    A path that cannot be opened or written is a ValueError that names it."""
     text = "\n".join([",".join(header)]
                      + [",".join(_fmt(v) for v in row) for row in rows]) + "\n"
     if out is None:
         sys.stdout.write(text)
         return
+    data = text.encode("utf-8")
     try:
-        fh = open(out, "w", encoding="utf-8", newline="")
+        fd = os.open(out, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            regular = stat.S_ISREG(os.fstat(fd).st_mode)
+            try:
+                rest = memoryview(data)
+                while rest:
+                    rest = rest[os.write(fd, rest):]
+                if regular:
+                    os.ftruncate(fd, len(data))
+            except OSError:
+                if regular:
+                    os.ftruncate(fd, 0)
+                raise
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from exc
-    with fh:
-        fh.write(text)
 
 
 # -- commands ----------------------------------------------------------

@@ -1,6 +1,8 @@
+import errno
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 import time
@@ -265,6 +267,78 @@ def test_unwritable_out_is_validation_error(tmp_path, capsys, command):
     assert not out.parent.exists()
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs /dev/full")
+def test_write_failure_is_validation_error(capsys):
+    assert run(["hom", "--mu", "0.5", "--out", "/dev/full"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["validation error: cannot write /dev/full: "
+                   "No space left on device"]
+
+
+def test_failed_write_leaves_no_old_row(tmp_path, monkeypatch, capsys):
+    # the disk fills after part of the new CSV is written over a longer one
+    out = tmp_path / "gain.csv"
+    assert run(["gain-curve", "--pin-steps", "50", "--out", str(out)]) == EXIT_OK
+    real_write = os.write
+
+    def write(fd, data):
+        if write.calls:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        write.calls += 1
+        return real_write(fd, data[:100])
+    write.calls = 0
+    monkeypatch.setattr(os, "write", write)
+    code = run(["gain-curve", "--pin-steps", "10", "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        f"validation error: cannot write {out}: No space left on device\n")
+    assert out.read_bytes() == b""
+
+
+class TestOutFile:
+    """An existing --out file is overwritten in place and cut to length."""
+
+    @pytest.mark.parametrize("steps, over", [(50, 10), (10, 50)])
+    def test_rewrite_equals_fresh_write(self, tmp_path, steps, over):
+        out, fresh = tmp_path / "a.csv", tmp_path / "b.csv"
+        for n, path in ((over, out), (steps, out), (steps, fresh)):
+            assert run(["gain-curve", "--pin-steps", str(n),
+                        "--out", str(path)]) == EXIT_OK
+        assert out.read_bytes() == fresh.read_bytes()
+
+    def test_dev_null(self):
+        assert run(["hom", "--mu", "0.5", "--out", os.devnull]) == EXIT_OK
+
+    def test_dev_stdout_into_a_pipe(self):
+        if not os.path.exists("/dev/stdout"):
+            pytest.skip("needs /dev/stdout")
+        proc = subprocess.run(
+            [sys.executable, "-m", "qubitamp.cli", "hom", "--mu", "0.5",
+             "--out", "/dev/stdout"], env=_child_env(), capture_output=True,
+            timeout=120)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout == (b"mu,coincidence,coincidence_fock,visibility\n"
+                               b"0.5,0.375,0.375,0.25\n")
+
+    def test_new_file_mode_follows_umask(self, tmp_path):
+        out = tmp_path / "hom.csv"
+        umask = os.umask(0o027)
+        try:
+            assert run(["hom", "--out", str(out)]) == EXIT_OK
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~0o027
+
+    def test_existing_file_keeps_its_mode(self, tmp_path):
+        out = tmp_path / "hom.csv"
+        out.write_text("old\n" * 100)
+        out.chmod(0o600)
+        assert run(["hom", "--out", str(out)]) == EXIT_OK
+        assert stat.S_IMODE(out.stat().st_mode) == 0o600
+        assert out.read_text().startswith("mu,")
+
+
 def test_out_of_memory_is_numerical_error(monkeypatch, capsys):
     def fringe(cfg):
         raise MemoryError("Unable to allocate 745. GiB for an array")
@@ -482,15 +556,21 @@ class TestFlagParsing:
             "fringe", {"out": "--mu-plus", "mu_minus": -math.inf})
 
 
-def test_module_entry_point_reads_sys_argv(tmp_path):
+def _child_env() -> dict:
+    """Environment for a child interpreter that imports this qubitamp."""
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
+def test_module_entry_point_reads_sys_argv(tmp_path):
     child, here = tmp_path / "child.csv", tmp_path / "here.csv"
     proc = subprocess.run(
         [sys.executable, "-m", "qubitamp.cli", "hom", "--mu", "0.5",
-         "--out", str(child)], env=env, capture_output=True, timeout=120)
+         "--out", str(child)], env=_child_env(), capture_output=True,
+        timeout=120)
     assert proc.returncode == EXIT_OK, proc.stderr
     assert run(["hom", "--mu", "0.5", "--out", str(here)]) == EXIT_OK
     assert child.read_bytes() == here.read_bytes()

@@ -160,6 +160,10 @@ def test_fringe_rates_equal_exact_runs(t, p_in, p_a, eta, dark, mu_plus,
          mu=0.5, delta_phi=0.0)
 @example(scenario="fock-hpa", t=0.0, p_in=0.0, p_a=1.0, eta=1.0, dark=0.25,
          mu=0.0, delta_phi=0.0)
+# p_out is 1.6 t ~ 5e-29, and the reference prunes 34 kets of the mu = 0.5
+# run worth 2.2e-29 of it in all, far above one ket's DROP_TOLERANCE**2
+@example(scenario="timebin-hqa", t=3.1273813963679564e-29, p_in=1.0, p_a=1.0,
+         eta=1.0, dark=0.0, mu=0.5, delta_phi=0.0)
 def test_table_equals_full_mixture_run(scenario, t, p_in, p_a, eta, dark, mu,
                                        delta_phi):
     # the scenario table, contracted at one point, against one run of the
@@ -172,14 +176,15 @@ def test_table_equals_full_mixture_run(scenario, t, p_in, p_a, eta, dark, mu,
     got = compile_scenario(scenario, params, qubit).evaluate(p_in, p_a, mu)
     pairs = [(got, ref)] + [(got.per_class[k], ref.per_class[k])
                             for k in ref.per_class]
+    floor = pruned_weight_bound(bundle)
     for g, r in pairs:
         for field in ("herald_prob", "p_out", "vacuum_weight", "multi_weight"):
             assert abs(getattr(g, field) - getattr(r, field)) <= 1e-12
         assert np.max(np.abs(g.output_qubit_density
                              - r.output_qubit_density)) <= 1e-12
-        assert ratios_agree(g.gain, r.gain, p_in)
+        assert ratios_agree(g.gain, r.gain, p_in, floor)
         assert ratios_agree(g.fidelity_conditional, r.fidelity_conditional,
-                            r.p_out)
+                            r.p_out, floor)
 
 
 @settings(max_examples=15, deadline=None)
@@ -281,14 +286,33 @@ def test_outcome_classes_partition_every_cell(scenario, probe, t, eta, dark,
         assert np.linalg.eigvalsh(rails).min() >= -1e-12
 
 
-def ratios_agree(got, want, denom):
+def pruned_weight_bound(bundle) -> float:
+    """Most weight that pruning amplitudes below DROP_TOLERANCE can take
+    from a probability of `bundle`, on the table route and the reference
+    together.
+
+    A pruned ket has weight below DROP_TOLERANCE**2. A presence
+    combination of at most N photons over the circuit's P paths is a state
+    of at most K = comb(2P + N - 1, N) kets (N photons in 2P modes; the
+    circuit conserves photons). The reference prunes such a state when it
+    is built, after each of the two internal modes of each of the E
+    elements, and when the detected modes are split off: 2E + 2 times. The
+    table prunes each photon's output and each combination ket: 2 more.
+    The combinations' weights add up to at most 1, so pruning removes at
+    most (2E + 4) K DROP_TOLERANCE**2 of any probability."""
+    paths, photons = len(bundle.circuit.paths), len(bundle.slots)
+    kets = math.comb(2 * paths + photons - 1, photons)
+    return (2 * len(bundle.circuit.elements) + 4) * kets * DROP_TOLERANCE ** 2
+
+
+def ratios_agree(got, want, denom, floor):
     """Two values of a ratio x / denom agree to 1e-12 relative. Amplitudes
     below DROP_TOLERANCE are pruned, at other points on each route (the
-    table runs at mu = 0 and 1 only), so x may also differ by the square
-    of that; None stands for a ratio undefined at x <= 1e-30. At denom = 0
-    (the gain at p_in = 0 with dark counts) the ratio is inf or NaN, and
-    both routes must give the same one."""
-    floor = DROP_TOLERANCE ** 2
+    table runs at mu = 0 and 1 only), so x may also differ by `floor`, the
+    weight pruning can remove (`pruned_weight_bound`); None stands for a
+    ratio undefined at x <= 1e-30. At denom = 0 (the gain at p_in = 0 with
+    dark counts) the ratio is inf or NaN, and both routes must give the
+    same one."""
     if got is None or want is None:
         return got is want or denom <= 1e-30 + floor
     if denom == 0.0 and not np.isfinite(want):
