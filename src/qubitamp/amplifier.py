@@ -22,11 +22,17 @@ combination are built as arrays from the mapped photons, and each herald
 class weighs them by a sum over its exclusive click patterns of
 per-detector click and no-click probabilities.
 
-The same table fixes the time-bin fringes. Conjugation maps the circuit
-onto itself (a splitter has U* = Z U Z; the ancillas are real), so each
-class's analyzer rate is even in the input phase: R_k(-phi) = R_k(phi). A
-pi phase on in_l swaps l_a and l_b, so R_minus(phi) = R_plus(phi + pi).
-Hence R_plus, R_minus = a +- b cos(phi), fixed by the rates at phi = 0.
+Every unnormalised class quantity is linear in the table, so evaluation
+contracts all herald classes in one step (`ScenarioTable.contract`). The
+combined outcome after feed-forward is the sum over classes of their
+phase-corrected rows, normalised once like each class row.
+
+The same contraction fixes the time-bin fringes. Conjugation maps the
+circuit onto itself (a splitter has U* = Z U Z; the ancillas are real), so
+each class's analyzer rate is even in the input phase: R_k(-phi) =
+R_k(phi). A pi phase on in_l swaps l_a and l_b, so R_minus(phi) =
+R_plus(phi + pi). Hence R_plus, R_minus = a +- b cos(phi), fixed by the
+rates at phi = 0.
 
 The closed-form gain
 
@@ -61,8 +67,8 @@ from .detection import (
 # amplifier.measure_all by name, so the names stay importable from this module.
 from .circuits import mixture_density  # noqa: F401
 from .detection import measure_all  # noqa: F401
-from .fock import (DROP_TOLERANCE, FockState, MATCHED, ORTHOGONAL,
-                   mode_labels, one_photon_occupations)
+from .fock import (FockState, MATCHED, ORTHOGONAL, mode_labels,
+                   one_photon_occupations)
 
 
 class UndefinedGainError(ValueError):
@@ -269,8 +275,7 @@ def _combination_kets(photons: np.ndarray) -> tuple[np.ndarray, ...]:
     Cell s * 2**n_photons + c is the combination of set s whose presence
     bits, photon 0 first, are the binary digits of c. Each choice of one
     mode per present photon adds the product of their amplitudes to the
-    occupation it fills, times sqrt(prod n!); amplitudes below
-    DROP_TOLERANCE are set to 0."""
+    occupation it fills, times sqrt(prod n!)."""
     n_sets, n_photons, n_modes = photons.shape
     # a row's key: its cell and occupation as digits in base n_photons + 1
     base, scale = n_photons + 1, (n_photons + 1) ** n_modes
@@ -292,7 +297,6 @@ def _combination_kets(photons: np.ndarray) -> tuple[np.ndarray, ...]:
     amp = np.add.reduceat(amp.ravel()[at[order]], first)
     occ = key[first, None] // place % base
     amp *= np.sqrt([math.factorial(n) for n in range(base)])[occ].prod(axis=1)
-    amp[abs(amp) < DROP_TOLERANCE] = 0.0
     return key[first] // scale, occ, amp
 
 
@@ -422,37 +426,6 @@ def build_scenario(scenario: str, params: AmplifierParams,
 # -- exact simulation --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClassAnalysis:
-    """Conditional analysis of one herald class (no correction applied)."""
-
-    prob: float
-    vacuum_weight: float
-    single_weight: float
-    multi_weight: float
-    qubit_density: np.ndarray  # over output rails, trace = single_weight
-
-
-def _apply_correction(rho: np.ndarray, phase: float) -> np.ndarray:
-    if rho.shape[-1] < 2 or phase == 0.0:
-        return rho
-    u = np.diag([1.0, np.exp(1j * phase)])
-    return u @ rho @ u.conj().T
-
-
-def _qubit_fidelity(rho: np.ndarray, qubit: QubitSpec | None,
-                    correction_phase: float):
-    """<psi|rho|psi> / tr(rho) of the corrected output and the input qubit
-    (1 for the Fock-state qubit, whose single-photon output is |1>); None,
-    or NaN at points of an array, without a single photon out."""
-    tr = np.trace(rho, axis1=-2, axis2=-1).real
-    psi = np.ones(1) if qubit is None else qubit.vector()
-    overlap = (psi.conj() @ _apply_correction(rho, correction_phase) @ psi).real
-    some = tr > 1e-30
-    fidelity = np.where(some, overlap, np.nan) / np.where(some, tr, 1.0)
-    return None if np.ndim(fidelity) == 0 and not some else fidelity
-
-
 def _gain(spec, p_in, p_a, p_out):
     """(gain, p_out): p_out / p_in and p_out, but below the smallest normal
     p_in without dark counts, the closed form (the p_in -> 0 limit at any mu)
@@ -468,52 +441,49 @@ def _gain(spec, p_in, p_a, p_out):
     return gain[()], p_out[()]
 
 
-def _combine(spec, analysis: dict[str, ClassAnalysis], p_in,
-             p_a) -> HeraldedOutcome:
+def _outcome(spec, sums, rails, p_in, p_a) -> HeraldedOutcome:
     """Outcome over the herald classes of `spec` (a ScenarioBundle or
-    ScenarioTable) from their analysis at p_in, p_a. Per-class outcomes
-    carry their class's phase correction; the combined outcome mixes the
-    corrected classes weighted by herald probability (the
-    feed-forward-corrected amplifier output)."""
-    total_prob = sum(a.prob for a in analysis.values())
-    if np.any(total_prob <= 1e-30):
+    ScenarioTable) at p_in, p_a from their unnormalised sums[class, ..., 4]
+    and rails[class, ..., r, r] (see ScenarioTable). A class at or below
+    MIN_OUTCOME_PROB is impossible and reads 0. Each class's rails carry
+    its phase correction on the long rail, and the combined outcome (the
+    feed-forward-corrected amplifier output) is the sum of the corrected
+    classes; every row is then normalised alike. The fidelity to the input
+    qubit (to |1> for the Fock-state amplifier) is None, or NaN at points
+    of an array, without a single photon out."""
+    keep = sums[..., 0] > MIN_OUTCOME_PROB
+    # the phase u on the long rail (index 1) of each class, as the factor
+    # u_i conj(u_j) on every point's rails
+    phases = [cls.correction_phase for cls in spec.herald_classes]
+    u = np.exp(1j * np.outer(phases, np.arange(rails.shape[-1]) == 1))
+    correction = np.expand_dims(u[:, :, None] * u[:, None, :].conj(),
+                                tuple(range(1, rails.ndim - 2)))
+    sums = sums * keep[..., None]
+    rails = rails * keep[..., None, None] * correction
+    sums = np.concatenate((sums, sums.sum(axis=0, keepdims=True)))
+    rails = np.concatenate((rails, rails.sum(axis=0, keepdims=True)))
+    prob = sums[..., 0]
+    if np.any(prob[-1] <= 1e-30):
         raise ZeroHeraldError(
             f"herald probability vanishes for scenario {spec.scenario}")
-    per_class = {}
-    combined_rho = 0.0
-    vacuum = single = multi = 0.0
-    for cls in spec.herald_classes:
-        a = analysis[cls.name]
-        rho_corr = _apply_correction(a.qubit_density, cls.correction_phase)
-        gain, p_out = _gain(spec, p_in, p_a, a.single_weight)
-        per_class[cls.name] = HeraldedOutcome(
-            herald_class=cls.name,
-            herald_prob=a.prob,
-            p_out=p_out,
-            gain=gain,
-            vacuum_weight=a.vacuum_weight,
-            multi_weight=a.multi_weight,
-            output_qubit_density=rho_corr,
-            fidelity_conditional=_qubit_fidelity(a.qubit_density, spec.qubit,
-                                                 cls.correction_phase),
-        )
-        share = a.prob / total_prob
-        combined_rho += np.expand_dims(share, (-2, -1)) * rho_corr
-        vacuum += share * a.vacuum_weight
-        single += share * a.single_weight
-        multi += share * a.multi_weight
+    denom = np.where(prob > MIN_OUTCOME_PROB, prob, 1.0)
+    vacuum, single, multi = np.moveaxis(sums[..., 1:] / denom[..., None],
+                                        -1, 0)
+    rho = rails / denom[..., None, None]
     gain, p_out = _gain(spec, p_in, p_a, single)
-    return HeraldedOutcome(
-        herald_class="combined",
-        herald_prob=total_prob,
-        p_out=p_out,
-        gain=gain,
-        vacuum_weight=vacuum,
-        multi_weight=multi,
-        output_qubit_density=combined_rho,
-        fidelity_conditional=_qubit_fidelity(combined_rho, spec.qubit, 0.0),
-        per_class=per_class,
-    )
+    psi = np.ones(1) if spec.qubit is None else spec.qubit.vector()
+    tr = np.trace(rho, axis1=-2, axis2=-1).real
+    some = tr > 1e-30
+    fidelity = (np.where(some, (psi.conj() @ rho @ psi).real, np.nan)
+                / np.where(some, tr, 1.0))
+
+    def row(k, name, per_class=None):
+        f = None if np.ndim(some[k]) == 0 and not some[k] else fidelity[k]
+        return HeraldedOutcome(name, prob[k], p_out[k], gain[k], vacuum[k],
+                               multi[k], rho[k], f, per_class)
+
+    return row(-1, "combined", {cls.name: row(k, cls.name) for k, cls
+                                in enumerate(spec.herald_classes)})
 
 
 @dataclass(frozen=True)
@@ -532,30 +502,24 @@ class ScenarioTable:
     cells: np.ndarray
     rails: np.ndarray
 
-    def presence_weights(self, p_in, p_a) -> np.ndarray:
-        """Weights of the presence combinations (the cells' last axis)."""
+    def contract(self, p_in, p_a) -> tuple[np.ndarray, np.ndarray]:
+        """cells and rails summed over the presence combinations, weighted
+        at input and ancilla presence probabilities p_in, p_a:
+        sums[m, k, ..., 4] and rails[m, k, ..., r, r], where ... is the
+        shape p_in and p_a broadcast to."""
         n_ancillas = self.cells.shape[2].bit_length() - 2
-        return _presence_weights([p_in] + [p_a] * n_ancillas)
+        weights = _presence_weights([p_in] + [p_a] * n_ancillas)
+        return (np.einsum("...c,mkcf->mk...f", weights, self.cells),
+                np.einsum("...c,mkcij->mk...ij", weights, self.rails))
 
     def evaluate(self, p_in, p_a, mu: float) -> HeraldedOutcome:
         """Heralded outcome at input and ancilla presence probabilities
         p_in, p_a and overlap mu. p_in and p_a may be arrays: they
         broadcast against each other, and so does every outcome field."""
         m = mu * mu
-        weights = self.presence_weights(p_in, p_a)
-        analysis = {}
-        for cls, cells, rails in zip(
-                self.herald_classes,
-                (1.0 - m) * self.cells[0] + m * self.cells[1],
-                (1.0 - m) * self.rails[0] + m * self.rails[1]):
-            prob, *weighted = np.moveaxis(weights @ cells, -1, 0)
-            keep = prob > MIN_OUTCOME_PROB  # else the class is impossible
-            denom = np.where(keep, prob, 1.0)
-            rho = np.einsum("...c,cij->...ij", weights, rails)
-            analysis[cls.name] = ClassAnalysis(
-                prob * keep, *(w / denom * keep for w in weighted),
-                rho / denom[..., None, None] * keep[..., None, None])
-        return _combine(self, analysis, p_in, p_a)
+        sums, rails = self.contract(p_in, p_a)
+        return _outcome(self, (1.0 - m) * sums[0] + m * sums[1],
+                        (1.0 - m) * rails[0] + m * rails[1], p_in, p_a)
 
 
 def _photon_outputs(bundle: ScenarioBundle) -> np.ndarray:
@@ -689,14 +653,13 @@ def _fringe_ends(params: AmplifierParams) -> np.ndarray:
     probability times the overlap of the uncorrected output with the
     zero-phase qubit, or 0 for a class that cannot herald. The total herald
     probability is affine in mu^2 and the same at every phase."""
-    table = compile_scenario("timebin-hqa", params)
-    weights = table.presence_weights(params.p_in, params.p_a)
-    prob = table.cells[..., 0] @ weights
+    sums, rails = compile_scenario("timebin-hqa", params).contract(
+        params.p_in, params.p_a)
+    prob = sums[..., 0]
     if prob.sum(axis=1).max() <= 1e-30:
         raise ZeroHeraldError(
             "herald probability vanishes for scenario timebin-hqa")
-    overlap = np.einsum("c,mkcij,i,j->mk", weights, table.rails, _ANALYZER,
-                        _ANALYZER).real
+    overlap = (_ANALYZER @ rails @ _ANALYZER).real
     # a PSD density has a non-negative overlap; clamp rounding dust
     return np.where(prob > MIN_OUTCOME_PROB, np.maximum(overlap, 0.0), 0.0)
 

@@ -121,10 +121,6 @@ def basis_state(occ, labels=()) -> FockState:
     return FockState(len(occ), {occ: 1.0 + 0.0j}, tuple(labels))
 
 
-def vacuum(n_modes: int, labels=()) -> FockState:
-    return basis_state((0,) * n_modes, labels)
-
-
 def tensor(a: FockState, b: FockState) -> FockState:
     """Tensor product; mode registries concatenate, amplitudes multiply."""
     amps: dict[Occupation, complex] = {}

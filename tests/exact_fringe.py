@@ -22,18 +22,17 @@ ANALYZER = np.array([1.0, 1.0]) / math.sqrt(2.0)
 
 
 def class_rates(params, phis) -> dict[str, np.ndarray]:
-    """Analyzer rate per herald class at each input phase: the herald
-    probability times the overlap of the raw, uncorrected conditional
-    output with the zero-phase qubit, clamped at 0."""
+    """Analyzer rate per herald class at each input phase: the overlap of
+    the raw, uncorrected output rails, times the herald probability, with
+    the zero-phase qubit, clamped at 0."""
     bundle = build_timebin_hqa(params, QubitSpec.from_phase(0.0))
-    rates = {cls.name: [] for cls in bundle.herald_classes}
+    rates = []  # [phase, class]
     for phi in phis:
         circuit = Circuit(bundle.circuit.paths,
                           (PhaseShift(float(phi), "in_l"),)
                           + bundle.circuit.elements)
-        analysis = heralded_analysis(replace(bundle, circuit=circuit))
-        for name, a in analysis.items():
-            overlap = float((ANALYZER.conj() @ a.qubit_density
-                             @ ANALYZER).real)
-            rates[name].append(max(0.0, a.prob * overlap))
-    return {name: np.array(vals) for name, vals in rates.items()}
+        _, rails = heralded_analysis(replace(bundle, circuit=circuit))
+        rates.append(np.maximum((ANALYZER.conj() @ rails @ ANALYZER).real,
+                                0.0))
+    return {cls.name: np.array(rates)[:, k]
+            for k, cls in enumerate(bundle.herald_classes)}

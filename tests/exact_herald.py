@@ -3,11 +3,14 @@
 The whole source mixture (`source`) runs through the circuit, and one joint
 measurement with `measure_all`, conditioned on each herald class with
 `detection.condition`, gives each class's conditional output ensemble.
-`heralded_analysis` reduces it to the conditional density matrix over the
-output rails; `branch_outcomes` runs it through the output analyzer and
-measures the analyzer click. Every circuit here is applied element by
-element (`expand`), the binomial Fock expansion, also where a mixture
-holds one photon per ket and `run_circuit` would use the transfer matrix.
+`heralded_analysis` reduces it to each class's photon-number weights and
+density over the output rails, times its herald probability: the arrays
+that `amplifier._outcome` normalises, corrects and combines, as it does
+for the table's contraction. `branch_outcomes` runs the ensemble through
+the output analyzer and measures the analyzer click. Every circuit here
+is applied element by element (`expand`), the binomial Fock expansion,
+also where a mixture holds one photon per ket and `run_circuit` would use
+the transfer matrix.
 `amplifier.compile_scenario` and `montecarlo._branch_outcome_table` instead
 map the source photons by the transfer matrix, build the output kets of
 every presence combination as arrays from them and weight them with
@@ -19,7 +22,7 @@ import itertools
 
 import numpy as np
 
-from qubitamp.amplifier import ClassAnalysis, _presence_weights, _source_state
+from qubitamp.amplifier import _presence_weights, _source_state
 from qubitamp.circuits import Branch, Mixture, apply_element, mixture_density
 from qubitamp.detection import (CLICK, condition, measure, measure_all,
                                 pattern_outcomes)
@@ -77,23 +80,22 @@ def branch_outcomes(bundle, tail, d4) -> np.ndarray:
     return cells
 
 
-def heralded_analysis(bundle, mix=None) -> dict[str, ClassAnalysis]:
-    """ClassAnalysis per herald class of `mix` (see `conditionals`)."""
+def heralded_analysis(bundle, mix=None) -> tuple[np.ndarray, np.ndarray]:
+    """Unnormalised outputs of each herald class of `mix` (see
+    `conditionals`), in the shape `amplifier._outcome` takes:
+    sums[class] = prob * (1, vacuum, single, multi) with the weights of 0,
+    1 and 2+ photons out, and rails[class] = prob times the single-photon
+    density over the output rails, internal modes traced out."""
     n_rails = len(bundle.circuit.paths) - len(bundle.detectors)
-    result = {}
-    for cls, prob, cond in conditionals(bundle, mix):
+    sums = np.zeros((len(bundle.herald_classes), 4))
+    rails = np.zeros((len(bundle.herald_classes), n_rails, n_rails),
+                     dtype=complex)
+    for k, (_, prob, cond) in enumerate(conditionals(bundle, mix)):
         basis, rho = mixture_density(cond)  # empty for an impossible class
-        vacuum = single = multi = 0.0
-        rails = np.zeros((n_rails, n_rails), dtype=complex)
+        weights = np.zeros(3)  # 0, 1 and 2+ photons out
         for ia, occ_a in enumerate(basis):
             n_a = sum(occ_a)
-            p_diag = rho[ia, ia].real
-            if n_a == 0:
-                vacuum += p_diag
-            elif n_a == 1:
-                single += p_diag
-            else:
-                multi += p_diag
+            weights[min(n_a, 2)] += rho[ia, ia].real
             if n_a != 1:
                 continue
             mode_a = occ_a.index(1)
@@ -103,6 +105,7 @@ def heralded_analysis(bundle, mix=None) -> dict[str, ClassAnalysis]:
                 mode_b = occ_b.index(1)
                 if mode_a % 2 != mode_b % 2:
                     continue  # internal modes are traced out
-                rails[mode_a // 2, mode_b // 2] += rho[ia, ib]
-        result[cls.name] = ClassAnalysis(prob, vacuum, single, multi, rails)
-    return result
+                rails[k, mode_a // 2, mode_b // 2] += rho[ia, ib]
+        sums[k] = prob * np.concatenate(([1.0], weights))
+        rails[k] *= prob
+    return sums, rails

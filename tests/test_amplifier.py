@@ -15,7 +15,7 @@ from qubitamp.amplifier import (
     HeraldClass,
     UndefinedGainError,
     ZeroHeraldError,
-    _combine,
+    _outcome,
     build_scenario,
     build_timebin_hqa,
     compile_scenario,
@@ -193,10 +193,10 @@ class TestTimebinOracle:
         out = simulate(bundle)
         assert abs(out.per_class["psi_minus"].fidelity_conditional - 1.0) <= 1e-9
         # without the correction the overlap drops to |<psi|flipped psi>|^2
-        analysis = heralded_analysis(bundle)["psi_minus"]
-        rho = analysis.qubit_density
+        sums, rails = heralded_analysis(bundle)
+        k = [cls.name for cls in bundle.herald_classes].index("psi_minus")
         psi = q.vector()
-        raw = float((psi.conj() @ rho @ psi).real) / analysis.single_weight
+        raw = float((psi.conj() @ rails[k] @ psi).real) / sums[k, 2]
         expected = (abs(q.alpha) ** 2 - abs(q.beta) ** 2) ** 2
         assert raw == pytest.approx(expected, abs=1e-9)
 
@@ -407,10 +407,12 @@ def test_class_probabilities_keep_relative_precision(scenario, eta, dark):
         warnings.simplefilter("error", RuntimeWarning)
         got = compile_scenario(scenario, params, qubit).evaluate(
             params.p_in, params.p_a, params.mu)
-    ref = heralded_analysis(build_scenario(scenario, params, qubit))
-    for name, a in ref.items():
-        assert a.prob > 0.0
-        assert abs(got.per_class[name].herald_prob - a.prob) <= 1e-12 * a.prob
+    bundle = build_scenario(scenario, params, qubit)
+    sums, _ = heralded_analysis(bundle)
+    for cls, prob in zip(bundle.herald_classes, sums[:, 0]):
+        assert prob > 0.0
+        got_prob = got.per_class[cls.name].herald_prob
+        assert abs(got_prob - prob) <= 1e-12 * prob
 
 
 class TestScenarioTable:
@@ -437,7 +439,7 @@ class TestScenarioTable:
         monkeypatch.setattr(amplifier, "build_scenario", with_coincidence)
         params = AmplifierParams(t=0.7, p_in=0.0, p_a=0.8, eta=0.9, mu=0.5)
         bundle = with_coincidence("fock-hpa", params)
-        assert heralded_analysis(bundle)["both"].prob == 0.0
+        assert heralded_analysis(bundle)[0][-1, 0] == 0.0  # "both"
         out = compile_scenario("fock-hpa", params).evaluate(
             np.array([0.0, 0.4]), 0.8, 0.5)
         both = out.per_class["both"]
@@ -450,6 +452,21 @@ class TestScenarioTable:
         assert out.herald_prob[0] == herald.herald_prob[0] > 0.0
         assert out.p_out[0] == pytest.approx(herald.p_out[0], abs=1e-15)
 
+    def test_fidelity_undefined_without_a_photon_out(self):
+        # only dark counts herald, and no photon leaves: the fidelity is
+        # None at a scalar point and NaN at the points of an array, per
+        # class and combined
+        table = compile_scenario("fock-hpa", AmplifierParams(
+            t=1.0, p_in=0.0, p_a=0.0, eta=0.7, dark_click_prob=0.2))
+        out = table.evaluate(0.0, 0.0, 1.0)
+        for oc in (out, out.per_class["herald"]):
+            assert oc.herald_prob > 0.0 and oc.p_out == 0.0
+            assert oc.fidelity_conditional is None
+            assert np.isnan(oc.gain)
+        out = table.evaluate(np.array([0.0, 0.5]), 0.0, 1.0)
+        for oc in (out, out.per_class["herald"]):
+            assert np.isnan(oc.fidelity_conditional).all()
+
     def test_acceptance_grid_matches_full_mixture_runs(self):
         p_a, p_in = (a.ravel() for a in np.meshgrid(GRID["p_a"], GRID["p_in"],
                                                      indexing="ij"))
@@ -460,7 +477,7 @@ class TestScenarioTable:
             for k, (a, pin) in enumerate(zip(p_a, p_in)):
                 bundle = build_scenario(scenario, replace(params, p_in=pin,
                                                           p_a=a))
-                ref = _combine(bundle, heralded_analysis(bundle), pin, a)
+                ref = _outcome(bundle, *heralded_analysis(bundle), pin, a)
                 assert abs(out.herald_prob[k] - ref.herald_prob) <= 1e-12
                 assert abs(out.p_out[k] - ref.p_out) <= 1e-12
                 assert abs(out.gain[k] - ref.gain) <= 1e-12 * ref.gain

@@ -14,7 +14,6 @@ from qubitamp.fock import (
     mode_labels,
     split_by_occupation,
     tensor,
-    vacuum,
 )
 
 
@@ -270,5 +269,5 @@ class TestSplitByOccupation:
 
 def test_vacuum_paths_helper():
     labels = mode_labels(("x", "y"))
-    v = vacuum(4, labels=labels)
+    v = basis_state((0,) * 4, labels)
     assert v.path_indices("y") == (2, 3)

@@ -20,8 +20,8 @@ from qubitamp.amplifier import (
     QubitSpec,
     SCENARIOS,
     _combination_kets,
-    _combine,
     _herald_cells,
+    _outcome,
     _photon_outputs,
     build_scenario,
     compile_scenario,
@@ -97,6 +97,12 @@ def test_output_density_is_a_state_of_trace_p_out(scenario, t, p_in, p_a, eta,
         assert np.allclose(rho, rho.conj().T, rtol=0.0, atol=1e-12)
         assert np.linalg.eigvalsh(rho).min() >= -1e-12
         assert abs(np.trace(rho).real - oc.p_out) <= 1e-12
+    # the combined outcome is the classes' sum, normalised once
+    classes = out.per_class.values()
+    total = sum(oc.herald_prob for oc in classes)
+    assert abs(out.herald_prob - total) <= 1e-12
+    mixed = sum(oc.herald_prob * oc.output_qubit_density for oc in classes)
+    assert np.max(np.abs(out.output_qubit_density - mixed / total)) <= 1e-12
 
 
 @settings(max_examples=20, deadline=None)
@@ -172,7 +178,7 @@ def test_table_equals_full_mixture_run(scenario, t, p_in, p_a, eta, dark, mu,
                              dark_click_prob=dark)
     qubit = QubitSpec.from_phase(delta_phi)
     bundle = build_scenario(scenario, params, qubit)
-    ref = _combine(bundle, heralded_analysis(bundle), p_in, p_a)
+    ref = _outcome(bundle, *heralded_analysis(bundle), p_in, p_a)
     got = compile_scenario(scenario, params, qubit).evaluate(p_in, p_a, mu)
     pairs = [(got, ref)] + [(got.per_class[k], ref.per_class[k])
                             for k in ref.per_class]
@@ -213,14 +219,9 @@ def test_table_cells_equal_multiphoton_runs(scenario, t, mu, eta, dark,
                 assert abs(got.get(ket, 0.0) - want.get(ket, 0.0)) <= 1e-12
             if m == 0:
                 continue  # the table holds mu = 0 and mu = 1 only
-            ref = heralded_analysis(bundle, Mixture([run]))
-            for k, cls in enumerate(bundle.herald_classes):
-                a = ref[cls.name]
-                cells = a.prob * np.array((1.0, a.vacuum_weight,
-                                           a.single_weight, a.multi_weight))
-                assert np.max(np.abs(table.cells[m - 1, k, c] - cells)) <= 1e-12
-                assert np.max(np.abs(table.rails[m - 1, k, c]
-                                     - a.prob * a.qubit_density)) <= 1e-12
+            sums, rails = heralded_analysis(bundle, Mixture([run]))
+            assert np.max(np.abs(table.cells[m - 1, :, c] - sums)) <= 1e-12
+            assert np.max(np.abs(table.rails[m - 1, :, c] - rails)) <= 1e-12
 
 
 @settings(max_examples=30, deadline=None)
@@ -297,12 +298,12 @@ def pruned_weight_bound(bundle) -> float:
     circuit conserves photons). The reference prunes such a state when it
     is built, after each of the two internal modes of each of the E
     elements, and when the detected modes are split off: 2E + 2 times. The
-    table prunes each photon's output and each combination ket: 2 more.
-    The combinations' weights add up to at most 1, so pruning removes at
-    most (2E + 4) K DROP_TOLERANCE**2 of any probability."""
+    table prunes only each photon's output, in the photon map's FockState:
+    1 more. The combinations' weights add up to at most 1, so pruning
+    removes at most (2E + 3) K DROP_TOLERANCE**2 of any probability."""
     paths, photons = len(bundle.circuit.paths), len(bundle.slots)
     kets = math.comb(2 * paths + photons - 1, photons)
-    return (2 * len(bundle.circuit.elements) + 4) * kets * DROP_TOLERANCE ** 2
+    return (2 * len(bundle.circuit.elements) + 3) * kets * DROP_TOLERANCE ** 2
 
 
 def ratios_agree(got, want, denom, floor):
