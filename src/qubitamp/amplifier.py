@@ -23,7 +23,8 @@ class weighs them by a sum over its exclusive click patterns of
 per-detector click and no-click probabilities.
 
 Every unnormalised class quantity is linear in the table, so evaluation
-contracts all herald classes in one step (`ScenarioTable.contract`). The
+mixes the table's mu rows at mu^2, then contracts the presence weights of
+all points with it in one matrix product (`ScenarioTable.contract`). The
 combined outcome after feed-forward is the sum over classes of their
 phase-corrected rows, normalised once like each class row.
 
@@ -98,10 +99,8 @@ class AmplifierParams:
     dark_click_prob: float = 0.0
 
     def __post_init__(self):
-        for name in ("t", "p_in", "p_a", "eta", "mu"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
+        _check_unit_interval(**{name: getattr(self, name) for name in (
+            "t", "p_in", "p_a", "eta", "mu")})
         if not 0.0 <= self.dark_click_prob < 1.0:
             raise ValueError(
                 f"dark_click_prob must lie in [0, 1), got {self.dark_click_prob}")
@@ -191,15 +190,20 @@ class HeraldedOutcome:
 # -- closed forms ------------------------------------------------------
 
 
+def _check_unit_interval(**values) -> None:
+    """Raise ValueError naming the first value with entries outside [0, 1]."""
+    for name, v in values.items():  # numbers or numpy arrays
+        inside = (0.0 <= v) & (v <= 1.0)  # NaN is not; a bool for a number
+        if not (inside if isinstance(inside, bool) else inside.all()):
+            bad = np.asarray(v)[~np.asarray(inside)][0]
+            raise ValueError(f"{name} must lie in [0, 1], got {bad}")
+
+
 def gain_analytic(t: float, p_a, eta: float, p_in):
     """Closed-form heralded gain for threshold detectors of efficiency eta.
     p_a and p_in may be arrays; they broadcast against each other, and so
     does the gain. A range error names the first value outside [0, 1]."""
-    for name, v in (("t", t), ("p_a", p_a), ("eta", eta), ("p_in", p_in)):
-        v = np.asarray(v)
-        outside = ~((0.0 <= v) & (v <= 1.0))  # NaN is outside
-        if outside.any():
-            raise ValueError(f"{name} must lie in [0, 1], got {v[outside][0]}")
+    _check_unit_interval(t=t, p_a=p_a, eta=eta, p_in=p_in)
     denom = p_a * (1.0 - t) * (1.0 - p_in * eta) + p_in
     if np.any(denom <= 0.0):  # only at p_in = 0 with p_a * (1 - t) = 0
         raise UndefinedGainError(f"gain undefined for t={t}, eta={eta} at "
@@ -232,8 +236,7 @@ def visibility(rates) -> float:
 
 
 def fidelity_from_visibility(v: float) -> float:
-    if not 0.0 <= v <= 1.0:
-        raise ValueError(f"visibility must lie in [0, 1], got {v}")
+    _check_unit_interval(visibility=v)
     return (1.0 + v) / 2.0
 
 
@@ -243,15 +246,13 @@ def hom_coincidence(mu: float) -> tuple[float, float]:
     Two single photons with mode overlap mu meeting on a 50/50 splitter
     coincide with probability (1 - mu^2) / 2; the dip visibility is mu^2.
     """
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError(f"mu must lie in [0, 1], got {mu}")
+    _check_unit_interval(mu=mu)
     return (1.0 - mu * mu) / 2.0, mu * mu
 
 
 def hom_coincidence_fock(mu: float) -> float:
     """Coincidence probability from the full two-photon Fock simulation."""
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError(f"mu must lie in [0, 1], got {mu}")
+    _check_unit_interval(mu=mu)
     paths = ("a", "b")
     state = _source_state(paths, [
         {("a", MATCHED): 1.0},
@@ -430,15 +431,16 @@ def _gain(spec, p_in, p_a, p_out):
     """(gain, p_out): p_out / p_in and p_out, but below the smallest normal
     p_in without dark counts, the closed form (the p_in -> 0 limit at any mu)
     and gain * p_in. Dark counts herald a photon out at p_in = 0 (gain inf)."""
-    p_in, p_a, p_out = np.broadcast_arrays(p_in, p_a, p_out)
     with np.errstate(all="ignore"):
-        gain = np.array(p_out / p_in)
-    if spec.params.dark_click_prob == 0.0:
-        tiny = p_in < np.finfo(float).tiny
+        gain = p_out / p_in  # p_out has every axis of p_in and p_a
+    smallest = np.finfo(float).tiny
+    if spec.params.dark_click_prob == 0.0 and np.min(p_in) < smallest:
+        p_in, p_a = (np.broadcast_to(v, gain.shape) for v in (p_in, p_a))
+        tiny = p_in < smallest
         gain[tiny] = gain_analytic(spec.params.t, p_a[tiny], spec.params.eta,
                                    p_in[tiny])
         p_out = np.where(tiny, gain * p_in, p_out)
-    return gain[()], p_out[()]
+    return gain, p_out
 
 
 def _outcome(spec, sums, rails, p_in, p_a) -> HeraldedOutcome:
@@ -467,15 +469,15 @@ def _outcome(spec, sums, rails, p_in, p_a) -> HeraldedOutcome:
         raise ZeroHeraldError(
             f"herald probability vanishes for scenario {spec.scenario}")
     denom = np.where(prob > MIN_OUTCOME_PROB, prob, 1.0)
-    vacuum, single, multi = np.moveaxis(sums[..., 1:] / denom[..., None],
-                                        -1, 0)
+    vacuum, single, multi = (sums[..., i] / denom for i in (1, 2, 3))
     rho = rails / denom[..., None, None]
     gain, p_out = _gain(spec, p_in, p_a, single)
+    # <psi|rho|psi> as one contraction of each rho, whose trace is single
     psi = np.ones(1) if spec.qubit is None else spec.qubit.vector()
-    tr = np.trace(rho, axis1=-2, axis2=-1).real
-    some = tr > 1e-30
-    fidelity = (np.where(some, (psi.conj() @ rho @ psi).real, np.nan)
-                / np.where(some, tr, 1.0))
+    overlap = (rho.reshape(rho.shape[:-2] + (-1,))
+               @ np.outer(psi.conj(), psi).ravel()).real
+    some = single > 1e-30
+    fidelity = np.where(some, overlap, np.nan) / np.where(some, single, 1.0)
 
     def row(k, name, per_class=None):
         f = None if np.ndim(some[k]) == 0 and not some[k] else fidelity[k]
@@ -502,24 +504,26 @@ class ScenarioTable:
     cells: np.ndarray
     rails: np.ndarray
 
-    def contract(self, p_in, p_a) -> tuple[np.ndarray, np.ndarray]:
-        """cells and rails summed over the presence combinations, weighted
-        at input and ancilla presence probabilities p_in, p_a:
-        sums[m, k, ..., 4] and rails[m, k, ..., r, r], where ... is the
-        shape p_in and p_a broadcast to."""
+    def contract(self, p_in, p_a, mu) -> tuple[np.ndarray, np.ndarray]:
+        """cells and rails mixed at overlap mu, then summed over presence
+        combinations weighted at presence probabilities p_in, p_a, by one
+        matrix product over the flattened points: sums[..., k, ..., 4] and
+        rails[..., k, ..., r, r]; mu's axes lead, p_in's and p_a's follow k."""
         n_ancillas = self.cells.shape[2].bit_length() - 2
         weights = _presence_weights([p_in] + [p_a] * n_ancillas)
-        return (np.einsum("...c,mkcf->mk...f", weights, self.cells),
-                np.einsum("...c,mkcij->mk...ij", weights, self.rails))
+        points = weights.reshape(-1, weights.shape[-1])
+        m, n = np.square(mu), np.ndim(mu) + 1  # n: the axes up to the class
+        mixed = [np.multiply.outer(1.0 - m, t[0]) + np.multiply.outer(m, t[1])
+                 for t in (self.cells, self.rails)]
+        return tuple((points @ t.reshape(t.shape[:n + 1] + (-1,))).reshape(
+            t.shape[:n] + weights.shape[:-1] + t.shape[n + 1:]) for t in mixed)
 
-    def evaluate(self, p_in, p_a, mu: float) -> HeraldedOutcome:
+    def evaluate(self, p_in, p_a, mu) -> HeraldedOutcome:
         """Heralded outcome at input and ancilla presence probabilities
-        p_in, p_a and overlap mu. p_in and p_a may be arrays: they
-        broadcast against each other, and so does every outcome field."""
-        m = mu * mu
-        sums, rails = self.contract(p_in, p_a)
-        return _outcome(self, (1.0 - m) * sums[0] + m * sums[1],
-                        (1.0 - m) * rails[0] + m * rails[1], p_in, p_a)
+        p_in, p_a and overlap mu, each in [0, 1]. p_in and p_a may be arrays:
+        they broadcast against each other, and so does every outcome field."""
+        _check_unit_interval(p_in=p_in, p_a=p_a, mu=mu)
+        return _outcome(self, *self.contract(p_in, p_a, mu), p_in, p_a)
 
 
 def _photon_outputs(bundle: ScenarioBundle) -> np.ndarray:
@@ -573,22 +577,25 @@ def _herald_cells(bundle: ScenarioBundle, photons) -> tuple[np.ndarray, ...]:
     # each ket's class weights, [ket, class, 1]
     weights = np.add.reduceat(products, starts).T[
         det @ (base ** np.arange(n_det - 1, -1, -1)).repeat(2), :, None]
-    in_cell = cell == np.arange(n_sets << n_photons)[:, None]
 
-    # the norm, then the norm with 0, 1 and 2+ photons out
+    # the norm, then the norm with 0, 1 and 2+ photons out, summed over the
+    # kets of each cell: none is empty, as each present photon has norm 1
     n_out = out.sum(axis=1)
-    cells = in_cell @ (weights * abs(amp[:, None, None]) ** 2 * np.array(
+    cell_start = np.concatenate(([True], cell[1:] != cell[:-1]))
+    assert cell_start.sum() == n_sets << n_photons
+    cells = np.add.reduceat((weights * abs(amp[:, None, None]) ** 2 * np.array(
         ((1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1)))[np.minimum(n_out, 2), None]
-                       ).reshape(len(amp), -1)
+                             ).reshape(len(amp), -1), cell_start.nonzero()[0])
     # the single photons out of each group, [group, rail, internal mode]
     group = cell * base ** (2 * n_det) + det @ base ** np.arange(2 * n_det)
     first = np.concatenate(([True], group[1:] != group[:-1])).nonzero()[0]
     single = np.add.reduceat(out * (amp * (n_out == 1))[:, None], first
                              ).reshape(len(first), n_rails, 2)
     shape = (n_sets, 1 << n_photons, len(bundle.herald_classes))
-    rails = in_cell[:, first] @ (weights[first] * (
-        single @ single.conj().swapaxes(1, 2)).reshape(
-            len(first), 1, n_rails ** 2)).reshape(len(first), -1)
+    rails = np.add.reduceat((weights[first] * (
+        single[:, :, None] * single.conj()[:, None]).sum(-1).reshape(
+            len(first), 1, n_rails ** 2)).reshape(len(first), -1),
+                            cell_start[first].nonzero()[0])
     cells = cells.reshape(shape + (4,)).swapaxes(1, 2)
     rails = rails.reshape(shape + (n_rails, n_rails)).swapaxes(1, 2)
     impossible = cells[..., 0] <= MIN_OUTCOME_PROB
@@ -654,7 +661,7 @@ def _fringe_ends(params: AmplifierParams) -> np.ndarray:
     zero-phase qubit, or 0 for a class that cannot herald. The total herald
     probability is affine in mu^2 and the same at every phase."""
     sums, rails = compile_scenario("timebin-hqa", params).contract(
-        params.p_in, params.p_a)
+        params.p_in, params.p_a, np.array((0.0, 1.0)))
     prob = sums[..., 0]
     if prob.sum(axis=1).max() <= 1e-30:
         raise ZeroHeraldError(
@@ -700,8 +707,7 @@ def mu_for_visibility(target: float, params: AmplifierParams,
     at mu = 1 or at most the one at mu = 0, else the root of
     |R(0) - R(pi)| = target (R(0) + R(pi)), which is linear in mu^2. As
     R_minus(0) = R_plus(pi), both classes share this curve."""
-    if not 0.0 <= target <= 1.0:
-        raise ValueError(f"target visibility must lie in [0, 1], got {target}")
+    _check_unit_interval(**{"target visibility": target})
     if herald_class not in {cls.name for cls in _TIMEBIN_CLASSES}:
         raise KeyError(f"unknown herald class {herald_class!r}")
     ends = _fringe_ends(params)  # [mu, (R_plus(0), R_plus(pi))]

@@ -172,15 +172,13 @@ def params_from_config(cfg: dict, pin: float | None = None) -> AmplifierParams:
     )
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return format(x, ".9g")
-    return str(x)
-
-
 def write_csv(out: str | None, header: list[str], rows) -> None:
     """CSV text of the header and `rows` (any iterable of rows) to the file
     `out`, or to stdout if out is None.
+
+    A float (or float subclass, such as numpy.float64) is written as
+    format(x, ".9g") and any other value as str(x): each row by one % with
+    a template of "%.9g" and "%s" fields, built once per tuple of types.
 
     An existing file is overwritten in place and then cut to the new length,
     not truncated to zero first: on ext4 (auto_da_alloc) a truncate to zero
@@ -190,8 +188,14 @@ def write_csv(out: str | None, header: list[str], rows) -> None:
     /dev/stdout) take the bytes as a stream. A write that fails part way
     cuts the file to zero, so it never holds new rows followed by old ones.
     A path that cannot be opened or written is a ValueError that names it."""
-    text = "\n".join([",".join(header)]
-                     + [",".join(_fmt(v) for v in row) for row in rows]) + "\n"
+    lines, templates = [",".join(header)], {}
+    for row in map(tuple, rows):
+        kinds = tuple(map(type, row))
+        if kinds not in templates:
+            templates[kinds] = ",".join(
+                "%.9g" if issubclass(k, float) else "%s" for k in kinds)
+        lines.append(templates[kinds] % row)
+    text = "\n".join(lines) + "\n"
     if out is None:
         sys.stdout.write(text)
         return

@@ -34,8 +34,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .amplifier import (AmplifierParams, HeraldClass, QubitSpec,
-                        _herald_cells, _photon_outputs, _presence_weights,
-                        build_scenario)
+                        _check_unit_interval, _herald_cells, _photon_outputs,
+                        _presence_weights, build_scenario)
 from .circuits import BeamSplitter, Circuit, PhaseShift
 from .detection import CLICK, NO_CLICK, Detector, DetectorSpec
 # Not called here: benchmarks/spans.py wraps montecarlo.run_circuit, measure
@@ -143,9 +143,7 @@ def sample_events(params: AmplifierParams, n_pulses: int, seed: int,
         raise ValueError(f"n_pulses must lie in [1, 2**63 - 1], got {n_pulses}")
     if not 0 <= seed <= 2**128 - 1:  # the key range of the Philox stream
         raise ValueError(f"seed must lie in [0, 2**128 - 1], got {seed}")
-    for name, v in (("eta_herald", eta_herald), ("eta_out", eta_out)):
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {v}")
+    _check_unit_interval(eta_herald=eta_herald, eta_out=eta_out)
 
     bundle = build_scenario(scenario, params, qubit)
     tail, d4 = _analyzer_setup(bundle, analyzer_phi, eta_out)

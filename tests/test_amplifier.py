@@ -425,6 +425,22 @@ class TestScenarioTable:
         with pytest.raises(ZeroHeraldError):  # one such point spoils a grid
             table.evaluate(np.array([0.0, 0.5]), np.array([0.0, 0.5]), 1.0)
 
+    @pytest.mark.parametrize("point, name", [
+        ((1.5, 0.9, 1.0), "p_in"),  # herald_prob 1.047 once
+        ((np.array([0.2, -0.1]), 0.9, 1.0), "p_in"),
+        ((0.2, -0.5, 1.0), "p_a"),  # gain -2.87 once
+        ((0.2, np.array([0.9, math.nan]), 1.0), "p_a"),
+        ((0.2, 0.9, 2.0), "mu"),  # mu^2 = 4 extrapolated the mu rows once
+        ((0.2, 0.9, math.nan), "mu"),
+        ((math.nan, -0.5, 2.0), "p_in"),  # the first bad value is named
+    ])
+    def test_evaluate_rejects_values_outside_the_unit_interval(self, point,
+                                                               name):
+        table = compile_scenario(
+            "fock-hpa", AmplifierParams(t=0.9, p_in=0.2, p_a=0.9, eta=0.7))
+        with pytest.raises(ValueError, match=f"^{name} must lie in"):
+            table.evaluate(*point)
+
     def test_impossible_class_has_probability_zero(self, monkeypatch):
         # a two-click class on the Fock amplifier needs two distinguishable
         # photons, so it is impossible without the input photon and dark

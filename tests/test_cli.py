@@ -1,4 +1,6 @@
+import contextlib
 import errno
+import io
 import math
 import os
 import re
@@ -8,7 +10,9 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qubitamp import cli
 from qubitamp.checks import CHECKS
@@ -337,6 +341,36 @@ class TestOutFile:
         assert run(["hom", "--out", str(out)]) == EXIT_OK
         assert stat.S_IMODE(out.stat().st_mode) == 0o600
         assert out.read_text().startswith("mu,")
+
+
+#: Values of every type the commands write, and the float edges where
+#: %-formatting and format() could part: signed zeros, infinities, NaN,
+#: subnormals and values of 1e16 and above.
+csv_values = st.one_of(
+    st.floats(), st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
+                     5e-324, -2.2250738585072e-308, 1e16, 1.2345678955e17,
+                     -9.9999999995e22, 1.7976931348623157e308]),
+    st.integers(), st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.booleans(), st.text())
+
+
+@settings(max_examples=200, deadline=None)
+@given(header=st.lists(st.text(), min_size=1, max_size=4),
+       rows=st.lists(st.lists(csv_values, max_size=5), max_size=6))
+# rows whose value types change from row to row at one length
+@example(header=["a", "b"], rows=[
+    [1.5, "x"], ["x", 1.5], [np.float32(1.5), True], [np.float64(-0.0), 2],
+    [np.int64(3), math.nan], [1e16, np.float64(5e-324)]])
+def test_write_csv_bytes_equal_reference(header, rows):
+    reference = "\n".join([",".join(header)] + [",".join(
+        format(v, ".9g") if isinstance(v, float) else str(v) for v in row)
+        for row in rows]) + "\n"
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        cli.write_csv(None, header, rows)
+    assert text.getvalue() == reference
 
 
 def test_out_of_memory_is_numerical_error(monkeypatch, capsys):

@@ -193,6 +193,42 @@ def test_table_equals_full_mixture_run(scenario, t, p_in, p_a, eta, dark, mu,
                             r.p_out, floor)
 
 
+def same_value(got, want) -> bool:
+    """Equal to 1e-15 relative to max(1, |want|); NaN matches NaN, and a
+    None (a scalar point's undefined fidelity) matches NaN."""
+    if want is None or np.isnan(want):
+        return bool(np.isnan(got))
+    return got == want or abs(got - want) <= 1e-15 * max(1.0, abs(want))
+
+
+@settings(max_examples=20, deadline=None)
+@given(scenario=st.sampled_from(SCENARIOS), t=transmission, eta=positive,
+       mu=unit, dark=st.floats(0.0, 0.5), delta_phi=angles,
+       p_in=st.lists(unit, min_size=1, max_size=4),
+       p_a=st.lists(positive, min_size=1, max_size=3))
+def test_array_evaluate_equals_scalar_evaluate(scenario, t, eta, mu, dark,
+                                               delta_phi, p_in, p_a):
+    # the points of a 2-D broadcast are flattened into one matrix product
+    # and reshaped back, so each must read as if evaluated on its own
+    table = compile_scenario(scenario, AmplifierParams(
+        t=t, p_in=1.0, p_a=1.0, eta=eta, dark_click_prob=dark),
+                             QubitSpec.from_phase(delta_phi))
+    p_in, p_a = np.array(p_in), np.array(p_a)
+    grid = table.evaluate(p_in[:, None], p_a[None, :], mu)
+    assert grid.herald_prob.shape == (len(p_in), len(p_a))
+    for (i, pin), (j, pa) in itertools.product(enumerate(p_in),
+                                               enumerate(p_a)):
+        point = table.evaluate(float(pin), float(pa), mu)
+        for g, s in [(grid, point)] + [(grid.per_class[k], point.per_class[k])
+                                       for k in point.per_class]:
+            assert g.herald_class == s.herald_class
+            for field in ("herald_prob", "p_out", "gain", "vacuum_weight",
+                          "multi_weight", "fidelity_conditional"):
+                assert same_value(getattr(g, field)[i, j], getattr(s, field))
+            assert np.max(np.abs(g.output_qubit_density[i, j]
+                                 - s.output_qubit_density)) <= 1e-15
+
+
 @settings(max_examples=15, deadline=None)
 @given(scenario=st.sampled_from(SCENARIOS), t=unit, mu=unit, eta=unit,
        dark=st.floats(0.0, 0.9), delta_phi=angles)
