@@ -18,9 +18,9 @@ circuits map each photon's creation operator on its own, by the circuit's
 path transfer matrix, and act alike on both internal modes, so all source
 photons go through one circuit run at mu = 1, one branch each; at mu = 0
 an ancilla leaves the same way in the orthogonal mode. The kets of every
-combination are built as arrays from the mapped photons, and each herald
-class weighs them by a sum over its exclusive click patterns of
-per-detector click and no-click probabilities.
+combination are built as arrays from the mapped photons, the click model
+weighs them for each herald class at their photon counts at the detectors,
+and the weighted kets sum to each cell's probabilities and rail densities.
 
 Every unnormalised class quantity is linear in the table, so evaluation
 mixes the table's mu rows at mu^2, then contracts the presence weights of
@@ -325,11 +325,13 @@ def _presence_weights(probs) -> np.ndarray:
     with probabilities `probs`, on a last axis whose entry c is the
     combination with presence bits, slot 0 first, the binary digits of c.
     Entries of probs may be arrays; they broadcast against each other."""
-    weights = np.ones(np.broadcast_shapes(*map(np.shape, probs)) + (1,))
-    for p in probs:
-        p = np.asarray(p, dtype=float)[..., None, None]
-        weights = (weights[..., :, None] * np.concatenate((1.0 - p, p), -1)
-                   ).reshape(weights.shape[:-1] + (-1,))
+    p = np.empty((len(probs),) + np.broadcast(*probs).shape + (1,))
+    for i, p_i in enumerate(probs):
+        p[i, ..., 0] = p_i
+    weights, *factors = np.concatenate((1.0 - p, p), -1)  # [slot, ..., 2]
+    for f in factors:
+        weights = (weights[..., None] * f[..., None, :]).reshape(
+            f.shape[:-1] + (-1,))
     return weights
 
 
@@ -540,64 +542,78 @@ def _photon_outputs(bundle: ScenarioBundle) -> np.ndarray:
                     dtype=complex)
 
 
-def _herald_cells(bundle: ScenarioBundle, photons) -> tuple[np.ndarray, ...]:
-    """cells and rails (see ScenarioTable) of every presence combination of
-    the photon outputs photons[m] (see _combination_kets) in one pass; the
-    rails are the paths no detector watches."""
+def _herald_kets(bundle: ScenarioBundle, photons) -> tuple[np.ndarray, ...]:
+    """(starts, det, out, amp): the kets of photons[set, photon, mode] (see
+    _combination_kets), starts indexing each cell's first, with det[ket, 2 *
+    detector + internal mode] the detected modes, sorted first so that the
+    kets of a cell group by det, each group coherent, and out the rails."""
     labels = mode_labels(bundle.circuit.paths)
     detected = [labels.index((d.path, i)) for d in bundle.detectors
                 for i in (MATCHED, ORTHOGONAL)]
-    kept = [i for i in range(len(labels)) if i not in detected]
-    n_det, n_rails = len(bundle.detectors), len(kept) // 2
-    n_sets, n_photons = photons.shape[:2]
-    base = n_photons + 1  # above any photon count
-    # detected modes first: the kets of a cell come grouped by detected
-    # occupation, and the kets of one group are coherent
-    cell, occ, amp = _combination_kets(photons[..., detected + kept])
-    det, out = occ[:, :2 * n_det], occ[:, 2 * n_det:]
+    cell, occ, amp = _combination_kets(photons[..., detected + [
+        i for i in range(len(labels)) if i not in detected]])
+    starts = np.concatenate(([True], cell[1:] != cell[:-1])).nonzero()[0]
+    return starts, occ[:, :len(detected)], occ[:, len(detected):], amp
 
-    # each class's probability at every vector of photon counts at the
-    # detectors, [class, count vector]: the sum over its patterns of the
-    # product over detectors of the no-click or click probability, or 1
+
+def _click_model(bundle: ScenarioBundle, det) -> np.ndarray:
+    """Class weights [class, ket] at the detected occupations det (see
+    _herald_kets): the sum over the class's patterns of the product over
+    the detectors, in order, of the no-click or click probability at the
+    detector's photon count n (up to the source photons), or 1, per ket."""
+    n_det, n = len(bundle.detectors), np.arange(len(bundle.slots) + 1)
     eta, dark = np.array([(d.spec.eta, d.spec.dark_click_prob)
                           for d in bundle.detectors]).T[..., None]
-    n = np.arange(base)
     model = np.array((no_click_weight(n, eta, dark), click_prob(n, eta, dark),
-                      np.ones((n_det, base))))  # [requirement, detector, n]
+                      np.ones((n_det, len(n)))))  # [requirement, detector, n]
     choice = {NO_CLICK: 0, CLICK: 1, ANY: 2}
-    factors = model[[[choice[p.get(d.name, ANY)] for d in bundle.detectors]
-                     for cls in bundle.herald_classes for p in cls.patterns],
-                    np.arange(n_det)]  # [pattern, detector, n]
-    products = factors[:, 0]
-    for d in range(1, n_det):  # detector 0 the most significant digit
-        products = (products[:, :, None] * factors[:, d, None]).reshape(
-            len(factors), -1)
-    starts = list(itertools.accumulate(
-        (len(cls.patterns) for cls in bundle.herald_classes[:-1]), initial=0))
-    # each ket's class weights, [ket, class, 1]
-    weights = np.add.reduceat(products, starts).T[
-        det @ (base ** np.arange(n_det - 1, -1, -1)).repeat(2), :, None]
+    offset = np.array([[(choice[p.get(d.name, ANY)] * n_det + i) * len(n)
+                        for i, d in enumerate(bundle.detectors)]
+                       for c in bundle.herald_classes for p in c.patterns])
+    counts = det[:, 0::2] + det[:, 1::2]  # [ket, detector]
+    products = model.take(offset[:, :, None] + counts.T).prod(axis=1)
+    return np.add.reduceat(products, list(itertools.accumulate(
+        (len(cls.patterns) for cls in bundle.herald_classes[:-1]), initial=0)))
 
-    # the norm, then the norm with 0, 1 and 2+ photons out, summed over the
-    # kets of each cell: none is empty, as each present photon has norm 1
-    n_out = out.sum(axis=1)
-    cell_start = np.concatenate(([True], cell[1:] != cell[:-1]))
-    assert cell_start.sum() == n_sets << n_photons
-    cells = np.add.reduceat((weights * abs(amp[:, None, None]) ** 2 * np.array(
-        ((1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1)))[np.minimum(n_out, 2), None]
-                             ).reshape(len(amp), -1), cell_start.nonzero()[0])
+
+def _cell_sums(starts, out, amp, weights) -> np.ndarray:
+    """Each class's probability, and that with 0, 1 and 2+ photons out,
+    summed over the kets of each cell, [cell, class, 4] (see _herald_kets
+    and _click_model). No cell is empty: a present photon has norm 1."""
+    by_out = np.array(((1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1)))  # 0, 1, 2+
+    return np.add.reduceat((weights.T[:, :, None] * abs(amp[:, None, None]) ** 2
+                            * by_out[np.minimum(out.sum(axis=1), 2), None]
+                            ).reshape(len(amp), -1), starts).reshape(
+                                len(starts), len(weights), 4)
+
+
+def _rail_densities(starts, det, out, amp, weights) -> np.ndarray:
+    """Each class's single-photon density over the rails times its
+    probability, summed over the coherent groups of each cell, [cell,
+    class, rail, rail] (see _cell_sums)."""
+    group_start = np.concatenate(([True], (det[1:] != det[:-1]).any(axis=1)))
+    group_start[starts] = True
+    first, n_rails = group_start.nonzero()[0], out.shape[1] // 2
     # the single photons out of each group, [group, rail, internal mode]
-    group = cell * base ** (2 * n_det) + det @ base ** np.arange(2 * n_det)
-    first = np.concatenate(([True], group[1:] != group[:-1])).nonzero()[0]
-    single = np.add.reduceat(out * (amp * (n_out == 1))[:, None], first
-                             ).reshape(len(first), n_rails, 2)
-    shape = (n_sets, 1 << n_photons, len(bundle.herald_classes))
-    rails = np.add.reduceat((weights[first] * (
-        single[:, :, None] * single.conj()[:, None]).sum(-1).reshape(
-            len(first), 1, n_rails ** 2)).reshape(len(first), -1),
-                            cell_start[first].nonzero()[0])
-    cells = cells.reshape(shape + (4,)).swapaxes(1, 2)
-    rails = rails.reshape(shape + (n_rails, n_rails)).swapaxes(1, 2)
+    single = np.add.reduceat(out * (amp * (out.sum(axis=1) == 1))[:, None],
+                             first).reshape(len(first), n_rails, 2)
+    pairs = (single[:, :, None] * single.conj()[:, None]).sum(-1).reshape(
+        len(first), 1, n_rails ** 2)  # [group, 1, rail * rail]
+    rails = np.add.reduceat((weights[:, first].T[:, :, None] * pairs).reshape(
+        len(first), -1), first.searchsorted(starts))
+    return rails.reshape(len(starts), len(weights), n_rails, n_rails)
+
+
+def _herald_cells(bundle: ScenarioBundle, photons) -> tuple[np.ndarray, ...]:
+    """cells and rails (see ScenarioTable) of every presence combination of
+    the photon outputs photons[m]: the kets, the click model, the cell sums
+    and the rail densities, each cell at or below MIN_OUTCOME_PROB zeroed."""
+    starts, det, out, amp = _herald_kets(bundle, photons)
+    weights = _click_model(bundle, det)
+    shape = (len(photons), 1 << photons.shape[1], len(weights))
+    cells, rails = (t.reshape(shape + t.shape[2:]).swapaxes(1, 2) for t in (
+        _cell_sums(starts, out, amp, weights),
+        _rail_densities(starts, det, out, amp, weights)))
     impossible = cells[..., 0] <= MIN_OUTCOME_PROB
     cells[impossible], rails[impossible] = 0.0, 0.0
     return cells, rails
@@ -617,9 +633,8 @@ def compile_scenario(scenario: str, params: AmplifierParams,
     photons = np.array((at_1, at_1))
     photons[0, 1:] = 0.0
     photons[0, 1:, 1::2] = at_1[1:, 0::2]
-    cells, rails = _herald_cells(bundle, photons)
     return ScenarioTable(scenario, params, bundle.qubit,
-                         bundle.herald_classes, cells, rails)
+                         bundle.herald_classes, *_herald_cells(bundle, photons))
 
 
 def simulate(bundle: ScenarioBundle) -> HeraldedOutcome:

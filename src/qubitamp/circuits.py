@@ -155,11 +155,8 @@ def apply_loss(m: Mixture, path: str, eta_keep: float) -> Mixture:
     for b in m:
         partial = [(b.weight, b.state)]
         for idx in b.state.path_indices(path):
-            grown = []
-            for w, s in partial:
-                for wk, cond in _mode_loss(s, idx, eta_keep):
-                    grown.append((w * wk, cond))
-            partial = grown
+            partial = [(w * wk, cond) for w, s in partial
+                       for wk, cond in _mode_loss(s, idx, eta_keep)]
         out.extend(Branch(w, s) for w, s in partial)
     return Mixture(out)
 
@@ -230,30 +227,23 @@ def mixture_density(m: Mixture, modes=None):
     support (restricted to `modes` if given, tracing out the rest) and rho
     the corresponding matrix. Intended for small conditioned registers.
     """
-    import numpy as np
-
     if not m.branches:
         return [], np.zeros((0, 0), dtype=complex)
     n_modes = m.branches[0].state.n_modes
     modes = tuple(range(n_modes)) if modes is None else tuple(modes)
     traced = tuple(i for i in range(n_modes) if i not in modes)
 
-    terms = []  # (traced occupation, kept occupation, amplitude, branch id)
-    support = set()
+    # (kept occupation, amplitude) by (branch, traced occupation): coherence
+    # survives only within one such group
+    by_key: dict = {}
     for bid, b in enumerate(m):
         scale = math.sqrt(b.weight)
         for occ, amp in b.state.amplitudes.items():
-            kept = tuple(occ[i] for i in modes)
-            rest = tuple(occ[i] for i in traced)
-            terms.append((rest, kept, amp * scale, bid))
-            support.add(kept)
-    basis = sorted(support)
+            by_key.setdefault((bid, tuple(occ[i] for i in traced)), []).append(
+                (tuple(occ[i] for i in modes), amp * scale))
+    basis = sorted({kept for entries in by_key.values() for kept, _ in entries})
     index = {occ: i for i, occ in enumerate(basis)}
     rho = np.zeros((len(basis), len(basis)), dtype=complex)
-    # group by (branch, traced occupation): coherence survives only within
-    by_key: dict = {}
-    for rest, kept, amp, bid in terms:
-        by_key.setdefault((bid, rest), []).append((kept, amp))
     for entries in by_key.values():
         for ka, va in entries:
             for kb, vb in entries:

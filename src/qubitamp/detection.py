@@ -132,18 +132,12 @@ def pattern_outcomes(pattern: dict[str, str], detectors: list[Detector]
     unknown = set(pattern) - names
     if unknown:
         raise ValueError(f"pattern references unknown detectors {unknown}")
-    choices = []
-    for d in detectors:
-        req = pattern.get(d.name, ANY)
-        if req == CLICK:
-            choices.append((True,))
-        elif req == NO_CLICK:
-            choices.append((False,))
-        elif req == ANY:
-            choices.append((False, True))
-        else:
+    options = {CLICK: (True,), NO_CLICK: (False,), ANY: (False, True)}
+    reqs = [pattern.get(d.name, ANY) for d in detectors]
+    for req in reqs:
+        if req not in options:
             raise ValueError(f"bad outcome requirement {req!r}")
-    return list(itertools.product(*choices))
+    return list(itertools.product(*map(options.get, reqs)))
 
 
 def condition(table: dict[tuple[bool, ...], tuple[float, Mixture]],

@@ -123,10 +123,8 @@ def basis_state(occ, labels=()) -> FockState:
 
 def tensor(a: FockState, b: FockState) -> FockState:
     """Tensor product; mode registries concatenate, amplitudes multiply."""
-    amps: dict[Occupation, complex] = {}
-    for ka, va in a.amplitudes.items():
-        for kb, vb in b.amplitudes.items():
-            amps[ka + kb] = va * vb
+    amps = {ka + kb: va * vb for ka, va in a.amplitudes.items()
+            for kb, vb in b.amplitudes.items()}
     labels = a.labels + b.labels if (a.labels or b.labels) else ()
     return FockState(a.n_modes + b.n_modes, amps, labels)
 

@@ -34,8 +34,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .amplifier import (AmplifierParams, HeraldClass, QubitSpec,
-                        _check_unit_interval, _herald_cells, _photon_outputs,
-                        _presence_weights, build_scenario)
+                        _cell_sums, _check_unit_interval, _click_model,
+                        _herald_kets, _photon_outputs, _presence_weights,
+                        build_scenario)
 from .circuits import BeamSplitter, Circuit, PhaseShift
 from .detection import CLICK, NO_CLICK, Detector, DetectorSpec
 # Not called here: benchmarks/spans.py wraps montecarlo.run_circuit, measure
@@ -107,8 +108,9 @@ def _branch_outcome_table(bundle, tail: Circuit, d4: Detector) -> np.ndarray:
 
     The analyzer `tail` is passive and linear too, so it joins the
     amplifier circuit, d4 joins the heralding detectors and each herald
-    class splits in two by the d4 outcome; one photon-by-photon pass at the
-    bundle's mu (see amplifier.compile_scenario) gives every pair. Returns
+    class splits in two by the d4 outcome. One photon-by-photon pass at the
+    bundle's mu gives every pair: the kets, the click model and the cell
+    sums of amplifier._herald_cells, without its rail densities. Returns
     an (n_classes, 2) array indexed by [class, d4 clicked]; the remaining
     probability corresponds to "no herald".
     """
@@ -121,9 +123,10 @@ def _branch_outcome_table(bundle, tail: Circuit, d4: Detector) -> np.ndarray:
             HeraldClass(cls.name, tuple({**p, d4.name: o}
                                         for p in cls.patterns))
             for cls in bundle.herald_classes for o in (NO_CLICK, CLICK)))
-    cells, _ = _herald_cells(probe, _photon_outputs(probe)[None])
+    starts, det, out, amp = _herald_kets(probe, _photon_outputs(probe)[None])
+    sums = _cell_sums(starts, out, amp, _click_model(probe, det))
     weights = _presence_weights([p for p, _ in bundle.slots])
-    return (cells[0, ..., 0] @ weights).reshape(-1, 2)
+    return (sums[..., 0].T @ weights).reshape(-1, 2)
 
 
 def sample_events(params: AmplifierParams, n_pulses: int, seed: int,

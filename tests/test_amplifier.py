@@ -505,8 +505,10 @@ class TestScenarioTable:
         # every source photon of a table goes through one circuit run, a
         # branch each, mapped by the transfer matrix: the circuit acts alike
         # on both internal modes, so the mu = 0 half of the table needs no
-        # runs of its own, and the sampler's table needs one run too
-        runs, expansions = [], []
+        # runs of its own, and the sampler's table needs one run too. The
+        # sampler reads only the class probabilities, so it builds no rails
+        runs, expansions, rails = [], [], []
+        rail_densities = amplifier._rail_densities
 
         def counting(m, c):
             runs.append(len(m))
@@ -516,12 +518,19 @@ class TestScenarioTable:
             expansions.append(args)
             return apply_two_mode_unitary(*args)
 
+        def densities(*args):
+            rails.append(args)
+            return rail_densities(*args)
+
         monkeypatch.setattr(amplifier, "run_circuit", counting)
         monkeypatch.setattr(circuits, "apply_two_mode_unitary", expanding)
+        monkeypatch.setattr(amplifier, "_rail_densities", densities)
         params = AmplifierParams(t=0.7, p_in=0.5, p_a=0.8, eta=0.7, mu=0.6)
         compile_scenario(scenario, params)
         assert runs == [photons]
+        assert len(rails) == 1
         bundle = build_scenario(scenario, params)
         _branch_outcome_table(bundle, *_analyzer_setup(bundle, 0.3, 0.9))
         assert runs == [photons, photons]
+        assert len(rails) == 1
         assert not expansions

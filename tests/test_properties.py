@@ -6,8 +6,10 @@ generator. Example counts are kept small: each property runs in a few
 seconds at most.
 """
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +25,7 @@ from qubitamp.amplifier import (
     _herald_cells,
     _outcome,
     _photon_outputs,
+    _presence_weights,
     build_scenario,
     compile_scenario,
     fringe_scan,
@@ -56,6 +59,20 @@ angles = st.floats(0.0, 2.0 * math.pi)
 #: no ancilla or input photon at zero, no ancilla reflected at t = 1.
 positive = st.floats(0.05, 1.0)
 transmission = st.floats(0.0, 0.99)
+
+
+def detector_specs(max_dark):
+    """(eta, dark count) for each of up to five detectors: the time-bin
+    probe's four heralding detectors and the analyzer's."""
+    return st.lists(st.tuples(unit, st.floats(0.0, max_dark)), min_size=5,
+                    max_size=5)
+
+
+def with_specs(bundle, specs):
+    """The bundle with detector i at efficiency and dark count specs[i]."""
+    return replace(bundle, detectors=tuple(
+        replace(d, spec=DetectorSpec(*s)) for d, s in zip(bundle.detectors,
+                                                          specs)))
 
 
 @settings(max_examples=50, deadline=None)
@@ -262,21 +279,23 @@ def test_table_cells_equal_multiphoton_runs(scenario, t, mu, eta, dark,
 
 @settings(max_examples=30, deadline=None)
 @given(scenario=st.sampled_from(SCENARIOS), t=unit, p_in=unit, p_a=unit,
-       eta=unit, dark=st.floats(0.0, 0.5), mu=unit, analyzer_phi=angles,
+       specs=detector_specs(0.5), mu=unit, analyzer_phi=angles,
        eta_out=unit, delta_phi=angles)
 # both time-bin ancillas reach the output, the input photon clicks on one
 # rail and a dark count on the other: the analyzer sees two photons
-@example(scenario="timebin-hqa", t=0.8, p_in=1.0, p_a=1.0, eta=0.9, dark=0.4,
-         mu=0.6, analyzer_phi=0.3, eta_out=0.7, delta_phi=1.1)
-def test_analyzer_split_equals_full_mixture_run(scenario, t, p_in, p_a, eta,
-                                                dark, mu, analyzer_phi,
-                                                eta_out, delta_phi):
+@example(scenario="timebin-hqa", t=0.8, p_in=1.0, p_a=1.0,
+         specs=[(0.9, 0.4)] * 5, mu=0.6, analyzer_phi=0.3, eta_out=0.7,
+         delta_phi=1.1)
+def test_analyzer_split_equals_full_mixture_run(scenario, t, p_in, p_a, specs,
+                                                mu, analyzer_phi, eta_out,
+                                                delta_phi):
     # the sampler's (herald class, analyzer click) cells from one
     # photon-by-photon pass through amplifier and analyzer, against each
-    # class's conditional output run through the analyzer and measured
-    params = AmplifierParams(t=t, p_in=p_in, p_a=p_a, eta=eta, mu=mu,
-                             dark_click_prob=dark)
-    bundle = build_scenario(scenario, params, QubitSpec.from_phase(delta_phi))
+    # class's conditional output run through the analyzer and measured,
+    # with each heralding detector's efficiency and dark count drawn
+    params = AmplifierParams(t=t, p_in=p_in, p_a=p_a, eta=1.0, mu=mu)
+    bundle = with_specs(build_scenario(scenario, params,
+                                       QubitSpec.from_phase(delta_phi)), specs)
     tail, d4 = _analyzer_setup(bundle, analyzer_phi, eta_out)
     got = _branch_outcome_table(bundle, tail, d4)
     assert np.max(np.abs(got - branch_outcomes(bundle, tail, d4))) <= 1e-12
@@ -284,24 +303,23 @@ def test_analyzer_split_equals_full_mixture_run(scenario, t, p_in, p_a, eta,
 
 @settings(max_examples=30, deadline=None)
 @given(scenario=st.sampled_from(SCENARIOS), probe=st.booleans(), t=unit,
-       eta=unit, dark=st.floats(0.0, 0.9), mu=unit, delta_phi=angles,
-       analyzer_phi=angles, eta_out=unit)
-def test_outcome_classes_partition_every_cell(scenario, probe, t, eta, dark,
-                                              mu, delta_phi, analyzer_phi,
-                                              eta_out):
+       specs=detector_specs(0.9), mu=unit, delta_phi=angles,
+       analyzer_phi=angles)
+def test_outcome_classes_partition_every_cell(scenario, probe, t, specs, mu,
+                                              delta_phi, analyzer_phi):
     # the production pass with one herald class per click tuple, on the
     # scenario or on the sampler's probe (amplifier, analyzer and d4), with
-    # the photons at mu and at mu = 0
-    params = AmplifierParams(t=t, p_in=1.0, p_a=1.0, eta=eta, mu=mu,
-                             dark_click_prob=dark)
+    # the photons at mu and at mu = 0 and each detector's efficiency and
+    # dark count drawn
+    params = AmplifierParams(t=t, p_in=1.0, p_a=1.0, eta=1.0, mu=mu)
     qubit = QubitSpec.from_phase(delta_phi)
     bundle = build_scenario(scenario, params, qubit)
-    if probe:
-        tail, d4 = _analyzer_setup(bundle, analyzer_phi, eta_out)
+    if probe:  # d4's efficiency is drawn with the others
+        tail, d4 = _analyzer_setup(bundle, analyzer_phi, 1.0)
         bundle = replace(bundle, circuit=Circuit(
             bundle.circuit.paths, bundle.circuit.elements + tail.elements),
                          detectors=bundle.detectors + (d4,))
-    bundle = replace(bundle, herald_classes=tuple(
+    bundle = replace(with_specs(bundle, specs), herald_classes=tuple(
         HeraldClass(str(o), ({d.name: CLICK if c else NO_CLICK
                               for d, c in zip(bundle.detectors, o)},))
         for o in itertools.product((False, True),
@@ -321,6 +339,28 @@ def test_outcome_classes_partition_every_cell(scenario, probe, t, eta, dark,
                        atol=1e-12)
     if rails.size:
         assert np.linalg.eigvalsh(rails).min() >= -1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n_slots=st.integers(1, 3))
+def test_presence_weights_are_products_of_slot_probabilities(data, n_slots):
+    # each slot's probability a number or an array; the arrays broadcast
+    probs = []
+    for _ in range(n_slots):
+        shape = data.draw(st.sampled_from(((), (3,), (2, 1), (2, 3))))
+        values = data.draw(st.lists(unit, min_size=math.prod(shape),
+                                    max_size=math.prod(shape)))
+        probs.append(np.reshape(values, shape) if shape else values[0])
+    weights = _presence_weights(probs)
+    p = np.broadcast_arrays(*probs)
+    assert weights.shape == p[0].shape + (1 << n_slots,)
+    for c in range(1 << n_slots):
+        # slot 0 is the most significant bit; the product in slot order
+        factors = [p_i if c >> (n_slots - 1 - i) & 1 else 1.0 - p_i
+                   for i, p_i in enumerate(p)]
+        assert (weights[..., c] == functools.reduce(operator.mul,
+                                                    factors)).all()
+    assert np.max(np.abs(weights.sum(axis=-1) - 1.0)) <= 1e-15
 
 
 def pruned_weight_bound(bundle) -> float:
