@@ -21,6 +21,10 @@ an ancilla leaves the same way in the orthogonal mode. The kets of every
 combination are built as arrays from the mapped photons, the click model
 weighs them for each herald class at their photon counts at the detectors,
 and the weighted kets sum to each cell's probabilities and rail densities.
+`_herald_probs` runs the same pass over one photon set at a bundle's own
+mu and presence probabilities, without the rails: the sampler's outcome
+table and the two-photon dip (`hom_coincidence_fock`) come from it, so no
+production route expands a multi-photon state element by element.
 
 Every unnormalised class quantity is linear in the table, so evaluation
 mixes the table's mu rows at mu^2, then contracts the presence weights of
@@ -61,7 +65,6 @@ from .detection import (
     Detector,
     DetectorSpec,
     click_prob,
-    measure,
     no_click_weight,
 )
 # Not called here: benchmarks/spans.py wraps amplifier.mixture_density and
@@ -251,19 +254,18 @@ def hom_coincidence(mu: float) -> tuple[float, float]:
 
 
 def hom_coincidence_fock(mu: float) -> float:
-    """Coincidence probability from the full two-photon Fock simulation."""
-    _check_unit_interval(mu=mu)
-    paths = ("a", "b")
-    state = _source_state(paths, [
-        {("a", MATCHED): 1.0},
-        {("b", MATCHED): mu, ("b", ORTHOGONAL): math.sqrt(1.0 - mu * mu)},
-    ])
-    mix = run_circuit(Mixture.pure(state),
-                      Circuit(paths, (BeamSplitter(0.5, ("a", "b")),)))
-    # two photons: both ideal threshold detectors click iff one each
-    ideal = [Detector(p, p, DetectorSpec(1.0)) for p in paths]
-    coincidence, _ = measure(mix, ideal, {p: CLICK for p in paths})
-    return coincidence
+    """Coincidence probability of a matched photon on path a and one of
+    overlap mu on path b after a 50/50 splitter, from the table pass: two
+    ideal threshold detectors both click iff one photon reaches each."""
+    params = AmplifierParams(t=0.5, p_in=1.0, p_a=1.0, eta=1.0, mu=mu)
+    paths, ideal = ("a", "b"), DetectorSpec(1.0)
+    bundle = ScenarioBundle(
+        "hom", params, None, Circuit(paths, (BeamSplitter(0.5, paths),)),
+        ((1.0, {("a", MATCHED): 1.0}),
+         (1.0, _ancilla_wavefunction(params, "b"))),
+        tuple(Detector(p, p, ideal) for p in paths),
+        (HeraldClass("coincidence", ({"a": CLICK, "b": CLICK},)),))
+    return float(_herald_probs(bundle)[0])
 
 
 # -- source construction ----------------------------------------------
@@ -299,17 +301,6 @@ def _combination_kets(photons: np.ndarray) -> tuple[np.ndarray, ...]:
     occ = key[first, None] // place % base
     amp *= np.sqrt([math.factorial(n) for n in range(base)])[occ].prod(axis=1)
     return key[first] // scale, occ, amp
-
-
-def _source_state(paths, photons) -> FockState:
-    """State with one photon per wavefunction added on top of vacuum."""
-    labels = mode_labels(paths)
-    cell, occ, amp = _combination_kets(np.array(
-        [[wf.get(label, 0.0) for label in labels] for wf in photons],
-        dtype=complex).reshape(1, len(photons), len(labels)))
-    every = cell == (1 << len(photons)) - 1
-    return FockState(len(labels), dict(zip(map(tuple, occ[every].tolist()),
-                                           amp[every])), labels)
 
 
 def _ancilla_wavefunction(params: AmplifierParams, path: str) -> dict:
@@ -429,36 +420,36 @@ def build_scenario(scenario: str, params: AmplifierParams,
 # -- exact simulation --------------------------------------------------
 
 
-def _gain(spec, p_in, p_a, p_out):
+def _gain(params, p_in, p_a, p_out):
     """(gain, p_out): p_out / p_in and p_out, but below the smallest normal
-    p_in without dark counts, the closed form (the p_in -> 0 limit at any mu)
-    and gain * p_in. Dark counts herald a photon out at p_in = 0 (gain inf)."""
+    p_in without dark counts, the closed form at params' t and eta (the
+    p_in -> 0 limit at any mu) and gain * p_in. Dark counts herald a photon
+    out at p_in = 0 (gain inf)."""
     with np.errstate(all="ignore"):
         gain = p_out / p_in  # p_out has every axis of p_in and p_a
     smallest = np.finfo(float).tiny
-    if spec.params.dark_click_prob == 0.0 and np.min(p_in) < smallest:
+    if params.dark_click_prob == 0.0 and np.min(p_in) < smallest:
         p_in, p_a = (np.broadcast_to(v, gain.shape) for v in (p_in, p_a))
         tiny = p_in < smallest
-        gain[tiny] = gain_analytic(spec.params.t, p_a[tiny], spec.params.eta,
-                                   p_in[tiny])
+        gain[tiny] = gain_analytic(params.t, p_a[tiny], params.eta, p_in[tiny])
         p_out = np.where(tiny, gain * p_in, p_out)
     return gain, p_out
 
 
-def _outcome(spec, sums, rails, p_in, p_a) -> HeraldedOutcome:
-    """Outcome over the herald classes of `spec` (a ScenarioBundle or
-    ScenarioTable) at p_in, p_a from their unnormalised sums[class, ..., 4]
-    and rails[class, ..., r, r] (see ScenarioTable). A class at or below
-    MIN_OUTCOME_PROB is impossible and reads 0. Each class's rails carry
-    its phase correction on the long rail, and the combined outcome (the
-    feed-forward-corrected amplifier output) is the sum of the corrected
-    classes; every row is then normalised alike. The fidelity to the input
+def _outcome(bundle, sums, rails, p_in, p_a) -> HeraldedOutcome:
+    """Outcome over the herald classes of `bundle` at p_in, p_a from their
+    unnormalised sums[class, ..., 4] and rails[class, ..., r, r] (see
+    ScenarioTable). A class at or below MIN_OUTCOME_PROB is impossible and
+    reads 0. Each class's rails carry its phase correction on the long
+    rail, and the combined outcome (the feed-forward-corrected amplifier
+    output) is the sum of the corrected classes; every row is then
+    normalised alike. The fidelity to the input
     qubit (to |1> for the Fock-state amplifier) is None, or NaN at points
     of an array, without a single photon out."""
     keep = sums[..., 0] > MIN_OUTCOME_PROB
     # the phase u on the long rail (index 1) of each class, as the factor
     # u_i conj(u_j) on every point's rails
-    phases = [cls.correction_phase for cls in spec.herald_classes]
+    phases = [cls.correction_phase for cls in bundle.herald_classes]
     u = np.exp(1j * np.outer(phases, np.arange(rails.shape[-1]) == 1))
     correction = np.expand_dims(u[:, :, None] * u[:, None, :].conj(),
                                 tuple(range(1, rails.ndim - 2)))
@@ -469,13 +460,13 @@ def _outcome(spec, sums, rails, p_in, p_a) -> HeraldedOutcome:
     prob = sums[..., 0]
     if np.any(prob[-1] <= 1e-30):
         raise ZeroHeraldError(
-            f"herald probability vanishes for scenario {spec.scenario}")
+            f"herald probability vanishes for scenario {bundle.scenario}")
     denom = np.where(prob > MIN_OUTCOME_PROB, prob, 1.0)
     vacuum, single, multi = (sums[..., i] / denom for i in (1, 2, 3))
     rho = rails / denom[..., None, None]
-    gain, p_out = _gain(spec, p_in, p_a, single)
+    gain, p_out = _gain(bundle.params, p_in, p_a, single)
     # <psi|rho|psi> as one contraction of each rho, whose trace is single
-    psi = np.ones(1) if spec.qubit is None else spec.qubit.vector()
+    psi = np.ones(1) if bundle.qubit is None else bundle.qubit.vector()
     overlap = (rho.reshape(rho.shape[:-2] + (-1,))
                @ np.outer(psi.conj(), psi).ravel()).real
     some = single > 1e-30
@@ -487,22 +478,19 @@ def _outcome(spec, sums, rails, p_in, p_a) -> HeraldedOutcome:
                                multi[k], rho[k], f, per_class)
 
     return row(-1, "combined", {cls.name: row(k, cls.name) for k, cls
-                                in enumerate(spec.herald_classes)})
+                                in enumerate(bundle.herald_classes)})
 
 
 @dataclass(frozen=True)
 class ScenarioTable:
-    """Unnormalised herald-class outputs of one scenario at fixed t, eta,
-    dark count and qubit. cells[m, k, c] holds (prob, prob * vacuum,
-    prob * single, prob * multi) of herald class k at mu = m for the
-    presence combination c whose presence bits, slot 0 (the input photon)
-    first, are the binary digits of c; rails[m, k, c] holds the class's
-    output rail density times prob."""
+    """Unnormalised herald-class outputs of the scenario `bundle` at its t,
+    eta, dark count and qubit (its p_in, p_a and mu are not used).
+    cells[m, k, c] holds (prob, prob * vacuum, prob * single, prob * multi)
+    of herald class k at mu = m for the presence combination c whose
+    presence bits, slot 0 (the input photon) first, are the binary digits
+    of c; rails[m, k, c] holds the class's output rail density times prob."""
 
-    scenario: str
-    params: AmplifierParams  # its p_in, p_a and mu are not used
-    qubit: QubitSpec | None
-    herald_classes: tuple[HeraldClass, ...]
+    bundle: ScenarioBundle
     cells: np.ndarray
     rails: np.ndarray
 
@@ -525,7 +513,7 @@ class ScenarioTable:
         p_in, p_a and overlap mu, each in [0, 1]. p_in and p_a may be arrays:
         they broadcast against each other, and so does every outcome field."""
         _check_unit_interval(p_in=p_in, p_a=p_a, mu=mu)
-        return _outcome(self, *self.contract(p_in, p_a, mu), p_in, p_a)
+        return _outcome(self.bundle, *self.contract(p_in, p_a, mu), p_in, p_a)
 
 
 def _photon_outputs(bundle: ScenarioBundle) -> np.ndarray:
@@ -604,6 +592,15 @@ def _rail_densities(starts, det, out, amp, weights) -> np.ndarray:
     return rails.reshape(len(starts), len(weights), n_rails, n_rails)
 
 
+def _herald_probs(bundle: ScenarioBundle) -> np.ndarray:
+    """Each herald class's probability at the bundle's mu and presence
+    probabilities: the kets, the click model and the cell sums of one set
+    of photon outputs, weighted by the slots' presence combinations."""
+    starts, det, out, amp = _herald_kets(bundle, _photon_outputs(bundle)[None])
+    sums = _cell_sums(starts, out, amp, _click_model(bundle, det))
+    return sums[..., 0].T @ _presence_weights([p for p, _ in bundle.slots])
+
+
 def _herald_cells(bundle: ScenarioBundle, photons) -> tuple[np.ndarray, ...]:
     """cells and rails (see ScenarioTable) of every presence combination of
     the photon outputs photons[m]: the kets, the click model, the cell sums
@@ -633,8 +630,7 @@ def compile_scenario(scenario: str, params: AmplifierParams,
     photons = np.array((at_1, at_1))
     photons[0, 1:] = 0.0
     photons[0, 1:, 1::2] = at_1[1:, 0::2]
-    return ScenarioTable(scenario, params, bundle.qubit,
-                         bundle.herald_classes, *_herald_cells(bundle, photons))
+    return ScenarioTable(bundle, *_herald_cells(bundle, photons))
 
 
 def simulate(bundle: ScenarioBundle) -> HeraldedOutcome:

@@ -160,7 +160,7 @@ def criterion_5_hom_visibility(run):
                 for mu in (0.0, 0.5, 0.959, 1.0))
     return (abs(vis - 0.92) <= 1e-12 and worst <= 1e-12,
             f"dip visibility = {vis:.15f}, "
-            f"Fock route vs closed form: worst |diff| = {worst:.3e}")
+            f"table pass vs closed form: worst |diff| = {worst:.3e}")
 
 
 def criterion_6_detector_model_identity(run):

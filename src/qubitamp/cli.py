@@ -270,6 +270,8 @@ def cmd_hom(cfg: dict) -> int:
         if not lo <= hi:
             raise ValueError("mu_from must not exceed mu_to")
         grid = [float(m) for m in np.linspace(lo, hi, cfg["mu_steps"])]
+    elif cfg.get("mu_from") is not None or cfg.get("mu_to") is not None:
+        raise ValueError("mu_from and mu_to need mu_steps")
     else:
         grid = [cfg["mu"]]
     rows = []

@@ -34,9 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .amplifier import (AmplifierParams, HeraldClass, QubitSpec,
-                        _cell_sums, _check_unit_interval, _click_model,
-                        _herald_kets, _photon_outputs, _presence_weights,
-                        build_scenario)
+                        _check_unit_interval, _herald_probs, build_scenario)
 from .circuits import BeamSplitter, Circuit, PhaseShift
 from .detection import CLICK, NO_CLICK, Detector, DetectorSpec
 # Not called here: benchmarks/spans.py wraps montecarlo.run_circuit, measure
@@ -104,17 +102,18 @@ def _analyzer_setup(bundle, analyzer_phi: float, eta_out: float):
 
 
 def _branch_outcome_table(bundle, tail: Circuit, d4: Detector) -> np.ndarray:
-    """Exact probability of each (herald class, analyzer click) pair.
+    """Exact probability of each (herald class, analyzer click) pair, as an
+    (n_classes, 2) array indexed by [class, d4 clicked], from one
+    photon-by-photon pass over the probe at the bundle's mu (see _probe and
+    amplifier._herald_probs); the remaining probability is "no herald"."""
+    return _herald_probs(_probe(bundle, tail, d4)).reshape(-1, 2)
 
-    The analyzer `tail` is passive and linear too, so it joins the
+
+def _probe(bundle, tail: Circuit, d4: Detector):
+    """The analyzer `tail` is passive and linear too, so it joins the
     amplifier circuit, d4 joins the heralding detectors and each herald
-    class splits in two by the d4 outcome. One photon-by-photon pass at the
-    bundle's mu gives every pair: the kets, the click model and the cell
-    sums of amplifier._herald_cells, without its rail densities. Returns
-    an (n_classes, 2) array indexed by [class, d4 clicked]; the remaining
-    probability corresponds to "no herald".
-    """
-    probe = replace(
+    class splits in two, d4 silent, then d4 clicking."""
+    return replace(
         bundle,
         circuit=Circuit(bundle.circuit.paths,
                         bundle.circuit.elements + tail.elements),
@@ -123,10 +122,6 @@ def _branch_outcome_table(bundle, tail: Circuit, d4: Detector) -> np.ndarray:
             HeraldClass(cls.name, tuple({**p, d4.name: o}
                                         for p in cls.patterns))
             for cls in bundle.herald_classes for o in (NO_CLICK, CLICK)))
-    starts, det, out, amp = _herald_kets(probe, _photon_outputs(probe)[None])
-    sums = _cell_sums(starts, out, amp, _click_model(probe, det))
-    weights = _presence_weights([p for p, _ in bundle.slots])
-    return (sums[..., 0].T @ weights).reshape(-1, 2)
 
 
 def sample_events(params: AmplifierParams, n_pulses: int, seed: int,

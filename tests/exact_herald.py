@@ -1,6 +1,9 @@
 """Exact full-mixture reference for the herald classes of a scenario.
 
-The whole source mixture (`source`) runs through the circuit, and one joint
+The source state of each presence combination (`combinations`) is built
+here, by a plain loop over every choice of one mode per photon, so it
+shares no code with the production ket builder. The whole source mixture
+(`source`) runs through the circuit, and one joint
 measurement with `measure_all`, conditioned on each herald class with
 `detection.condition`, gives each class's conditional output ensemble.
 `heralded_analysis` reduces it to each class's photon-number weights and
@@ -11,21 +14,24 @@ the output analyzer and measures the analyzer click. Every circuit here
 is applied element by element (`expand`), the binomial Fock expansion,
 also where a mixture holds one photon per ket and `run_circuit` would use
 the transfer matrix.
-`amplifier.compile_scenario` and `montecarlo._branch_outcome_table` instead
-map the source photons by the transfer matrix, build the output kets of
-every presence combination as arrays from them and weight them with
-per-pattern products of the click model, so the tests that compare the two
-check that route.
+`amplifier.compile_scenario` and `amplifier._herald_probs` (behind the
+sampler's `montecarlo._branch_outcome_table` and `hom_coincidence_fock`)
+instead map the source photons by the transfer matrix, build the output
+kets of every presence combination as arrays from them and weight them
+with per-pattern products of the click model, so the tests that compare
+the two check that route.
 """
 
 import itertools
+import math
 
 import numpy as np
 
-from qubitamp.amplifier import _presence_weights, _source_state
+from qubitamp.amplifier import _presence_weights
 from qubitamp.circuits import Branch, Mixture, apply_element, mixture_density
 from qubitamp.detection import (CLICK, condition, measure, measure_all,
                                 pattern_outcomes)
+from qubitamp.fock import FockState, mode_labels
 
 
 def expand(mix: Mixture, circuit) -> Mixture:
@@ -35,12 +41,29 @@ def expand(mix: Mixture, circuit) -> Mixture:
     return mix
 
 
+def source_state(labels, photons) -> FockState:
+    """One photon per wavefunction (a dict mode label -> amplitude) added
+    on top of vacuum: each choice of one mode per photon adds the product
+    of its amplitudes to the occupation it fills, and each occupation is
+    then scaled by sqrt(prod n!)."""
+    amplitudes = {}
+    for choice in itertools.product(*(wf.items() for wf in photons)):
+        occ, amp = [0] * len(labels), 1.0
+        for label, a in choice:
+            occ[labels.index(label)] += 1
+            amp *= a
+        amplitudes[tuple(occ)] = amplitudes.get(tuple(occ), 0.0) + amp
+    return FockState(len(labels), {
+        occ: amp * math.sqrt(math.prod(map(math.factorial, occ)))
+        for occ, amp in amplitudes.items()}, labels)
+
+
 def combinations(paths, slots):
     """Source state of every presence combination of the slots' photons.
     Entry c holds the combination whose presence bits, slot 0 first, are
     the binary digits of c."""
-    return [_source_state(paths, [wf for _, wf in itertools.compress(slots,
-                                                                     bits)])
+    return [source_state(mode_labels(paths),
+                         [wf for _, wf in itertools.compress(slots, bits)])
             for bits in itertools.product((0, 1), repeat=len(slots))]
 
 

@@ -359,6 +359,8 @@ class TestHom:
     def test_domain(self):
         with pytest.raises(ValueError):
             hom_coincidence(1.5)
+        with pytest.raises(ValueError, match="^mu must lie in"):
+            hom_coincidence_fock(1.5)
 
 
 def test_oracle_grid_subsample():
@@ -498,39 +500,55 @@ class TestScenarioTable:
                 assert abs(out.p_out[k] - ref.p_out) <= 1e-12
                 assert abs(out.gain[k] - ref.gain) <= 1e-12 * ref.gain
 
-    @pytest.mark.parametrize("scenario, photons", [("fock-hpa", 2),
-                                                   ("timebin-hqa", 3)])
-    def test_one_circuit_run_per_source_photon(self, scenario, photons,
-                                               monkeypatch):
-        # every source photon of a table goes through one circuit run, a
-        # branch each, mapped by the transfer matrix: the circuit acts alike
-        # on both internal modes, so the mu = 0 half of the table needs no
-        # runs of its own, and the sampler's table needs one run too. The
-        # sampler reads only the class probabilities, so it builds no rails
-        runs, expansions, rails = [], [], []
+    @pytest.fixture
+    def engine_calls(self, monkeypatch):
+        """The branch count of each amplifier.run_circuit call, each call of
+        the Fock expansion (apply_two_mode_unitary) and each call of
+        amplifier._rail_densities, as lists filled as they happen."""
+        calls = {"runs": [], "expansions": [], "rails": []}
         rail_densities = amplifier._rail_densities
 
         def counting(m, c):
-            runs.append(len(m))
+            calls["runs"].append(len(m))
             return run_circuit(m, c)
 
         def expanding(*args):
-            expansions.append(args)
+            calls["expansions"].append(args)
             return apply_two_mode_unitary(*args)
 
         def densities(*args):
-            rails.append(args)
+            calls["rails"].append(args)
             return rail_densities(*args)
 
         monkeypatch.setattr(amplifier, "run_circuit", counting)
         monkeypatch.setattr(circuits, "apply_two_mode_unitary", expanding)
         monkeypatch.setattr(amplifier, "_rail_densities", densities)
+        return calls
+
+    @pytest.mark.parametrize("scenario, photons", [("fock-hpa", 2),
+                                                   ("timebin-hqa", 3)])
+    def test_one_circuit_run_per_source_photon(self, scenario, photons,
+                                               engine_calls):
+        # every source photon of a table goes through one circuit run, a
+        # branch each, mapped by the transfer matrix: the circuit acts alike
+        # on both internal modes, so the mu = 0 half of the table needs no
+        # runs of its own, and the sampler's table needs one run too. The
+        # sampler reads only the class probabilities, so it builds no rails
         params = AmplifierParams(t=0.7, p_in=0.5, p_a=0.8, eta=0.7, mu=0.6)
         compile_scenario(scenario, params)
-        assert runs == [photons]
-        assert len(rails) == 1
+        assert engine_calls["runs"] == [photons]
+        assert len(engine_calls["rails"]) == 1
         bundle = build_scenario(scenario, params)
         _branch_outcome_table(bundle, *_analyzer_setup(bundle, 0.3, 0.9))
-        assert runs == [photons, photons]
-        assert len(rails) == 1
-        assert not expansions
+        assert engine_calls["runs"] == [photons, photons]
+        assert len(engine_calls["rails"]) == 1
+        assert not engine_calls["expansions"]
+
+    def test_hom_dip_runs_its_two_photons_once(self, engine_calls):
+        # the dip comes from the table pass too: one run of two one-photon
+        # branches, and no Fock expansion of the two-photon state
+        assert hom_coincidence_fock(0.6) == pytest.approx(
+            hom_coincidence(0.6)[0], abs=1e-12)
+        assert engine_calls["runs"] == [2]
+        assert not engine_calls["expansions"]
+        assert not engine_calls["rails"]

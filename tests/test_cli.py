@@ -225,6 +225,15 @@ class TestHom:
         assert float(rows[0][1]) == pytest.approx(0.5)
         assert float(rows[-1][1]) == pytest.approx(0.0)
 
+    @pytest.mark.parametrize("args", [["--mu-from", "0.2", "--mu-to", "0.8"],
+                                      ["--mu-to", "0.8"]])
+    def test_range_without_steps_is_validation_error(self, tmp_path, capsys,
+                                                     args):
+        out = tmp_path / "hom.csv"
+        assert run(["hom", *args, "--out", str(out)]) == EXIT_VALIDATION
+        assert "mu_steps" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEstimate:
     def test_byte_identical_for_fixed_seed(self, tmp_path):

@@ -33,7 +33,8 @@ from qubitamp.amplifier import (
     simulate_scenario,
 )
 from qubitamp.checks import loss_identity_residual, random_two_path_state
-from qubitamp.circuits import Branch, Circuit, Mixture, run_circuit
+from qubitamp.circuits import (BeamSplitter, Branch, Circuit, Mixture,
+                               run_circuit)
 from qubitamp.detection import (
     CLICK,
     NO_CLICK,
@@ -47,7 +48,8 @@ from qubitamp.fock import (
     apply_two_mode_unitary,
     beam_splitter_matrix,
 )
-from qubitamp.montecarlo import _analyzer_setup, _branch_outcome_table
+from qubitamp.montecarlo import (_analyzer_setup, _branch_outcome_table,
+                                 _probe)
 
 from exact_fringe import class_rates
 from exact_herald import branch_outcomes, combinations, heralded_analysis
@@ -315,10 +317,7 @@ def test_outcome_classes_partition_every_cell(scenario, probe, t, specs, mu,
     qubit = QubitSpec.from_phase(delta_phi)
     bundle = build_scenario(scenario, params, qubit)
     if probe:  # d4's efficiency is drawn with the others
-        tail, d4 = _analyzer_setup(bundle, analyzer_phi, 1.0)
-        bundle = replace(bundle, circuit=Circuit(
-            bundle.circuit.paths, bundle.circuit.elements + tail.elements),
-                         detectors=bundle.detectors + (d4,))
+        bundle = _probe(bundle, *_analyzer_setup(bundle, analyzer_phi, 1.0))
     bundle = replace(with_specs(bundle, specs), herald_classes=tuple(
         HeraldClass(str(o), ({d.name: CLICK if c else NO_CLICK
                               for d, c in zip(bundle.detectors, o)},))
@@ -339,6 +338,45 @@ def test_outcome_classes_partition_every_cell(scenario, probe, t, specs, mu,
                        atol=1e-12)
     if rails.size:
         assert np.linalg.eigvalsh(rails).min() >= -1e-12
+
+
+def with_loss_in_circuit(bundle):
+    """The bundle with each detector's efficiency eta moved into the
+    circuit: after its elements, a splitter of transmission eta sends the
+    detector's path to a dump path of its own, the detector keeps its dark
+    count at efficiency 1, and a detector that no herald pattern names
+    watches the dump, so its factor is 1 and the dump is traced out."""
+    dumps = tuple(f"dump_{d.name}" for d in bundle.detectors)
+    return replace(bundle, circuit=Circuit(
+        bundle.circuit.paths + dumps, bundle.circuit.elements + tuple(
+            BeamSplitter(d.spec.eta, (d.path, dump))
+            for d, dump in zip(bundle.detectors, dumps))),
+                   detectors=tuple(
+        replace(d, spec=DetectorSpec(1.0, d.spec.dark_click_prob))
+        for d in bundle.detectors) + tuple(
+            Detector(dump, dump, DetectorSpec(1.0)) for dump in dumps))
+
+
+@settings(max_examples=30, deadline=None)
+@given(scenario=st.sampled_from(SCENARIOS), probe=st.booleans(), t=unit,
+       specs=detector_specs(0.9), mu=unit, delta_phi=angles,
+       analyzer_phi=angles)
+def test_detector_efficiency_equals_loss_on_the_table_pass(
+        scenario, probe, t, specs, mu, delta_phi, analyzer_phi):
+    # the production pass's click model at efficiency eta against ideal
+    # detectors behind a splitter of transmission eta, per detector, on the
+    # scenario or on the sampler's probe (amplifier, analyzer and d4)
+    params = AmplifierParams(t=t, p_in=1.0, p_a=1.0, eta=1.0, mu=mu)
+    bundle = build_scenario(scenario, params, QubitSpec.from_phase(delta_phi))
+    if probe:  # d4's efficiency is drawn with the others
+        bundle = _probe(bundle, *_analyzer_setup(bundle, analyzer_phi, 1.0))
+    bundle = with_specs(bundle, specs)
+    lossless = with_loss_in_circuit(bundle)
+    cells, rails = _herald_cells(bundle, _photon_outputs(bundle)[None])
+    want_cells, want_rails = _herald_cells(lossless,
+                                           _photon_outputs(lossless)[None])
+    assert np.max(np.abs(cells - want_cells)) <= 1e-12
+    assert np.max(np.abs(rails - want_rails), initial=0.0) <= 1e-12
 
 
 @settings(max_examples=100, deadline=None)
