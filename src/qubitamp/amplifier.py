@@ -127,7 +127,7 @@ class QubitSpec:
 
     def __post_init__(self):
         n = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(n - 1.0) > 1e-12:
+        if not abs(n - 1.0) <= 1e-12:  # NaN amplitudes fail too
             raise ValueError(f"qubit amplitudes must be normalized, |.|^2 = {n}")
 
     @classmethod
@@ -228,11 +228,14 @@ def gain_asymptote(t: float) -> float:
 
 
 def visibility(rates) -> float:
-    """Fringe visibility (max - min) / (max + min) of non-negative rates."""
+    """Fringe visibility (max - min) / (max + min) of finite non-negative
+    rates; NaN or infinite rates would give NaN, so they raise."""
     rates = np.asarray(rates, dtype=float)
-    if rates.size == 0 or np.any(rates < 0.0):
-        raise ValueError("rates must be a non-empty non-negative collection")
-    hi, lo = float(rates.max()), float(rates.min())
+    hi, lo = ((float(rates.max()), float(rates.min())) if rates.size
+              else (math.nan, math.nan))
+    if not 0.0 <= lo <= hi < math.inf:  # a NaN fails every comparison
+        raise ValueError("rates must be a non-empty collection of finite "
+                         "non-negative numbers")
     if hi <= 0.0:
         raise ValueError("cannot compute visibility of all-zero rates")
     return (hi - lo) / (hi + lo)

@@ -2,15 +2,17 @@
 
 `qubitamp COMMAND --flag VALUE ...`: a flag is a configuration key with '_'
 written as '-', given as `--key value` or `--key=value`, and its value is
-read as in a configuration file. The word after a flag is always its value
-and the last repeat wins; abbreviations are unknown flags. `-h` or `--help`
-lists each command's flags, from the same key tables.
+read as in a configuration file. A command's flags are the keys it reads,
+listed in _COMMAND_KEYS; any other flag is a parse error, as are
+abbreviations. The word after a flag is always its value and the last
+repeat wins. `-h` or `--help` lists each command's flags from _COMMAND_KEYS
+and the key table _KEYS, which holds each key's type and default.
 
-Configuration is a flat key=value file with '#' comments; command-line
-flags override file values, and a named preset fills in parameter defaults
-before either. CSV output uses 9 significant digits, '.' decimals and
-bare newline line endings. An existing --out file is overwritten in place
-and cut to the new length.
+Configuration is a flat key=value file with '#' comments; it may hold any
+command's keys but `config`. Command-line flags override file values, and a
+named preset fills in parameter defaults before either. CSV output uses 9
+significant digits, '.' decimals and bare newline line endings. An existing
+--out file is overwritten in place and cut to the new length.
 
 Exit codes: 0 success, 2 parse error, 3 validation error (including a
 non-finite float value, an unknown scenario, or an --out path that cannot
@@ -58,45 +60,37 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_NUMERICAL = 4
 
-_FLOAT_KEYS = ("t", "pa", "eta", "mu", "pin", "dark", "pin_from", "pin_to",
-               "mu_plus", "mu_minus", "mu_from", "mu_to", "eta_herald",
-               "eta_out", "analyzer_phi", "delta_phi")
-_INT_KEYS = ("seed", "pulses", "pin_steps", "phi_steps", "mu_steps")
-_STR_KEYS = ("scenario", "preset", "out")
-#: Flags of every command; `config` is a flag only, the path of a file.
-_COMMON_KEYS = ("config", "out", "scenario", "preset", "t", "pa", "eta", "mu",
-                "pin", "dark", "seed", "pulses")
-#: command -> (summary, its own flags beside _COMMON_KEYS)
+#: Every key: key -> (value type, default or None). The type names the
+#: value in --help; `config` is a flag only, the path of a file of keys.
+_KEYS: dict = {
+    "config": ("PATH", None), "out": ("PATH", None),
+    "scenario": ("NAME", "fock-hpa"), "preset": ("NAME", None),
+    "t": ("FLOAT", 0.9), "pa": ("FLOAT", 1.0), "eta": ("FLOAT", 0.7),
+    "mu": ("FLOAT", 1.0), "pin": ("FLOAT", 0.2), "dark": ("FLOAT", 0.0),
+    "seed": ("INT", 12345), "pulses": ("INT", 100_000),
+    "pin_from": ("FLOAT", 0.1), "pin_to": ("FLOAT", 1.0),
+    "pin_steps": ("INT", 10), "phi_steps": ("INT", 16),
+    "mu_plus": ("FLOAT", None), "mu_minus": ("FLOAT", None),
+    "mu_from": ("FLOAT", None), "mu_to": ("FLOAT", None),
+    "mu_steps": ("INT", None), "eta_herald": ("FLOAT", ETA_HERALD_DEFAULT),
+    "eta_out": ("FLOAT", 1.0), "analyzer_phi": ("FLOAT", 0.0),
+    "delta_phi": ("FLOAT", 0.0),
+}
+#: command -> (summary, the keys it reads, which are its flags)
 _COMMAND_KEYS = {
     "gain-curve": ("gain and output probability versus p_in",
-                   ("pin_from", "pin_to", "pin_steps")),
+                   ("config", "out", "scenario", "preset", "t", "pa", "eta",
+                    "mu", "dark", "pin_from", "pin_to", "pin_steps")),
     "fringe": ("per-class analyzer rates versus input phase",
-               ("phi_steps", "mu_plus", "mu_minus")),
+               ("config", "out", "preset", "t", "pa", "eta", "mu", "pin",
+                "dark", "phi_steps", "mu_plus", "mu_minus")),
     "hom": ("two-photon interference dip versus overlap",
-            ("mu_from", "mu_to", "mu_steps")),
+            ("config", "out", "mu", "mu_from", "mu_to", "mu_steps")),
     "estimate": ("Monte Carlo coincidence counts and estimators",
-                 ("eta_herald", "eta_out", "analyzer_phi", "delta_phi")),
+                 ("config", "out", "scenario", "preset", "t", "pa", "eta",
+                  "mu", "pin", "dark", "seed", "pulses", "eta_herald",
+                  "eta_out", "analyzer_phi", "delta_phi")),
     "selftest": ("run the acceptance grid and cross-checks", ()),
-}
-
-DEFAULTS: dict = {
-    "scenario": "fock-hpa",
-    "t": 0.9,
-    "pa": 1.0,
-    "eta": 0.7,
-    "mu": 1.0,
-    "pin": 0.2,
-    "dark": 0.0,
-    "seed": 12345,
-    "pulses": 100_000,
-    "pin_from": 0.1,
-    "pin_to": 1.0,
-    "pin_steps": 10,
-    "phi_steps": 16,
-    "eta_herald": ETA_HERALD_DEFAULT,
-    "eta_out": 1.0,
-    "analyzer_phi": 0.0,
-    "delta_phi": 0.0,
 }
 
 
@@ -119,21 +113,17 @@ def parse_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
+        if key not in _KEYS or key == "config":
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = _parse_value(key, value, where=f"{path}:{lineno}")
     return values
 
 
 def _parse_value(key: str, value: str, where: str):
     try:
-        if key in _FLOAT_KEYS:
-            return float(value)
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _STR_KEYS:
-            return value
+        return {"FLOAT": float, "INT": int}.get(_KEYS[key][0], str)(value)
     except ValueError as exc:
         raise ConfigError(f"{where}: bad value for {key}: {value!r}") from exc
-    raise ConfigError(f"{where}: unknown key {key!r}")
 
 
 def resolve_config(flags: dict) -> dict:
@@ -143,10 +133,11 @@ def resolve_config(flags: dict) -> dict:
     file_values = parse_config_file(path) if path is not None else {}
     for source in (file_values, flag_values):
         for key, value in source.items():
-            if key in _FLOAT_KEYS and not math.isfinite(value):
+            if _KEYS[key][0] == "FLOAT" and not math.isfinite(value):
                 raise ValueError(f"{key} must be finite, got {value}")
     preset = flag_values.get("preset", file_values.get("preset"))
-    cfg = dict(DEFAULTS)
+    cfg = {key: default for key, (_, default) in _KEYS.items()
+           if default is not None}
     if preset is not None:
         if preset not in PRESETS:
             raise ValueError(f"unknown preset {preset!r}; "
@@ -336,20 +327,16 @@ COMMANDS = {
 
 
 def usage() -> str:
-    """Every command and its flags, written from the key tables."""
-    def flags(keys):
-        return "  ".join(f"--{k.replace('_', '-')} " + (
-            "PATH" if k in ("config", "out") else "FLOAT" if k in _FLOAT_KEYS
-            else "INT" if k in _INT_KEYS else "NAME") for k in keys)
+    """Every command and its flags, four to a line, from the key table."""
     lines = ["usage: qubitamp COMMAND [--flag VALUE | --flag=VALUE]...\n",
              "A flag is a configuration key with '_' written as '-'; its "
              "value is read as in\na configuration file. The last repeat "
              "wins.\n", "commands:"]
     for name, (summary, keys) in _COMMAND_KEYS.items():
-        lines.append(f"  {name:<12}{summary}"
-                     + (f"\n{'':<14}{flags(keys)}" if keys else ""))
-    lines += ["\nflags of every command:"] + [
-        f"  {flags(_COMMON_KEYS[i:i + 4])}" for i in range(0, 12, 4)]
+        flags = [f"--{k.replace('_', '-')} {_KEYS[k][0]}" for k in keys]
+        lines += [f"  {name:<12}{summary}"] + [
+            f"{'':<14}{'  '.join(flags[i:i + 4])}"
+            for i in range(0, len(flags), 4)]
     lines += [f"\nscenarios: {', '.join(SCENARIOS)}",
               f"presets: {', '.join(sorted(PRESETS))}"]
     return "\n".join(lines) + "\n"
@@ -361,7 +348,7 @@ def parse_flags(argv: list[str]) -> tuple[str, dict]:
         raise ConfigError(f"expected a command ({', '.join(COMMANDS)}), "
                           f"got {' '.join(argv[:1]) or 'none'}")
     command, words = argv[0], iter(argv[1:])
-    allowed = _COMMON_KEYS + _COMMAND_KEYS[command][1]
+    allowed = _COMMAND_KEYS[command][1]
     flags: dict = {}
     for word in words:
         flag, eq, value = word.partition("=")
@@ -372,8 +359,7 @@ def parse_flags(argv: list[str]) -> tuple[str, dict]:
             value = next(words, None)
             if value is None:
                 raise ConfigError(f"{flag}: expected a value")
-        flags[key] = (value if key == "config"
-                      else _parse_value(key, value, where=flag))
+        flags[key] = _parse_value(key, value, where=flag)
     return command, flags
 
 

@@ -105,6 +105,9 @@ class TestParams:
     def test_qubit_spec(self):
         with pytest.raises(ValueError):
             QubitSpec(1.0, 1.0)
+        for alpha, beta in ((math.nan, 0.0), (1.0, complex(0.0, math.nan))):
+            with pytest.raises(ValueError, match="must be normalized"):
+                QubitSpec(alpha, beta)
         q = QubitSpec.from_phase(0.3)
         assert abs(q.alpha) ** 2 + abs(q.beta) ** 2 == pytest.approx(1.0)
 
@@ -334,6 +337,9 @@ class TestVisibilityHelpers:
             visibility([0.0, 0.0])
         with pytest.raises(ValueError):
             visibility([1.0, -1e-19])
+        for rates in ([math.nan, 1.0], [1.0, math.nan], [math.inf, 1.0]):
+            with pytest.raises(ValueError, match="non-negative"):
+                visibility(rates)
 
     def test_fidelity_from_visibility(self):
         assert fidelity_from_visibility(0.98) == pytest.approx(0.99)

@@ -446,11 +446,19 @@ class TestConfigHandling:
     @pytest.mark.parametrize("command", ["gain-curve", "estimate", "hom"])
     def test_unknown_scenario_is_validation_error(self, tmp_path, capsys,
                                                   command):
+        # hom reads no scenario, so --scenario is no flag of it; a file
+        # may still hold the key, and its value is still checked
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("scenario = bogus\n")
         for args in (["--scenario", "bogus"], ["--config", str(cfg)]):
-            assert run([command, *args]) == EXIT_VALIDATION
-            assert "unknown scenario 'bogus'" in capsys.readouterr().err
+            code = run([command, *args])
+            err = capsys.readouterr().err
+            if command == "hom" and args[0] == "--scenario":
+                assert (code, err) == (
+                    EXIT_PARSE, "parse error: --scenario: not a flag of hom\n")
+            else:
+                assert code == EXIT_VALIDATION
+                assert "unknown scenario 'bogus'" in err
 
     def test_degenerate_gain_is_numerical_error(self, tmp_path):
         out = tmp_path / "gain.csv"
@@ -512,6 +520,21 @@ class TestConfigHandling:
         assert "t must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_config_key_in_a_file_is_parse_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("config = other.cfg\n")
+        assert run(["hom", "--config", str(cfg)]) == EXIT_PARSE
+        assert "unknown key 'config'" in capsys.readouterr().err
+
+    def test_file_may_hold_keys_the_command_does_not_read(self, tmp_path):
+        cfg = tmp_path / "all.cfg"
+        # every key but mu_steps belongs to other commands
+        cfg.write_text("scenario = timebin-hqa\nt = 0.5\nseed = 3\n"
+                       "phi_steps = 8\nmu_steps = 2\n")
+        out = tmp_path / "hom.csv"
+        assert run(["hom", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert len(read_csv(out)[2]) == 2
+
     def test_parse_config_file_values(self, tmp_path):
         cfg = tmp_path / "ok.cfg"
         cfg.write_text("scenario = timebin-hqa\nseed = 7\neta = 0.7\n")
@@ -531,16 +554,35 @@ def test_selftest_passes_quickly(capsys):
     assert names == list(CHECKS)
 
 
-#: Each command's flags: the common ones and its own.
-COMMON_FLAGS = ["config", "out", "scenario", "preset", "t", "pa", "eta", "mu",
-                "pin", "dark", "seed", "pulses"]
-OWN_FLAGS = {
-    "gain-curve": ["pin-from", "pin-to", "pin-steps"],
-    "fringe": ["phi-steps", "mu-plus", "mu-minus"],
-    "hom": ["mu-from", "mu-to", "mu-steps"],
-    "estimate": ["eta-herald", "eta-out", "analyzer-phi", "delta-phi"],
+#: Each command's flags: the keys it reads, in --help order.
+FLAGS = {
+    "gain-curve": ["config", "out", "scenario", "preset", "t", "pa", "eta",
+                   "mu", "dark", "pin-from", "pin-to", "pin-steps"],
+    "fringe": ["config", "out", "preset", "t", "pa", "eta", "mu", "pin",
+               "dark", "phi-steps", "mu-plus", "mu-minus"],
+    "hom": ["config", "out", "mu", "mu-from", "mu-to", "mu-steps"],
+    "estimate": ["config", "out", "scenario", "preset", "t", "pa", "eta",
+                 "mu", "pin", "dark", "seed", "pulses", "eta-herald",
+                 "eta-out", "analyzer-phi", "delta-phi"],
     "selftest": [],
 }
+ALL_FLAGS = sorted({flag for flags in FLAGS.values() for flag in flags})
+
+
+def listed_flags(text):
+    """Command -> the flags --help lists under it; None -> any others."""
+    listed, command = {}, None
+    for line in text.splitlines()[1:]:  # after the usage line
+        name = line[2:].split(" ", 1)[0]
+        if line.startswith("  ") and name in FLAGS:
+            command = name
+            listed[command] = []
+        elif not line.startswith(" " * 14):
+            command = None
+        found = re.findall(r"--[a-z][a-z-]*", line)
+        if found:
+            listed.setdefault(command, []).extend(found)
+    return listed
 
 
 class TestFlagParsing:
@@ -550,17 +592,30 @@ class TestFlagParsing:
         assert run(args) == EXIT_OK
         out = capsys.readouterr().out
         assert out.startswith("usage: qubitamp COMMAND")
-        for command, own in OWN_FLAGS.items():
-            assert command in out
-            for flag in COMMON_FLAGS + own:
-                assert f"--{flag} " in out
+        assert listed_flags(out) == {
+            command: [f"--{flag}" for flag in flags]
+            for command, flags in FLAGS.items()}
 
-    @pytest.mark.parametrize("command", sorted(OWN_FLAGS))
+    @pytest.mark.parametrize("command", sorted(FLAGS))
     def test_every_flag_of_a_command_is_accepted(self, command):
-        for flag in COMMON_FLAGS + OWN_FLAGS[command]:
+        for flag in FLAGS[command]:
             value = "fock-hpa" if flag == "scenario" else "1"
             name, flags = parse_flags([command, f"--{flag}", value])
             assert name == command and list(flags) == [flag.replace("-", "_")]
+
+    @pytest.mark.parametrize("argv", [
+        [command, f"--{flag}", "1"] for command in FLAGS for flag in ALL_FLAGS
+        if flag not in FLAGS[command]] + [
+        # each exited 0 while its command read no value of argv[1]
+        ["fringe", "--scenario", "fock-hpa", "--phi-steps", "2"],
+        ["hom", "--t", "2"],
+        ["gain-curve", "--pin", "7", "--pin-steps", "1"],
+        ["selftest", "--out", "/nonexistent/x.csv", "--t", "5"],
+    ], ids=" ".join)
+    def test_flag_a_command_does_not_read_is_parse_error(self, capsys, argv):
+        assert run(argv) == EXIT_PARSE
+        assert capsys.readouterr() == (
+            "", f"parse error: {argv[1]}: not a flag of {argv[0]}\n")
 
     @pytest.mark.parametrize("args,named", [
         ([], "expected a command"),
@@ -597,6 +652,24 @@ class TestFlagParsing:
         assert parse_flags(["fringe", "--out", "--mu-plus",
                             "--mu-minus", "-inf"]) == (
             "fringe", {"out": "--mu-plus", "mu_minus": -math.inf})
+
+
+def readme_cli_examples():
+    """The argv of each `qubitamp` line in the README's CLI block."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text(encoding="utf-8").split("## CLI", 1)[1]
+    return [line.split()[1:] for line in block.split("```")[1].splitlines()
+            if line.startswith("qubitamp ")]
+
+
+@pytest.mark.parametrize("argv", [argv for argv in readme_cli_examples()
+                                  if argv[0] != "selftest"],
+                         ids=lambda argv: argv[0])
+def test_readme_cli_example_runs(tmp_path, argv):
+    at = argv.index("--out") + 1
+    out = tmp_path / argv[at]
+    assert run(argv[:at] + [str(out)] + argv[at + 1:]) == EXIT_OK
+    assert read_csv(out)[2]
 
 
 def _child_env() -> dict:
