@@ -15,16 +15,18 @@ and, with at most three photons, affine in mu^2. So `compile_scenario`
 tabulates each presence combination at mu = 0 and at mu = 1, and any
 (p_in, p_a, mu) is a weighted sum over the table. The passive linear
 circuits map each photon's creation operator on its own, by the circuit's
-path transfer matrix, and act alike on both internal modes, so all source
-photons go through one circuit run at mu = 1, one branch each; at mu = 0
-an ancilla leaves the same way in the orthogonal mode. The kets of every
-combination are built as arrays from the mapped photons, the click model
-weighs them for each herald class at their photon counts at the detectors,
-and the weighted kets sum to each cell's probabilities and rail densities.
-`_herald_probs` runs the same pass over one photon set at a bundle's own
-mu and presence probabilities, without the rails: the sampler's outcome
-table and the two-photon dip (`hom_coincidence_fock`) come from it, so no
-production route expands a multi-photon state element by element.
+path transfer matrix, and act alike on both internal modes. So a bundle's
+photons are matched, all go through one circuit run, one branch each, and
+one rule (`_at_mu`) puts the mapped ancillas at overlap mu: matched
+amplitudes times mu, and sqrt(1 - mu^2) times those in the orthogonal
+mode. The kets of every combination are built as arrays from the mapped
+photons, the click model weighs them for each herald class at their photon
+counts at the detectors, and the weighted kets sum to each cell's
+probabilities and rail densities. `_herald_probs` runs the same pass at a
+bundle's own mu and presence probabilities, without the rails: the
+sampler's outcome table and the two-photon dip (`hom_coincidence_fock`)
+come from it, so no production route expands a multi-photon state element
+by element.
 
 Every unnormalised class quantity is linear in the table, so evaluation
 mixes the table's mu rows at mu^2, then contracts the presence weights of
@@ -165,11 +167,14 @@ class HeraldClass:
 
 @dataclass(frozen=True)
 class ScenarioBundle:
+    """A scenario at params. slots holds (presence probability, matched
+    wavefunction) per source photon: slot 0 is the input photon, and each
+    later slot an ancilla at overlap params.mu with it (see _at_mu)."""
+
     scenario: str
     params: AmplifierParams
     qubit: QubitSpec | None
     circuit: Circuit
-    #: (presence probability, wavefunction) per source photon, input first
     slots: tuple[tuple[float, dict], ...]
     detectors: tuple[Detector, ...]
     herald_classes: tuple[HeraldClass, ...]
@@ -264,8 +269,7 @@ def hom_coincidence_fock(mu: float) -> float:
     paths, ideal = ("a", "b"), DetectorSpec(1.0)
     bundle = ScenarioBundle(
         "hom", params, None, Circuit(paths, (BeamSplitter(0.5, paths),)),
-        ((1.0, {("a", MATCHED): 1.0}),
-         (1.0, _ancilla_wavefunction(params, "b"))),
+        ((1.0, {("a", MATCHED): 1.0}), (1.0, {("b", MATCHED): 1.0})),
         tuple(Detector(p, p, ideal) for p in paths),
         (HeraldClass("coincidence", ({"a": CLICK, "b": CLICK},)),))
     return float(_herald_probs(bundle)[0])
@@ -306,14 +310,6 @@ def _combination_kets(photons: np.ndarray) -> tuple[np.ndarray, ...]:
     return key[first] // scale, occ, amp
 
 
-def _ancilla_wavefunction(params: AmplifierParams, path: str) -> dict:
-    """Wavefunction mu|matched> + sqrt(1-mu^2)|orthogonal> of one ancilla
-    photon on `path`: a coherent superposition of the internal modes."""
-    mu = params.mu
-    nu = math.sqrt(max(0.0, 1.0 - mu * mu))
-    return {(path, MATCHED): mu, (path, ORTHOGONAL): nu}
-
-
 def _presence_weights(probs) -> np.ndarray:
     """Weight of each presence combination of independent slots present
     with probabilities `probs`, on a last axis whose entry c is the
@@ -342,7 +338,7 @@ def build_fock_hpa(params: AmplifierParams) -> ScenarioBundle:
     paths = ("in", "anc", "out")
     slots = [
         (params.p_in, {("in", MATCHED): 1.0}),
-        (params.p_a, _ancilla_wavefunction(params, "out")),
+        (params.p_a, {("out", MATCHED): 1.0}),
     ]
     circuit = Circuit(paths, (
         BeamSplitter(params.t, ("anc", "out")),
@@ -390,8 +386,8 @@ def build_timebin_hqa(params: AmplifierParams,
     input_wf = {("in_s", MATCHED): qubit.alpha, ("in_l", MATCHED): qubit.beta}
     slots = [
         (params.p_in, input_wf),
-        (params.p_a, _ancilla_wavefunction(params, "out_s")),
-        (params.p_a, _ancilla_wavefunction(params, "out_l")),
+        (params.p_a, {("out_s", MATCHED): 1.0}),
+        (params.p_a, {("out_l", MATCHED): 1.0}),
     ]
     circuit = Circuit(paths, (
         BeamSplitter(params.t, ("anc_s", "out_s")),
@@ -486,8 +482,8 @@ def _outcome(bundle, sums, rails, p_in, p_a) -> HeraldedOutcome:
 
 @dataclass(frozen=True)
 class ScenarioTable:
-    """Unnormalised herald-class outputs of the scenario `bundle` at its t,
-    eta, dark count and qubit (its p_in, p_a and mu are not used).
+    """Unnormalised herald-class outputs of `bundle`, its circuit, photons,
+    detectors and classes (its p_in, p_a and mu are not used).
     cells[m, k, c] holds (prob, prob * vacuum, prob * single, prob * multi)
     of herald class k at mu = m for the presence combination c whose
     presence bits, slot 0 (the input photon) first, are the binary digits
@@ -531,6 +527,16 @@ def _photon_outputs(bundle: ScenarioBundle) -> np.ndarray:
     return np.array([[b.state.amplitudes.get(u, 0.0) for u in units]
                      for b in run_circuit(photons, bundle.circuit)],
                     dtype=complex)
+
+
+def _at_mu(photons: np.ndarray, mu: float) -> np.ndarray:
+    """The map photons[slot, mode] of matched photons with each ancilla
+    (slot 1 on) at overlap mu, mu|matched> + sqrt(1 - mu^2)|orthogonal>:
+    the circuit maps both internal modes alike."""
+    out = photons.copy()
+    out[1:, 1::2] = math.sqrt(1.0 - mu * mu) * photons[1:, 0::2]
+    out[1:, 0::2] *= mu
+    return out
 
 
 def _herald_kets(bundle: ScenarioBundle, photons) -> tuple[np.ndarray, ...]:
@@ -599,7 +605,8 @@ def _herald_probs(bundle: ScenarioBundle) -> np.ndarray:
     """Each herald class's probability at the bundle's mu and presence
     probabilities: the kets, the click model and the cell sums of one set
     of photon outputs, weighted by the slots' presence combinations."""
-    starts, det, out, amp = _herald_kets(bundle, _photon_outputs(bundle)[None])
+    photons = _at_mu(_photon_outputs(bundle), bundle.params.mu)
+    starts, det, out, amp = _herald_kets(bundle, photons[None])
     sums = _cell_sums(starts, out, amp, _click_model(bundle, det))
     return sums[..., 0].T @ _presence_weights([p for p, _ in bundle.slots])
 
@@ -619,30 +626,21 @@ def _herald_cells(bundle: ScenarioBundle, photons) -> tuple[np.ndarray, ...]:
     return cells, rails
 
 
-def compile_scenario(scenario: str, params: AmplifierParams,
-                     qubit: QubitSpec | None = None) -> ScenarioTable:
-    """The scenario table at params' t, eta and dark count: one circuit run
-    of all source photons at mu = 1, then one pass over the output kets of
-    every presence combination at mu = 0 and 1 (see the module docstring)."""
-    bundle = build_scenario(scenario, replace(params, mu=1.0), qubit)
+def compile_scenario(bundle: ScenarioBundle) -> ScenarioTable:
+    """The table of `bundle` (see ScenarioTable): one circuit run of its
+    source photons, then one pass over the output kets of every presence
+    combination at mu = 0 and 1 (see the module docstring)."""
     at_1 = _photon_outputs(bundle)
-    # the photons at mu = 0, then at mu = 1. The circuit acts alike on both
-    # internal modes, so an ancilla at mu = 0 (all orthogonal) leaves as at
-    # mu = 1 with its modes relabelled; the input photon (slot 0) does not
-    # depend on mu
-    photons = np.array((at_1, at_1))
-    photons[0, 1:] = 0.0
-    photons[0, 1:, 1::2] = at_1[1:, 0::2]
-    return ScenarioTable(bundle, *_herald_cells(bundle, photons))
+    return ScenarioTable(bundle, *_herald_cells(
+        bundle, np.array((_at_mu(at_1, 0.0), at_1))))
 
 
 def simulate(bundle: ScenarioBundle) -> HeraldedOutcome:
-    """Exact heralded outcome at the bundle's operating point: the table of
-    its scenario, params and qubit (see compile_scenario), evaluated at one
-    point. Per-class outcomes carry their class's phase correction."""
+    """Exact heralded outcome at the bundle's operating point: its table
+    (see compile_scenario) evaluated at one point. Per-class outcomes carry
+    their class's phase correction."""
     p = bundle.params
-    return compile_scenario(bundle.scenario, p, bundle.qubit).evaluate(
-        p.p_in, p.p_a, p.mu)
+    return compile_scenario(bundle).evaluate(p.p_in, p.p_a, p.mu)
 
 
 def simulate_scenario(scenario: str, params: AmplifierParams,
@@ -674,8 +672,8 @@ def _fringe_ends(params: AmplifierParams) -> np.ndarray:
     probability times the overlap of the uncorrected output with the
     zero-phase qubit, or 0 for a class that cannot herald. The total herald
     probability is affine in mu^2 and the same at every phase."""
-    sums, rails = compile_scenario("timebin-hqa", params).contract(
-        params.p_in, params.p_a, np.array((0.0, 1.0)))
+    table = compile_scenario(build_scenario("timebin-hqa", params))
+    sums, rails = table.contract(params.p_in, params.p_a, np.array((0.0, 1.0)))
     prob = sums[..., 0]
     if prob.sum(axis=1).max() <= 1e-30:
         raise ZeroHeraldError(

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .amplifier import (
-    AmplifierParams, QubitSpec, SCENARIOS, build_timebin_hqa,
+    AmplifierParams, QubitSpec, SCENARIOS, build_scenario, build_timebin_hqa,
     compile_scenario, fidelity_from_visibility, fringe_scan, gain_analytic,
     gain_asymptote, hom_coincidence, hom_coincidence_fock, mu_for_visibility,
     simulate, simulate_scenario)
@@ -48,8 +48,8 @@ class CheckRun:
         results = []
         for scenario, t, eta in itertools.product(SCENARIOS, GRID["t"],
                                                   GRID["eta"]):
-            out = compile_scenario(scenario, AmplifierParams(
-                t=t, p_in=1.0, p_a=1.0, eta=eta)).evaluate(p_in, p_a, 1.0)
+            out = compile_scenario(build_scenario(scenario, AmplifierParams(
+                t=t, p_in=1.0, p_a=1.0, eta=eta))).evaluate(p_in, p_a, 1.0)
             results += zip([t] * p_in.size, p_a, [eta] * p_in.size, p_in,
                            out.gain, out.p_out)
         return results, time.perf_counter() - start
@@ -123,8 +123,8 @@ def criterion_2_maximum_gain(run):
 def criterion_3_output_probability_bound(run):
     results, _ = run.grid
     slack = max(p_out - pa * t for t, pa, eta, pin, _, p_out in results)
-    best = compile_scenario(
-        "fock-hpa", AmplifierParams(t=0.99, p_in=1.0, p_a=0.9, eta=0.7)
+    best = compile_scenario(build_scenario(
+        "fock-hpa", AmplifierParams(t=0.99, p_in=1.0, p_a=0.9, eta=0.7))
     ).evaluate(np.linspace(0.05, 1.0, 20), 0.9, 1.0).p_out.max()
     return (slack <= 1e-12 and best > 0.823,
             f"max p_out - p_a*t = {slack:.3e}, "

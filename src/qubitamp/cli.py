@@ -36,6 +36,7 @@ from .amplifier import (
     SCENARIOS,
     UndefinedGainError,
     ZeroHeraldError,
+    build_scenario,
     compile_scenario,
     fringe_scan,
     gain_analytic,
@@ -214,16 +215,27 @@ def write_csv(out: str | None, header: list[str], rows) -> None:
 # -- commands ----------------------------------------------------------
 
 
+def _grid(cfg: dict, name: str) -> np.ndarray:
+    """NAME_steps evenly spaced points from NAME_from to NAME_to (by default
+    0 and 1): at least one, the ends in order, and one only at equal ends."""
+    lo, hi = cfg.get(f"{name}_from", 0.0), cfg.get(f"{name}_to", 1.0)
+    if cfg[f"{name}_steps"] < 1:
+        raise ValueError(f"{name}_steps must be at least 1")
+    if not lo <= hi:
+        raise ValueError(f"{name}_from must not exceed {name}_to")
+    if cfg[f"{name}_steps"] == 1 and lo != hi:
+        raise ValueError(f"{name}_steps = 1 needs {name}_from = {name}_to, "
+                         f"got {lo} and {hi}")
+    return np.linspace(lo, hi, cfg[f"{name}_steps"])
+
+
 def cmd_gain_curve(cfg: dict) -> int:
-    if cfg["pin_steps"] < 1:
-        raise ValueError("pin_steps must be at least 1")
-    if not cfg["pin_from"] <= cfg["pin_to"]:
-        raise ValueError("pin_from must not exceed pin_to")
     # AmplifierParams validates the grid ends; every point lies between them
     p = params_from_config(cfg, pin=cfg["pin_from"])
     params_from_config(cfg, pin=cfg["pin_to"])
-    grid = np.linspace(cfg["pin_from"], cfg["pin_to"], cfg["pin_steps"])
-    oracle = compile_scenario(cfg["scenario"], p).evaluate(grid, p.p_a, p.mu)
+    grid = _grid(cfg, "pin")
+    oracle = compile_scenario(build_scenario(cfg["scenario"], p)).evaluate(
+        grid, p.p_a, p.mu)
     g_formula = gain_analytic(p.t, p.p_a, p.eta, grid)
     write_csv(cfg.get("out"),
               ["p_in", "gain_analytic", "gain_oracle",
@@ -254,13 +266,7 @@ def cmd_fringe(cfg: dict) -> int:
 
 def cmd_hom(cfg: dict) -> int:
     if cfg.get("mu_steps") is not None:
-        if cfg["mu_steps"] < 1:
-            raise ValueError("mu_steps must be at least 1")
-        lo = cfg.get("mu_from", 0.0)
-        hi = cfg.get("mu_to", 1.0)
-        if not lo <= hi:
-            raise ValueError("mu_from must not exceed mu_to")
-        grid = [float(m) for m in np.linspace(lo, hi, cfg["mu_steps"])]
+        grid = _grid(cfg, "mu").tolist()
     elif cfg.get("mu_from") is not None or cfg.get("mu_to") is not None:
         raise ValueError("mu_from and mu_to need mu_steps")
     else:
@@ -277,12 +283,13 @@ def cmd_hom(cfg: dict) -> int:
 def cmd_estimate(cfg: dict) -> int:
     if cfg["pulses"] < 1:
         raise ValueError("pulses must be at least 1")
-    params = params_from_config(cfg)
-    qubit = (QubitSpec.from_phase(cfg["delta_phi"])
-             if cfg["scenario"] == "timebin-hqa" else None)
+    unread = [k for k in ("analyzer_phi", "delta_phi") if cfg[k] != 0.0]
+    if cfg["scenario"] == "fock-hpa" and unread:
+        raise ValueError(f"{unread[0]} needs scenario timebin-hqa, got "
+                         f"{cfg[unread[0]]}")
     counts = sample_events(
-        params, n_pulses=cfg["pulses"], seed=cfg["seed"],
-        scenario=cfg["scenario"], qubit=qubit,
+        params_from_config(cfg), n_pulses=cfg["pulses"], seed=cfg["seed"],
+        scenario=cfg["scenario"], qubit=QubitSpec.from_phase(cfg["delta_phi"]),
         analyzer_phi=cfg["analyzer_phi"], eta_herald=cfg["eta_herald"],
         eta_out=cfg["eta_out"])
     pin = estimate_pin(counts)

@@ -81,42 +81,30 @@ class EstimateWithError:
             raise ValueError("standard error must be non-negative")
 
 
-def _analyzer_setup(bundle, analyzer_phi: float, eta_out: float):
-    """The output analyzer, as a circuit over the bundle's paths, and its
-    detector.
-
-    For the time-bin scenario the two output rails are recombined on a
-    50/50 splitter with the long rail rotated so that the qubit
-    (|s> + e^{i analyzer_phi} |l>)/sqrt(2) exits entirely on the short
-    port; the detector there then projects onto that qubit. The Fock
-    scenario needs no recombination.
-    """
-    spec = DetectorSpec(eta_out, 0.0)
-    if bundle.scenario == "fock-hpa":
-        return Circuit(bundle.circuit.paths, ()), Detector("d4", "out", spec)
-    tail = Circuit(bundle.circuit.paths, (
-        PhaseShift(-analyzer_phi - math.pi / 2.0, "out_l"),
-        BeamSplitter(0.5, ("out_s", "out_l")),
-    ))
-    return tail, Detector("d4", "out_s", spec)
-
-
-def _branch_outcome_table(bundle, tail: Circuit, d4: Detector) -> np.ndarray:
+def _branch_outcome_table(bundle, analyzer_phi: float, eta_out: float):
     """Exact probability of each (herald class, analyzer click) pair, as an
     (n_classes, 2) array indexed by [class, d4 clicked], from one
     photon-by-photon pass over the probe at the bundle's mu (see _probe and
     amplifier._herald_probs); the remaining probability is "no herald"."""
-    return _herald_probs(_probe(bundle, tail, d4)).reshape(-1, 2)
+    return _herald_probs(_probe(bundle, analyzer_phi, eta_out)).reshape(-1, 2)
 
 
-def _probe(bundle, tail: Circuit, d4: Detector):
-    """The analyzer `tail` is passive and linear too, so it joins the
-    amplifier circuit, d4 joins the heralding detectors and each herald
+def _probe(bundle, analyzer_phi: float, eta_out: float):
+    """The bundle with the output analyzer and its detector d4. For the
+    time-bin scenario the two output rails are recombined on a 50/50
+    splitter with the long rail rotated so that the qubit
+    (|s> + e^{i analyzer_phi} |l>)/sqrt(2) exits entirely on the short
+    port, where d4 then projects onto that qubit; the Fock scenario needs
+    no recombination. The analyzer is passive and linear too, so it joins
+    the amplifier circuit, d4 joins the heralding detectors and each herald
     class splits in two, d4 silent, then d4 clicking."""
+    fock = bundle.scenario == "fock-hpa"
+    tail = () if fock else (PhaseShift(-analyzer_phi - math.pi / 2.0, "out_l"),
+                            BeamSplitter(0.5, ("out_s", "out_l")))
+    d4 = Detector("d4", "out" if fock else "out_s", DetectorSpec(eta_out, 0.0))
     return replace(
         bundle,
-        circuit=Circuit(bundle.circuit.paths,
-                        bundle.circuit.elements + tail.elements),
+        circuit=Circuit(bundle.circuit.paths, bundle.circuit.elements + tail),
         detectors=bundle.detectors + (d4,),
         herald_classes=tuple(
             HeraldClass(cls.name, tuple({**p, d4.name: o}
@@ -144,8 +132,7 @@ def sample_events(params: AmplifierParams, n_pulses: int, seed: int,
     _check_unit_interval(eta_herald=eta_herald, eta_out=eta_out)
 
     bundle = build_scenario(scenario, params, qubit)
-    tail, d4 = _analyzer_setup(bundle, analyzer_phi, eta_out)
-    herald = _branch_outcome_table(bundle, tail, d4)
+    herald = _branch_outcome_table(bundle, analyzer_phi, eta_out)
 
     p_d1_d2 = eta_herald * params.p_in
     cells = np.concatenate((

@@ -2,7 +2,13 @@
 
 The source state of each presence combination (`combinations`) is built
 here, by a plain loop over every choice of one mode per photon, so it
-shares no code with the production ket builder. The whole source mixture
+shares no code with the production ket builder. A bundle holds matched
+photons; each ancilla (every slot after the input photon's) is put here at
+overlap mu = bundle.params.mu as the coherent wavefunction
+mu|matched> + sqrt(1 - mu^2)|orthogonal> (`coherent_slots`), and each
+combination's weight is the product over the slots of p or 1 - p
+(`presence_weights`), so neither shares code with `amplifier._at_mu` or
+`amplifier._presence_weights`. The whole source mixture
 (`source`) runs through the circuit, and one joint
 measurement with `measure_all`, conditioned on each herald class with
 `detection.condition`, gives each class's conditional output ensemble.
@@ -16,10 +22,10 @@ also where a mixture holds one photon per ket and `run_circuit` would use
 the transfer matrix.
 `amplifier.compile_scenario` and `amplifier._herald_probs` (behind the
 sampler's `montecarlo._branch_outcome_table` and `hom_coincidence_fock`)
-instead map the source photons by the transfer matrix, build the output
-kets of every presence combination as arrays from them and weight them
-with per-pattern products of the click model, so the tests that compare
-the two check that route.
+instead map the matched source photons by the transfer matrix, put the
+ancillas at mu by one rule, build the output kets of every presence
+combination as arrays from them and weight them with per-pattern products
+of the click model, so the tests that compare the two check that route.
 """
 
 import itertools
@@ -27,11 +33,11 @@ import math
 
 import numpy as np
 
-from qubitamp.amplifier import _presence_weights
-from qubitamp.circuits import Branch, Mixture, apply_element, mixture_density
+from qubitamp.circuits import (Branch, Circuit, Mixture, apply_element,
+                               mixture_density)
 from qubitamp.detection import (CLICK, condition, measure, measure_all,
                                 pattern_outcomes)
-from qubitamp.fock import FockState, mode_labels
+from qubitamp.fock import MATCHED, ORTHOGONAL, FockState, mode_labels
 
 
 def expand(mix: Mixture, circuit) -> Mixture:
@@ -58,11 +64,35 @@ def source_state(labels, photons) -> FockState:
         for occ, amp in amplitudes.items()}, labels)
 
 
-def combinations(paths, slots):
-    """Source state of every presence combination of the slots' photons.
-    Entry c holds the combination whose presence bits, slot 0 first, are
-    the binary digits of c."""
-    return [source_state(mode_labels(paths),
+def coherent_slots(bundle):
+    """The bundle's (presence probability, wavefunction) slots with each
+    ancilla's matched amplitude a split into mu * a matched and
+    sqrt(1 - mu^2) * a orthogonal, at mu = bundle.params.mu; the input
+    photon (slot 0) stays as it is."""
+    mu = bundle.params.mu
+    nu = math.sqrt(1.0 - mu * mu)
+    (p_in, wf_in), *ancillas = bundle.slots
+    return [(p_in, wf_in)] + [
+        (p, {(path, mode): c * a for (path, _), a in wf.items()
+             for mode, c in ((MATCHED, mu), (ORTHOGONAL, nu))})
+        for p, wf in ancillas]
+
+
+def presence_weights(probs) -> list[float]:
+    """Weight of each presence combination of independent slots present
+    with probabilities `probs`: entry c, whose presence bits, slot 0 first,
+    are the binary digits of c, is the product of p or 1 - p per slot."""
+    return [math.prod(p if bit else 1.0 - p for p, bit in zip(probs, bits))
+            for bits in itertools.product((0, 1), repeat=len(probs))]
+
+
+def combinations(bundle):
+    """Source state of every presence combination of the bundle's photons,
+    the ancillas at the bundle's mu (`coherent_slots`). Entry c holds the
+    combination whose presence bits, slot 0 first, are the binary digits
+    of c."""
+    slots = coherent_slots(bundle)
+    return [source_state(mode_labels(bundle.circuit.paths),
                          [wf for _, wf in itertools.compress(slots, bits)])
             for bits in itertools.product((0, 1), repeat=len(slots))]
 
@@ -75,9 +105,9 @@ def outcomes(cls, detectors) -> set[tuple[bool, ...]]:
 
 def source(bundle) -> Mixture:
     """The presence combinations of non-zero weight, as a mixture."""
-    weights = _presence_weights([p for p, _ in bundle.slots])
+    weights = presence_weights([p for p, _ in bundle.slots])
     return Mixture([Branch(float(w), state) for w, state in zip(
-        weights, combinations(bundle.circuit.paths, bundle.slots)) if w > 0])
+        weights, combinations(bundle)) if w > 0])
 
 
 def conditionals(bundle, mix=None):
@@ -92,10 +122,14 @@ def conditionals(bundle, mix=None):
             for cls in bundle.herald_classes]
 
 
-def branch_outcomes(bundle, tail, d4) -> np.ndarray:
+def branch_outcomes(bundle, probe) -> np.ndarray:
     """Probability of each (herald class, analyzer click) pair, indexed
     [class, d4 clicked]: each class's conditional output runs through the
-    analyzer `tail` and d4 measures it."""
+    analyzer of the sampler's `probe` (the elements it adds to the bundle's
+    circuit) and its detector d4 (the one it adds) measures it."""
+    n = len(bundle.circuit.elements)
+    tail = Circuit(probe.circuit.paths, probe.circuit.elements[n:])
+    d4 = probe.detectors[-1]
     cells = np.zeros((len(bundle.herald_classes), 2))
     for k, (_, prob, cond) in enumerate(conditionals(bundle)):
         p4, _ = measure(expand(cond, tail), [d4], {d4.name: CLICK})

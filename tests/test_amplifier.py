@@ -32,9 +32,9 @@ from qubitamp.amplifier import (
 )
 from qubitamp.checks import GRID
 from qubitamp.circuits import run_circuit
-from qubitamp.detection import CLICK, NO_CLICK
+from qubitamp.detection import CLICK, NO_CLICK, DetectorSpec
 from qubitamp.fock import apply_two_mode_unitary
-from qubitamp.montecarlo import _analyzer_setup, _branch_outcome_table
+from qubitamp.montecarlo import _branch_outcome_table
 
 from exact_fringe import class_rates
 from exact_herald import heralded_analysis
@@ -411,11 +411,11 @@ def test_class_probabilities_keep_relative_precision(scenario, eta, dark):
     params = AmplifierParams(t=0.7, p_in=0.6, p_a=0.8, eta=eta, mu=0.9,
                              dark_click_prob=dark)
     qubit = QubitSpec.from_phase(0.4)
+    bundle = build_scenario(scenario, params, qubit)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        got = compile_scenario(scenario, params, qubit).evaluate(
+        got = compile_scenario(bundle).evaluate(
             params.p_in, params.p_a, params.mu)
-    bundle = build_scenario(scenario, params, qubit)
     sums, _ = heralded_analysis(bundle)
     for cls, prob in zip(bundle.herald_classes, sums[:, 0]):
         assert prob > 0.0
@@ -423,11 +423,18 @@ def test_class_probabilities_keep_relative_precision(scenario, eta, dark):
         assert abs(got_prob - prob) <= 1e-12 * prob
 
 
+def with_all_click(bundle):
+    """The bundle with one more herald class, "all": every detector
+    clicks."""
+    return replace(bundle, herald_classes=bundle.herald_classes + (
+        HeraldClass("all", ({d.name: CLICK for d in bundle.detectors},)),))
+
+
 class TestScenarioTable:
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_zero_herald_without_photons(self, scenario):
-        table = compile_scenario(
-            scenario, AmplifierParams(t=0.9, p_in=0.0, p_a=0.0, eta=0.7))
+        table = compile_scenario(build_scenario(
+            scenario, AmplifierParams(t=0.9, p_in=0.0, p_a=0.0, eta=0.7)))
         with pytest.raises(ZeroHeraldError):
             table.evaluate(0.0, 0.0, 1.0)
         with pytest.raises(ZeroHeraldError):  # one such point spoils a grid
@@ -444,29 +451,21 @@ class TestScenarioTable:
     ])
     def test_evaluate_rejects_values_outside_the_unit_interval(self, point,
                                                                name):
-        table = compile_scenario(
-            "fock-hpa", AmplifierParams(t=0.9, p_in=0.2, p_a=0.9, eta=0.7))
+        table = compile_scenario(build_scenario(
+            "fock-hpa", AmplifierParams(t=0.9, p_in=0.2, p_a=0.9, eta=0.7)))
         with pytest.raises(ValueError, match=f"^{name} must lie in"):
             table.evaluate(*point)
 
-    def test_impossible_class_has_probability_zero(self, monkeypatch):
+    def test_impossible_class_has_probability_zero(self):
         # a two-click class on the Fock amplifier needs two distinguishable
         # photons, so it is impossible without the input photon and dark
         # counts
-        build = amplifier.build_scenario
-
-        def with_coincidence(*args):
-            bundle = build(*args)
-            return replace(bundle, herald_classes=bundle.herald_classes + (
-                HeraldClass("both", ({"bsm_a": CLICK, "bsm_b": CLICK},)),))
-
-        monkeypatch.setattr(amplifier, "build_scenario", with_coincidence)
         params = AmplifierParams(t=0.7, p_in=0.0, p_a=0.8, eta=0.9, mu=0.5)
-        bundle = with_coincidence("fock-hpa", params)
-        assert heralded_analysis(bundle)[0][-1, 0] == 0.0  # "both"
-        out = compile_scenario("fock-hpa", params).evaluate(
+        bundle = with_all_click(build_scenario("fock-hpa", params))
+        assert heralded_analysis(bundle)[0][-1, 0] == 0.0  # "all"
+        out = compile_scenario(bundle).evaluate(
             np.array([0.0, 0.4]), 0.8, 0.5)
-        both = out.per_class["both"]
+        both = out.per_class["all"]
         assert both.herald_prob[0] == 0.0 and both.herald_prob[1] > 0.01
         for field in (both.p_out, both.vacuum_weight, both.multi_weight):
             assert field[0] == 0.0
@@ -476,12 +475,35 @@ class TestScenarioTable:
         assert out.herald_prob[0] == herald.herald_prob[0] > 0.0
         assert out.p_out[0] == pytest.approx(herald.p_out[0], abs=1e-15)
 
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_simulate_reads_the_bundle_it_is_given(self, scenario):
+        # an added herald class and each detector's own efficiency and dark
+        # count, against the full-mixture run of the same bundle
+        params = AmplifierParams(t=0.7, p_in=0.6, p_a=0.8, eta=0.9, mu=0.8)
+        bundle = with_all_click(build_scenario(scenario, params,
+                                               QubitSpec.from_phase(0.4)))
+        specs = [(0.9, 0.01), (0.6, 0.05), (0.8, 0.0), (0.5, 0.02)]
+        bundle = replace(bundle, detectors=tuple(
+            replace(d, spec=DetectorSpec(*s))
+            for d, s in zip(bundle.detectors, specs)))
+        out = simulate(bundle)
+        ref = _outcome(bundle, *heralded_analysis(bundle), params.p_in,
+                       params.p_a)
+        assert list(out.per_class) == [c.name for c in bundle.herald_classes]
+        for g, r in [(out, ref)] + [(out.per_class[k], ref.per_class[k])
+                                    for k in ref.per_class]:
+            for field in ("herald_prob", "p_out", "vacuum_weight",
+                          "multi_weight"):
+                assert abs(getattr(g, field) - getattr(r, field)) <= 1e-12
+            assert np.max(np.abs(g.output_qubit_density
+                                 - r.output_qubit_density)) <= 1e-12
+
     def test_fidelity_undefined_without_a_photon_out(self):
         # only dark counts herald, and no photon leaves: the fidelity is
         # None at a scalar point and NaN at the points of an array, per
         # class and combined
-        table = compile_scenario("fock-hpa", AmplifierParams(
-            t=1.0, p_in=0.0, p_a=0.0, eta=0.7, dark_click_prob=0.2))
+        table = compile_scenario(build_scenario("fock-hpa", AmplifierParams(
+            t=1.0, p_in=0.0, p_a=0.0, eta=0.7, dark_click_prob=0.2)))
         out = table.evaluate(0.0, 0.0, 1.0)
         for oc in (out, out.per_class["herald"]):
             assert oc.herald_prob > 0.0 and oc.p_out == 0.0
@@ -497,7 +519,8 @@ class TestScenarioTable:
         for scenario, t, eta in itertools.product(SCENARIOS, GRID["t"],
                                                   GRID["eta"]):
             params = AmplifierParams(t=t, p_in=1.0, p_a=1.0, eta=eta)
-            out = compile_scenario(scenario, params).evaluate(p_in, p_a, 1.0)
+            out = compile_scenario(build_scenario(scenario, params)).evaluate(
+                p_in, p_a, 1.0)
             for k, (a, pin) in enumerate(zip(p_a, p_in)):
                 bundle = build_scenario(scenario, replace(params, p_in=pin,
                                                           p_a=a))
@@ -541,11 +564,11 @@ class TestScenarioTable:
         # runs of its own, and the sampler's table needs one run too. The
         # sampler reads only the class probabilities, so it builds no rails
         params = AmplifierParams(t=0.7, p_in=0.5, p_a=0.8, eta=0.7, mu=0.6)
-        compile_scenario(scenario, params)
+        bundle = build_scenario(scenario, params)
+        compile_scenario(bundle)
         assert engine_calls["runs"] == [photons]
         assert len(engine_calls["rails"]) == 1
-        bundle = build_scenario(scenario, params)
-        _branch_outcome_table(bundle, *_analyzer_setup(bundle, 0.3, 0.9))
+        _branch_outcome_table(bundle, 0.3, 0.9)
         assert engine_calls["runs"] == [photons, photons]
         assert len(engine_calls["rails"]) == 1
         assert not engine_calls["expansions"]

@@ -79,6 +79,19 @@ class TestGainCurve:
         assert code == EXIT_VALIDATION
         assert not out.exists()
 
+    @pytest.mark.parametrize("ends", [["--pin-from", "0.2", "--pin-to", "0.9"],
+                                      []])  # the default ends, 0.1 and 1
+    def test_one_step_between_unequal_ends_is_validation_error(
+            self, tmp_path, capsys, ends):
+        # one step wrote one row, at pin_from, and dropped pin_to
+        out = tmp_path / "gain.csv"
+        code = run(["gain-curve", *ends, "--pin-steps", "1",
+                    "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert all(key in err for key in ("pin_steps", "pin_from", "pin_to"))
+        assert not out.exists()
+
     def test_point_that_cannot_herald(self, tmp_path, capsys):
         # without ancillas, p_in = 0 leaves nothing to click
         out = tmp_path / "gain.csv"
@@ -224,6 +237,25 @@ class TestHom:
         assert len(rows) == 5
         assert float(rows[0][1]) == pytest.approx(0.5)
         assert float(rows[-1][1]) == pytest.approx(0.0)
+
+    @pytest.mark.parametrize("ends", [["--mu-from", "0.2", "--mu-to", "1"],
+                                      []])  # the default ends, 0 and 1
+    def test_one_step_between_unequal_ends_is_validation_error(
+            self, tmp_path, capsys, ends):
+        # one step wrote one row, at mu_from, and dropped mu_to
+        out = tmp_path / "hom.csv"
+        code = run(["hom", *ends, "--mu-steps", "1", "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert all(key in err for key in ("mu_steps", "mu_from", "mu_to"))
+        assert not out.exists()
+
+    def test_one_step_between_equal_ends(self, tmp_path):
+        out = tmp_path / "hom.csv"
+        assert run(["hom", "--mu-from", "0.5", "--mu-to", "0.5",
+                    "--mu-steps", "1", "--out", str(out)]) == EXIT_OK
+        _, _, rows = read_csv(out)
+        assert [r[0] for r in rows] == ["0.5"]
 
     @pytest.mark.parametrize("args", [["--mu-from", "0.2", "--mu-to", "0.8"],
                                       ["--mu-to", "0.8"]])
@@ -477,6 +509,18 @@ class TestConfigHandling:
         assert code == EXIT_VALIDATION
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--analyzer-phi", "--delta-phi"])
+    def test_timebin_phase_on_fock_scenario_is_validation_error(
+            self, tmp_path, capsys, flag):
+        # the Fock amplifier has no qubit and no analyzer phase, so a
+        # nonzero value wrote the same bytes as none
+        out = tmp_path / "est.csv"
+        base = ["estimate", "--scenario", "fock-hpa", "--pulses", "1000"]
+        assert run(base + [flag, "1", "--out", str(out)]) == EXIT_VALIDATION
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not out.exists()
+        assert run(base + [flag, "0", "--out", str(out)]) == EXIT_OK
 
     def test_huge_pulse_count_is_validation_error(self, tmp_path, capsys):
         out = tmp_path / "est.csv"

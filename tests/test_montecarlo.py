@@ -15,7 +15,6 @@ from qubitamp.montecarlo import (
     ETA_HERALD_DEFAULT,
     EstimateWithError,
     UndefinedEstimateError,
-    _analyzer_setup,
     _branch_outcome_table,
     estimate_gain,
     estimate_pin,
@@ -104,8 +103,7 @@ class TestOutcomeTable:
                                              ("timebin-hqa", 1.0)])
     def test_herald_cells_match_oracle(self, scenario, mu):
         bundle = build_scenario(scenario, AmplifierParams(mu=mu, **ANALYZER_POINT))
-        tail, d4 = _analyzer_setup(bundle, 0.0, 1.0)
-        cells = _branch_outcome_table(bundle, tail, d4)
+        cells = _branch_outcome_table(bundle, 0.0, 1.0)
         oracle = simulate(bundle)
         assert cells.shape == (len(bundle.herald_classes), 2)
         for ci, cls in enumerate(bundle.herald_classes):

@@ -21,6 +21,7 @@ from qubitamp.amplifier import (
     HeraldClass,
     QubitSpec,
     SCENARIOS,
+    _at_mu,
     _combination_kets,
     _herald_cells,
     _outcome,
@@ -48,8 +49,7 @@ from qubitamp.fock import (
     apply_two_mode_unitary,
     beam_splitter_matrix,
 )
-from qubitamp.montecarlo import (_analyzer_setup, _branch_outcome_table,
-                                 _probe)
+from qubitamp.montecarlo import _branch_outcome_table, _probe
 
 from exact_fringe import class_rates
 from exact_herald import branch_outcomes, combinations, heralded_analysis
@@ -198,7 +198,7 @@ def test_table_equals_full_mixture_run(scenario, t, p_in, p_a, eta, dark, mu,
     qubit = QubitSpec.from_phase(delta_phi)
     bundle = build_scenario(scenario, params, qubit)
     ref = _outcome(bundle, *heralded_analysis(bundle), p_in, p_a)
-    got = compile_scenario(scenario, params, qubit).evaluate(p_in, p_a, mu)
+    got = compile_scenario(bundle).evaluate(p_in, p_a, mu)
     pairs = [(got, ref)] + [(got.per_class[k], ref.per_class[k])
                             for k in ref.per_class]
     floor = pruned_weight_bound(bundle)
@@ -229,9 +229,9 @@ def test_array_evaluate_equals_scalar_evaluate(scenario, t, eta, mu, dark,
                                                delta_phi, p_in, p_a):
     # the points of a 2-D broadcast are flattened into one matrix product
     # and reshaped back, so each must read as if evaluated on its own
-    table = compile_scenario(scenario, AmplifierParams(
+    table = compile_scenario(build_scenario(scenario, AmplifierParams(
         t=t, p_in=1.0, p_a=1.0, eta=eta, dark_click_prob=dark),
-                             QubitSpec.from_phase(delta_phi))
+                                            QubitSpec.from_phase(delta_phi)))
     p_in, p_a = np.array(p_in), np.array(p_a)
     grid = table.evaluate(p_in[:, None], p_a[None, :], mu)
     assert grid.herald_prob.shape == (len(p_in), len(p_a))
@@ -255,18 +255,20 @@ def test_table_cells_equal_multiphoton_runs(scenario, t, mu, eta, dark,
                                             delta_phi):
     # a passive linear circuit maps each creation operator on its own, so
     # running the photons one at a time gives every combination's output
-    # ket; the table runs them at mu = 1 only, relabels the ancillas'
-    # internal mode for mu = 0, and reads its cells off the kets without
+    # ket; the table runs the matched photons once, puts the ancillas at
+    # mu = 0 and 1 by one rule, and reads its cells off the kets without
     # measuring them
     params = AmplifierParams(t=t, p_in=1.0, p_a=1.0, eta=eta, mu=mu,
                              dark_click_prob=dark)
     qubit = QubitSpec.from_phase(delta_phi)
-    table = compile_scenario(scenario, params, qubit)
+    table = compile_scenario(build_scenario(scenario, params, qubit))
     for m, at_mu in enumerate((mu, 0.0, 1.0)):
         bundle = build_scenario(scenario, replace(params, mu=at_mu), qubit)
-        runs = run_circuit(Mixture([Branch(1.0, s) for s in combinations(
-            bundle.circuit.paths, bundle.slots)]), bundle.circuit)
-        cell, occ, amp = _combination_kets(_photon_outputs(bundle)[None])
+        runs = run_circuit(Mixture([Branch(1.0, s)
+                                    for s in combinations(bundle)]),
+                           bundle.circuit)
+        cell, occ, amp = _combination_kets(
+            _at_mu(_photon_outputs(bundle), at_mu)[None])
         for c, run in enumerate(runs):
             got = dict(zip(map(tuple, occ[cell == c].tolist()), amp[cell == c]))
             want = run.state.amplitudes
@@ -298,9 +300,9 @@ def test_analyzer_split_equals_full_mixture_run(scenario, t, p_in, p_a, specs,
     params = AmplifierParams(t=t, p_in=p_in, p_a=p_a, eta=1.0, mu=mu)
     bundle = with_specs(build_scenario(scenario, params,
                                        QubitSpec.from_phase(delta_phi)), specs)
-    tail, d4 = _analyzer_setup(bundle, analyzer_phi, eta_out)
-    got = _branch_outcome_table(bundle, tail, d4)
-    assert np.max(np.abs(got - branch_outcomes(bundle, tail, d4))) <= 1e-12
+    got = _branch_outcome_table(bundle, analyzer_phi, eta_out)
+    want = branch_outcomes(bundle, _probe(bundle, analyzer_phi, eta_out))
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 @settings(max_examples=30, deadline=None)
@@ -317,15 +319,14 @@ def test_outcome_classes_partition_every_cell(scenario, probe, t, specs, mu,
     qubit = QubitSpec.from_phase(delta_phi)
     bundle = build_scenario(scenario, params, qubit)
     if probe:  # d4's efficiency is drawn with the others
-        bundle = _probe(bundle, *_analyzer_setup(bundle, analyzer_phi, 1.0))
+        bundle = _probe(bundle, analyzer_phi, 1.0)
     bundle = replace(with_specs(bundle, specs), herald_classes=tuple(
         HeraldClass(str(o), ({d.name: CLICK if c else NO_CLICK
                               for d, c in zip(bundle.detectors, o)},))
         for o in itertools.product((False, True),
                                    repeat=len(bundle.detectors))))
-    at_0 = build_scenario(scenario, replace(params, mu=0.0), qubit).slots
-    photons = np.stack((_photon_outputs(bundle),
-                        _photon_outputs(replace(bundle, slots=at_0))))
+    at_1 = _photon_outputs(bundle)
+    photons = np.stack((_at_mu(at_1, mu), _at_mu(at_1, 0.0)))
     cells, rails = _herald_cells(bundle, photons)
     # each cell's class probabilities add up to its ket's norm, 1 up to
     # the amplitudes pruned below DROP_TOLERANCE
@@ -359,24 +360,21 @@ def with_loss_in_circuit(bundle):
 
 @settings(max_examples=30, deadline=None)
 @given(scenario=st.sampled_from(SCENARIOS), probe=st.booleans(), t=unit,
-       specs=detector_specs(0.9), mu=unit, delta_phi=angles,
-       analyzer_phi=angles)
+       specs=detector_specs(0.9), delta_phi=angles, analyzer_phi=angles)
 def test_detector_efficiency_equals_loss_on_the_table_pass(
-        scenario, probe, t, specs, mu, delta_phi, analyzer_phi):
+        scenario, probe, t, specs, delta_phi, analyzer_phi):
     # the production pass's click model at efficiency eta against ideal
     # detectors behind a splitter of transmission eta, per detector, on the
-    # scenario or on the sampler's probe (amplifier, analyzer and d4)
-    params = AmplifierParams(t=t, p_in=1.0, p_a=1.0, eta=1.0, mu=mu)
+    # scenario or on the sampler's probe (amplifier, analyzer and d4): the
+    # two bundles' tables, whose mu = 0 and mu = 1 rows every mu mixes
+    params = AmplifierParams(t=t, p_in=1.0, p_a=1.0, eta=1.0)
     bundle = build_scenario(scenario, params, QubitSpec.from_phase(delta_phi))
     if probe:  # d4's efficiency is drawn with the others
-        bundle = _probe(bundle, *_analyzer_setup(bundle, analyzer_phi, 1.0))
+        bundle = _probe(bundle, analyzer_phi, 1.0)
     bundle = with_specs(bundle, specs)
-    lossless = with_loss_in_circuit(bundle)
-    cells, rails = _herald_cells(bundle, _photon_outputs(bundle)[None])
-    want_cells, want_rails = _herald_cells(lossless,
-                                           _photon_outputs(lossless)[None])
-    assert np.max(np.abs(cells - want_cells)) <= 1e-12
-    assert np.max(np.abs(rails - want_rails), initial=0.0) <= 1e-12
+    got, want = map(compile_scenario, (bundle, with_loss_in_circuit(bundle)))
+    assert np.max(np.abs(got.cells - want.cells)) <= 1e-12
+    assert np.max(np.abs(got.rails - want.rails), initial=0.0) <= 1e-12
 
 
 @settings(max_examples=100, deadline=None)
