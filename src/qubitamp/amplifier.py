@@ -14,19 +14,15 @@ output is multilinear in the presence probabilities of the source photons
 and, with at most three photons, affine in mu^2. So `compile_scenario`
 tabulates each presence combination at mu = 0 and at mu = 1, and any
 (p_in, p_a, mu) is a weighted sum over the table. The passive linear
-circuits map each photon's creation operator on its own, by the circuit's
-path transfer matrix, and act alike on both internal modes. So a bundle's
-photons are matched, all go through one circuit run, one branch each, and
-one rule (`_at_mu`) puts the mapped ancillas at overlap mu: matched
-amplitudes times mu, and sqrt(1 - mu^2) times those in the orthogonal
-mode. The kets of every combination are built as arrays from the mapped
-photons, the click model weighs them for each herald class at their photon
-counts at the detectors, and the weighted kets sum to each cell's
-probabilities and rail densities. `_herald_probs` runs the same pass at a
-bundle's own mu and presence probabilities, without the rails: the
-sampler's outcome table and the two-photon dip (`hom_coincidence_fock`)
-come from it, so no production route expands a multi-photon state element
-by element.
+circuits map each photon's creation operator on its own, by the path
+transfer matrix, alike on both internal modes: a bundle's matched photons
+go through one circuit run, and `_at_mu` puts the mapped ancillas at
+overlap mu. One array pass (`_herald_pass`; `_herald_probs` without rails
+for the sampler and the two-photon dip) gives each cell's class
+probabilities and rail densities. Its index arrays depend only on the
+photons' support, the detected modes and the herald classes, so `_layout`
+builds them once per such key (an LRU cache of 16) and a call computes
+only the kets' amplitudes, the click model and the sums.
 
 Every unnormalised class quantity is linear in the table, so evaluation
 mixes the table's mu rows at mu^2, then contracts the presence weights of
@@ -51,10 +47,11 @@ dark counts; the simulator is the independent cross-check of it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -220,16 +217,15 @@ def gain_analytic(t: float, p_a, eta: float, p_in):
 
 
 def gain_asymptote(t: float) -> float:
-    """High-loss gain limit t / (1 - t).
-
-    Evaluated in exact rational arithmetic on the shortest decimal form of
-    t: the quotient amplifies the binary representation error of a decimal
-    transmission by 1/(1-t)^2, so 0.9 would otherwise miss 9 by ~2e-15.
-    """
+    """High-loss gain limit t / (1 - t), correctly rounded: m / (10^k - m)
+    in ints on the shortest decimal form t = m / 10^k, as floats amplify the
+    binary error of a decimal t by 1/(1-t)^2 (0.9 would miss 9 by ~2e-15)."""
     if not 0.0 <= t < 1.0:
         raise ValueError(f"asymptote defined for t in [0, 1), got {t}")
-    exact = Fraction(repr(float(t)))
-    return float(exact / (1 - exact))
+    digits, _, exponent = repr(float(t)).partition("e")  # "0.9", "1e-05"
+    whole, _, fraction = digits.partition(".")
+    m, k = int(whole + fraction), len(fraction) - int(exponent or 0)
+    return m / (10 ** k - m)
 
 
 def visibility(rates) -> float:
@@ -276,38 +272,6 @@ def hom_coincidence_fock(mu: float) -> float:
 
 
 # -- source construction ----------------------------------------------
-
-
-def _combination_kets(photons: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Kets of every presence combination of the one-photon states
-    photons[set, photon, mode], as arrays (cell, occupation, amplitude) of
-    one row per ket, sorted by cell and then occupation (mode 0 first).
-    Cell s * 2**n_photons + c is the combination of set s whose presence
-    bits, photon 0 first, are the binary digits of c. Each choice of one
-    mode per present photon adds the product of their amplitudes to the
-    occupation it fills, times sqrt(prod n!)."""
-    n_sets, n_photons, n_modes = photons.shape
-    # a row's key: its cell and occupation as digits in base n_photons + 1
-    base, scale = n_photons + 1, (n_photons + 1) ** n_modes
-    place = base ** np.arange(n_modes - 1, -1, -1)
-    # option 0 leaves a photon out, option 1 + i puts it in mode i; every
-    # choice of one option per photon spans amp[set, choice], key[set, choice]
-    options = np.concatenate((np.ones((n_sets, n_photons, 1)), photons), axis=2)
-    amp = np.ones((n_sets, 1))
-    key = (np.arange(n_sets)[:, None] << n_photons) * scale
-    for j in range(n_photons):
-        amp = (amp[:, :, None] * options[:, j, None]).reshape(n_sets, -1)
-        key = (key[:, :, None] + np.concatenate((
-            [0], place + (scale << n_photons - 1 - j)))).reshape(n_sets, -1)
-    at = amp.ravel().nonzero()[0]
-    key = key.ravel()[at]
-    order = key.argsort(kind="stable")  # merge the choices of one ket
-    key = key[order]
-    first = np.concatenate(([True], key[1:] != key[:-1])).nonzero()[0]
-    amp = np.add.reduceat(amp.ravel()[at[order]], first)
-    occ = key[first, None] // place % base
-    amp *= np.sqrt([math.factorial(n) for n in range(base)])[occ].prod(axis=1)
-    return key[first] // scale, occ, amp
 
 
 def _presence_weights(probs) -> np.ndarray:
@@ -419,17 +383,17 @@ def build_scenario(scenario: str, params: AmplifierParams,
 # -- exact simulation --------------------------------------------------
 
 
-def _gain(params, p_in, p_a, p_out):
+def _gain(params, p_in, p_a, prob, p_out):
     """(gain, p_out): p_out / p_in and p_out, but below the smallest normal
-    p_in without dark counts, the closed form at params' t and eta (the
-    p_in -> 0 limit at any mu) and gain * p_in. Dark counts herald a photon
-    out at p_in = 0 (gain inf)."""
+    p_in without dark counts, on rows of herald probability prob above
+    MIN_OUTCOME_PROB, the closed form at params' t and eta (the p_in -> 0
+    limit at any mu) and gain * p_in. Dark counts give gain inf at p_in = 0."""
     with np.errstate(all="ignore"):
         gain = p_out / p_in  # p_out has every axis of p_in and p_a
     smallest = np.finfo(float).tiny
     if params.dark_click_prob == 0.0 and np.min(p_in) < smallest:
         p_in, p_a = (np.broadcast_to(v, gain.shape) for v in (p_in, p_a))
-        tiny = p_in < smallest
+        tiny = (p_in < smallest) & (prob > MIN_OUTCOME_PROB)
         gain[tiny] = gain_analytic(params.t, p_a[tiny], params.eta, p_in[tiny])
         p_out = np.where(tiny, gain * p_in, p_out)
     return gain, p_out
@@ -463,7 +427,7 @@ def _outcome(bundle, sums, rails, p_in, p_a) -> HeraldedOutcome:
     denom = np.where(prob > MIN_OUTCOME_PROB, prob, 1.0)
     vacuum, single, multi = (sums[..., i] / denom for i in (1, 2, 3))
     rho = rails / denom[..., None, None]
-    gain, p_out = _gain(bundle.params, p_in, p_a, single)
+    gain, p_out = _gain(bundle.params, p_in, p_a, prob, single)
     # <psi|rho|psi> as one contraction of each rho, whose trace is single
     psi = np.ones(1) if bundle.qubit is None else bundle.qubit.vector()
     overlap = (rho.reshape(rho.shape[:-2] + (-1,))
@@ -539,100 +503,134 @@ def _at_mu(photons: np.ndarray, mu: float) -> np.ndarray:
     return out
 
 
-def _herald_kets(bundle: ScenarioBundle, photons) -> tuple[np.ndarray, ...]:
-    """(starts, det, out, amp): the kets of photons[set, photon, mode] (see
-    _combination_kets), starts indexing each cell's first, with det[ket, 2 *
-    detector + internal mode] the detected modes, sorted first so that the
-    kets of a cell group by det, each group coherent, and out the rails."""
+class _Layout(NamedTuple):
+    """The pass's index arrays for one photon support (see _layout)."""
+    gather: np.ndarray  # [photon, choice] into the options, sorted by ket
+    kets: np.ndarray  # each ket's first choice
+    fact: np.ndarray  # each ket's sqrt(prod n!)
+    occ: np.ndarray  # [ket, mode]: each ket's occupations
+    cells: np.ndarray  # each cell's first ket
+    take: np.ndarray  # [pattern, detector, ket] into the click model
+    classes: np.ndarray  # each class's first pattern
+    by_out: np.ndarray  # [ket, 4]: 1, and whether 0, 1 or 2+ photons out
+    groups: np.ndarray  # each coherent group's first ket
+    group_cells: np.ndarray  # each cell's first group
+
+
+@functools.lru_cache(maxsize=16)
+def _layout(support: bytes, shape: tuple, n_detected: int,
+            requirements: tuple) -> _Layout:
+    """Index arrays of the kets of every presence combination of one-photon
+    states photons[set, photon, mode] of nonzero pattern `support` (bool
+    bytes): cell s * 2**n_photons + c is set s with presence bits (photon 0
+    first) the binary digits of c. The first n_detected modes are detected,
+    two per detector; requirements[class][pattern][detector] is 0 (no
+    click), 1 (click) or 2 (either)."""
+    n_sets, n_photons, n_modes = shape
+    base, scale = n_photons + 1, (n_photons + 1) ** n_modes
+    place = base ** np.arange(n_modes - 1, -1, -1)
+    # option 0 leaves a photon out, option 1 + i puts it in mode i
+    allowed = np.concatenate((np.ones((n_sets, n_photons, 1), bool),
+                              np.frombuffer(support, bool).reshape(shape)), 2)
+    # each choice of nonzero options, photon 0's slowest: its set, gather
+    # indices and key (cell and occupation as digits in base n_photons + 1)
+    sets, gather = np.arange(n_sets), np.empty((0, n_sets), int)
+    key = (sets << n_photons) * scale
+    for j in range(n_photons):
+        at, option = allowed[sets, j].nonzero()
+        sets, key = sets[at], key[at] + np.concatenate((
+            [0], place + (scale << n_photons - 1 - j)))[option]
+        gather = np.concatenate((gather[:, at], [
+            (sets * n_photons + j) * (n_modes + 1) + option]))
+    order = key.argsort(kind="stable")  # merge the choices of one ket
+    gather, key = gather[:, order], key[order]
+    kets = np.concatenate(([True], key[1:] != key[:-1])).nonzero()[0]
+    occ, key = key[kets, None] // place % base, key[kets]
+    # each cell's first ket, and each coherent group's (alike at detectors)
+    cells, groups = (np.concatenate(([True], k[1:] != k[:-1])).nonzero()[0]
+                     for k in key // [[scale], [scale // base ** n_detected]])
+    det, n_out = occ[:, :n_detected], occ[:, n_detected:].sum(axis=1)
+    need = np.array(sum(requirements, ()))  # [pattern, detector]
+    offset = (need * need.shape[1] + np.arange(need.shape[1])) * base
+    fact = np.sqrt([math.factorial(n) for n in range(base)])[occ].prod(axis=1)
+    by_out = np.array(((1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1)))
+    return _Layout(gather, kets, fact, occ, cells,
+                   offset[..., None] + (det[:, 0::2] + det[:, 1::2]).T,
+                   np.cumsum([0] + [len(c) for c in requirements[:-1]]),
+                   by_out[np.minimum(n_out, 2)], groups,
+                   groups.searchsorted(cells))
+
+
+def _kets(bundle: ScenarioBundle, photons) -> tuple[_Layout, np.ndarray]:
+    """(layout, amp) of the photon outputs photons[set, photon, mode] of
+    `bundle`, each detector's two modes put first: each ket sums the option
+    products of its choices, times sqrt(prod n!)."""
     labels = mode_labels(bundle.circuit.paths)
     detected = [labels.index((d.path, i)) for d in bundle.detectors
                 for i in (MATCHED, ORTHOGONAL)]
-    cell, occ, amp = _combination_kets(photons[..., detected + [
-        i for i in range(len(labels)) if i not in detected]])
-    starts = np.concatenate(([True], cell[1:] != cell[:-1])).nonzero()[0]
-    return starts, occ[:, :len(detected)], occ[:, len(detected):], amp
+    photons = photons[..., detected + [
+        i for i in range(len(labels)) if i not in detected]]
+    layout = _layout(np.not_equal(photons, 0).tobytes(), photons.shape,
+                     len(detected), tuple(tuple(tuple(
+                         (NO_CLICK, CLICK, ANY).index(p.get(d.name, ANY))
+                         for d in bundle.detectors) for p in c.patterns)
+                         for c in bundle.herald_classes))
+    options = np.concatenate((np.ones(photons.shape[:2] + (1,)), photons), 2)
+    # photon by photon with `*`: np.prod rounds complex products otherwise
+    product = functools.reduce(np.multiply, options.ravel()[layout.gather])
+    return layout, np.add.reduceat(product, layout.kets) * layout.fact
 
 
-def _click_model(bundle: ScenarioBundle, det) -> np.ndarray:
-    """Class weights [class, ket] at the detected occupations det (see
-    _herald_kets): the sum over the class's patterns of the product over
-    the detectors, in order, of the no-click or click probability at the
-    detector's photon count n (up to the source photons), or 1, per ket."""
-    n_det, n = len(bundle.detectors), np.arange(len(bundle.slots) + 1)
+def _herald_pass(bundle: ScenarioBundle, photons, rails: bool = True):
+    """(sums, rails) of the kets of photons (see _kets): each class's
+    probability, and that with 0, 1 and 2+ photons out, [cell, class, 4],
+    and if `rails` its single-photon density on the undetected paths times
+    its probability, [cell, class, rail, rail], else None. A class weighs a
+    ket by a sum over its patterns of products over the detectors."""
+    layout, amp = _kets(bundle, photons)
+    n = np.arange(photons.shape[1] + 1)
     eta, dark = np.array([(d.spec.eta, d.spec.dark_click_prob)
                           for d in bundle.detectors]).T[..., None]
     model = np.array((no_click_weight(n, eta, dark), click_prob(n, eta, dark),
-                      np.ones((n_det, len(n)))))  # [requirement, detector, n]
-    choice = {NO_CLICK: 0, CLICK: 1, ANY: 2}
-    offset = np.array([[(choice[p.get(d.name, ANY)] * n_det + i) * len(n)
-                        for i, d in enumerate(bundle.detectors)]
-                       for c in bundle.herald_classes for p in c.patterns])
-    counts = det[:, 0::2] + det[:, 1::2]  # [ket, detector]
-    products = model.take(offset[:, :, None] + counts.T).prod(axis=1)
-    return np.add.reduceat(products, list(itertools.accumulate(
-        (len(cls.patterns) for cls in bundle.herald_classes[:-1]), initial=0)))
-
-
-def _cell_sums(starts, out, amp, weights) -> np.ndarray:
-    """Each class's probability, and that with 0, 1 and 2+ photons out,
-    summed over the kets of each cell, [cell, class, 4] (see _herald_kets
-    and _click_model). No cell is empty: a present photon has norm 1."""
-    by_out = np.array(((1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1)))  # 0, 1, 2+
-    return np.add.reduceat((weights.T[:, :, None] * abs(amp[:, None, None]) ** 2
-                            * by_out[np.minimum(out.sum(axis=1), 2), None]
-                            ).reshape(len(amp), -1), starts).reshape(
-                                len(starts), len(weights), 4)
-
-
-def _rail_densities(starts, det, out, amp, weights) -> np.ndarray:
-    """Each class's single-photon density over the rails times its
-    probability, summed over the coherent groups of each cell, [cell,
-    class, rail, rail] (see _cell_sums)."""
-    group_start = np.concatenate(([True], (det[1:] != det[:-1]).any(axis=1)))
-    group_start[starts] = True
-    first, n_rails = group_start.nonzero()[0], out.shape[1] // 2
+                      np.ones((len(eta), len(n)))))  # [requirement, det, n]
+    weights = np.add.reduceat(model.take(layout.take).prod(axis=1),
+                              layout.classes)  # [class, ket]
+    shape = (len(layout.cells), len(weights))
+    sums = np.add.reduceat((weights.T[:, :, None] * abs(amp[:, None, None])
+                            ** 2 * layout.by_out[:, None]).reshape(
+        len(amp), -1), layout.cells).reshape(shape + (4,))
+    if not rails:
+        return sums, None
+    out, first = layout.occ[:, 2 * len(eta):], layout.groups
     # the single photons out of each group, [group, rail, internal mode]
-    single = np.add.reduceat(out * (amp * (out.sum(axis=1) == 1))[:, None],
-                             first).reshape(len(first), n_rails, 2)
+    single = np.add.reduceat(out * (amp * layout.by_out[:, 2])[:, None],
+                             first).reshape(len(first), -1, 2)
     pairs = (single[:, :, None] * single.conj()[:, None]).sum(-1).reshape(
-        len(first), 1, n_rails ** 2)  # [group, 1, rail * rail]
+        len(first), 1, -1)  # [group, 1, rail * rail]
     rails = np.add.reduceat((weights[:, first].T[:, :, None] * pairs).reshape(
-        len(first), -1), first.searchsorted(starts))
-    return rails.reshape(len(starts), len(weights), n_rails, n_rails)
+        len(first), -1), layout.group_cells)
+    return sums, rails.reshape(shape + single.shape[1:2] * 2)
 
 
 def _herald_probs(bundle: ScenarioBundle) -> np.ndarray:
-    """Each herald class's probability at the bundle's mu and presence
-    probabilities: the kets, the click model and the cell sums of one set
-    of photon outputs, weighted by the slots' presence combinations."""
-    photons = _at_mu(_photon_outputs(bundle), bundle.params.mu)
-    starts, det, out, amp = _herald_kets(bundle, photons[None])
-    sums = _cell_sums(starts, out, amp, _click_model(bundle, det))
+    """Each herald class's probability at the bundle's mu and slots."""
+    sums, _ = _herald_pass(bundle, _at_mu(_photon_outputs(bundle),
+                                          bundle.params.mu)[None], rails=False)
     return sums[..., 0].T @ _presence_weights([p for p, _ in bundle.slots])
-
-
-def _herald_cells(bundle: ScenarioBundle, photons) -> tuple[np.ndarray, ...]:
-    """cells and rails (see ScenarioTable) of every presence combination of
-    the photon outputs photons[m]: the kets, the click model, the cell sums
-    and the rail densities, each cell at or below MIN_OUTCOME_PROB zeroed."""
-    starts, det, out, amp = _herald_kets(bundle, photons)
-    weights = _click_model(bundle, det)
-    shape = (len(photons), 1 << photons.shape[1], len(weights))
-    cells, rails = (t.reshape(shape + t.shape[2:]).swapaxes(1, 2) for t in (
-        _cell_sums(starts, out, amp, weights),
-        _rail_densities(starts, det, out, amp, weights)))
-    impossible = cells[..., 0] <= MIN_OUTCOME_PROB
-    cells[impossible], rails[impossible] = 0.0, 0.0
-    return cells, rails
 
 
 def compile_scenario(bundle: ScenarioBundle) -> ScenarioTable:
     """The table of `bundle` (see ScenarioTable): one circuit run of its
-    source photons, then one pass over the output kets of every presence
-    combination at mu = 0 and 1 (see the module docstring)."""
+    source photons, then one pass at mu = 0 and 1 (see the module
+    docstring), each cell at or below MIN_OUTCOME_PROB zeroed."""
     at_1 = _photon_outputs(bundle)
-    return ScenarioTable(bundle, *_herald_cells(
-        bundle, np.array((_at_mu(at_1, 0.0), at_1))))
+    sums, rails = _herald_pass(bundle, np.array((_at_mu(at_1, 0.0), at_1)))
+    shape = (2, 1 << at_1.shape[0], sums.shape[1])
+    cells, rails = (t.reshape(shape + t.shape[2:]).swapaxes(1, 2)
+                    for t in (sums, rails))
+    impossible = cells[..., 0] <= MIN_OUTCOME_PROB
+    cells[impossible], rails[impossible] = 0.0, 0.0
+    return ScenarioTable(bundle, cells, rails)
 
 
 def simulate(bundle: ScenarioBundle) -> HeraldedOutcome:

@@ -15,9 +15,9 @@ significant digits, '.' decimals and bare newline line endings. An existing
 --out file is overwritten in place and cut to the new length.
 
 Exit codes: 0 success, 2 parse error, 3 validation error (including a
-non-finite float value, an unknown scenario, or an --out path that cannot
-be opened or written, such as a full disk), 4 internal numerical failure
-(including running out of memory).
+non-finite float value, an unknown scenario, a grid of over MAX_STEPS
+points, or an --out path that cannot be opened or written, such as a full
+disk), 4 internal numerical failure (including running out of memory).
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_NUMERICAL = 4
+MAX_STEPS = 100_000  #: most points of pin_steps, mu_steps or phi_steps
 
 #: Every key: key -> (value type, default or None). The type names the
 #: value in --help; `config` is a flag only, the path of a file of keys.
@@ -219,8 +220,9 @@ def _grid(cfg: dict, name: str) -> np.ndarray:
     """NAME_steps evenly spaced points from NAME_from to NAME_to (by default
     0 and 1): at least one, the ends in order, and one only at equal ends."""
     lo, hi = cfg.get(f"{name}_from", 0.0), cfg.get(f"{name}_to", 1.0)
-    if cfg[f"{name}_steps"] < 1:
-        raise ValueError(f"{name}_steps must be at least 1")
+    if not 1 <= cfg[f"{name}_steps"] <= MAX_STEPS:
+        raise ValueError(f"{name}_steps must be at least 1, at most "
+                         f"{MAX_STEPS}")
     if not lo <= hi:
         raise ValueError(f"{name}_from must not exceed {name}_to")
     if cfg[f"{name}_steps"] == 1 and lo != hi:
@@ -246,8 +248,8 @@ def cmd_gain_curve(cfg: dict) -> int:
 
 
 def cmd_fringe(cfg: dict) -> int:
-    if cfg["phi_steps"] < 2:
-        raise ValueError("phi_steps must be at least 2")
+    if not 2 <= cfg["phi_steps"] <= MAX_STEPS:
+        raise ValueError(f"phi_steps must be at least 2, at most {MAX_STEPS}")
     params = params_from_config(cfg)
     phis = np.linspace(0.0, 2.0 * math.pi, cfg["phi_steps"], endpoint=False)
     scan = fringe_scan(params, phis,

@@ -2,6 +2,7 @@ import itertools
 import math
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -82,6 +83,17 @@ class TestAsymptote:
         assert gain_asymptote(0.9) == pytest.approx(9.0)
         assert gain_asymptote(0.5) == pytest.approx(1.0)
         assert gain_asymptote(0.99) == pytest.approx(99.0)
+
+    def test_equals_exact_rational_value(self):
+        # t / (1 - t) on the shortest decimal form of t, rounded once
+        rng = np.random.default_rng(7)
+        grid = [0.0, 0.9, 0.99, 0.5, 0.1, 1e-05, 1.5e-05, 5e-324,
+                np.finfo(float).tiny, math.nextafter(1.0, 0.0)] + list(
+            rng.random(2000)) + list(rng.random(2000) * 10.0 ** -rng.integers(
+                0, 320, 2000))
+        for t in grid:
+            exact = Fraction(repr(float(t)))
+            assert gain_asymptote(t) == float(exact / (1 - exact)), t
 
     def test_undefined_at_unit_transmission(self):
         with pytest.raises(ValueError):
@@ -475,6 +487,25 @@ class TestScenarioTable:
         assert out.herald_prob[0] == herald.herald_prob[0] > 0.0
         assert out.p_out[0] == pytest.approx(herald.p_out[0], abs=1e-15)
 
+    def test_subnormal_fallback_skips_impossible_classes(self):
+        # below the smallest normal p_in the gain falls back to the closed
+        # form, but only on class rows that can herald: the impossible
+        # "all" class reads 0 at a sub-normal p_in as it does at 1e-3
+        bundle = with_all_click(build_scenario("fock-hpa", AmplifierParams(
+            t=0.9, p_in=0.2, p_a=0.9, eta=0.7)))
+        out = compile_scenario(bundle).evaluate(
+            np.array([1e-320, 1e-3]), 0.9, 1.0)
+        both = out.per_class["all"]
+        for field in (both.herald_prob, both.p_out, both.gain):
+            assert not np.any(field)
+        assert out.per_class["herald"].gain[0] == gain_analytic(
+            0.9, 0.9, 0.7, 1e-320)
+        # the default classes keep their sub-normal gains
+        for p_in, gain in [(1e-300, 9.0),
+                           (1e-320, gain_analytic(0.9, 0.9, 0.7, 1e-320))]:
+            assert simulate_scenario("timebin-hqa", AmplifierParams(
+                t=0.9, p_in=p_in, p_a=0.9, eta=0.7)).gain == gain
+
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_simulate_reads_the_bundle_it_is_given(self, scenario):
         # an added herald class and each detector's own efficiency and dark
@@ -532,10 +563,11 @@ class TestScenarioTable:
     @pytest.fixture
     def engine_calls(self, monkeypatch):
         """The branch count of each amplifier.run_circuit call, each call of
-        the Fock expansion (apply_two_mode_unitary) and each call of
-        amplifier._rail_densities, as lists filled as they happen."""
+        the Fock expansion (apply_two_mode_unitary) and, for each table pass
+        (amplifier._herald_pass), whether it built rail densities, as lists
+        filled as they happen."""
         calls = {"runs": [], "expansions": [], "rails": []}
-        rail_densities = amplifier._rail_densities
+        herald_pass = amplifier._herald_pass
 
         def counting(m, c):
             calls["runs"].append(len(m))
@@ -545,13 +577,14 @@ class TestScenarioTable:
             calls["expansions"].append(args)
             return apply_two_mode_unitary(*args)
 
-        def densities(*args):
-            calls["rails"].append(args)
-            return rail_densities(*args)
+        def passing(*args, **kwargs):
+            sums, rails = herald_pass(*args, **kwargs)
+            calls["rails"].append(rails is not None)
+            return sums, rails
 
         monkeypatch.setattr(amplifier, "run_circuit", counting)
         monkeypatch.setattr(circuits, "apply_two_mode_unitary", expanding)
-        monkeypatch.setattr(amplifier, "_rail_densities", densities)
+        monkeypatch.setattr(amplifier, "_herald_pass", passing)
         return calls
 
     @pytest.mark.parametrize("scenario, photons", [("fock-hpa", 2),
@@ -567,10 +600,10 @@ class TestScenarioTable:
         bundle = build_scenario(scenario, params)
         compile_scenario(bundle)
         assert engine_calls["runs"] == [photons]
-        assert len(engine_calls["rails"]) == 1
+        assert engine_calls["rails"] == [True]
         _branch_outcome_table(bundle, 0.3, 0.9)
         assert engine_calls["runs"] == [photons, photons]
-        assert len(engine_calls["rails"]) == 1
+        assert engine_calls["rails"] == [True, False]
         assert not engine_calls["expansions"]
 
     def test_hom_dip_runs_its_two_photons_once(self, engine_calls):
@@ -580,4 +613,4 @@ class TestScenarioTable:
             hom_coincidence(0.6)[0], abs=1e-12)
         assert engine_calls["runs"] == [2]
         assert not engine_calls["expansions"]
-        assert not engine_calls["rails"]
+        assert engine_calls["rails"] == [False]

@@ -267,6 +267,27 @@ class TestHom:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command,key,least", [("gain-curve", "pin_steps", 1),
+                                               ("hom", "mu_steps", 1),
+                                               ("fringe", "phi_steps", 2)])
+@pytest.mark.parametrize("value", [cli.MAX_STEPS + 1, 10 ** 20 - 1])
+def test_grid_above_maximum_is_validation_error(monkeypatch, tmp_path, capsys,
+                                                command, key, least, value):
+    # the size is rejected before any grid is made
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was made")
+
+    monkeypatch.setattr(np, "linspace", no_grid)
+    out = tmp_path / "grid.csv"
+    code = run([command, "--" + key.replace("_", "-"), str(value),
+                "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == (f"validation error: {key} must be at "
+                                       f"least {least}, at most "
+                                       f"{cli.MAX_STEPS}\n")
+    assert not out.exists()
+
+
 class TestEstimate:
     def test_byte_identical_for_fixed_seed(self, tmp_path):
         args = ["estimate", "--scenario", "fock-hpa", "--t", "0.9",

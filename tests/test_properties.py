@@ -22,8 +22,10 @@ from qubitamp.amplifier import (
     QubitSpec,
     SCENARIOS,
     _at_mu,
-    _combination_kets,
-    _herald_cells,
+    _herald_pass,
+    _herald_probs,
+    _kets,
+    _layout,
     _outcome,
     _photon_outputs,
     _presence_weights,
@@ -31,6 +33,7 @@ from qubitamp.amplifier import (
     compile_scenario,
     fringe_scan,
     gain_analytic,
+    hom_coincidence_fock,
     simulate_scenario,
 )
 from qubitamp.checks import loss_identity_residual, random_two_path_state
@@ -45,9 +48,12 @@ from qubitamp.detection import (
 )
 from qubitamp.fock import (
     DROP_TOLERANCE,
+    MATCHED,
+    ORTHOGONAL,
     apply_phase,
     apply_two_mode_unitary,
     beam_splitter_matrix,
+    mode_labels,
 )
 from qubitamp.montecarlo import _branch_outcome_table, _probe
 
@@ -267,10 +273,18 @@ def test_table_cells_equal_multiphoton_runs(scenario, t, mu, eta, dark,
         runs = run_circuit(Mixture([Branch(1.0, s)
                                     for s in combinations(bundle)]),
                            bundle.circuit)
-        cell, occ, amp = _combination_kets(
-            _at_mu(_photon_outputs(bundle), at_mu)[None])
+        layout, amp = _kets(bundle,
+                            _at_mu(_photon_outputs(bundle), at_mu)[None])
+        # the kets' modes, detected first, back in the circuit's order
+        labels = mode_labels(bundle.circuit.paths)
+        first = [labels.index((d.path, i)) for d in bundle.detectors
+                 for i in (MATCHED, ORTHOGONAL)]
+        occ = layout.occ[:, np.argsort(first + [
+            i for i in range(len(labels)) if i not in first])]
+        ends = np.append(layout.cells, len(amp))
         for c, run in enumerate(runs):
-            got = dict(zip(map(tuple, occ[cell == c].tolist()), amp[cell == c]))
+            ket = slice(ends[c], ends[c + 1])
+            got = dict(zip(map(tuple, occ[ket].tolist()), amp[ket]))
             want = run.state.amplitudes
             for ket in set(got) | set(want):
                 assert abs(got.get(ket, 0.0) - want.get(ket, 0.0)) <= 1e-12
@@ -327,18 +341,47 @@ def test_outcome_classes_partition_every_cell(scenario, probe, t, specs, mu,
                                    repeat=len(bundle.detectors))))
     at_1 = _photon_outputs(bundle)
     photons = np.stack((_at_mu(at_1, mu), _at_mu(at_1, 0.0)))
-    cells, rails = _herald_cells(bundle, photons)
+    sums, rails = _herald_pass(bundle, photons, rails=True)
     # each cell's class probabilities add up to its ket's norm, 1 up to
     # the amplitudes pruned below DROP_TOLERANCE
-    cell, _, amp = _combination_kets(photons)
-    norms = np.bincount(cell, abs(amp) ** 2).reshape(2, -1)
-    assert np.max(np.abs(cells[..., 0].sum(axis=1) - norms)) <= 1e-12
+    layout, amp = _kets(bundle, photons)
+    norms = np.add.reduceat(abs(amp) ** 2, layout.cells)
+    assert np.max(np.abs(sums[..., 0].sum(axis=1) - norms)) <= 1e-12
     assert np.max(np.abs(norms - 1.0)) <= 1e-12
     # and each rail density is Hermitian and positive semidefinite
     assert np.allclose(rails, rails.conj().swapaxes(-1, -2), rtol=0.0,
                        atol=1e-12)
     if rails.size:
         assert np.linalg.eigvalsh(rails).min() >= -1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(points=st.lists(st.tuples(
+    st.sampled_from(SCENARIOS), st.sampled_from([0.0, 1.0]) | unit, unit,
+    unit, st.just(1.0) | unit, st.just(0.0) | st.floats(0.0, 0.9),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), angles),
+    min_size=1, max_size=4), order=st.randoms(use_true_random=False))
+def test_pass_results_do_not_depend_on_the_layout_cache(points, order):
+    # the layout is built once per photon support and cached: tables,
+    # herald probabilities, sampler tables and dips from a warm cache equal
+    # those built after the cache is cleared, in another order
+    jobs = []
+    for scenario, t, p_in, p_a, eta, dark, mu, phi in points:
+        bundle = build_scenario(scenario, AmplifierParams(
+            t=t, p_in=p_in, p_a=p_a, eta=eta, mu=mu, dark_click_prob=dark),
+            QubitSpec.from_phase(phi))
+        jobs += [lambda b=bundle: operator.attrgetter("cells", "rails")(
+                     compile_scenario(b)),
+                 lambda b=bundle: (_herald_probs(b),),
+                 lambda b=bundle, phi=phi: (_branch_outcome_table(b, phi, 0.9),),
+                 lambda mu=mu: (hom_coincidence_fock(mu),)]
+    for job in jobs:  # warm the cache
+        job()
+    warm = [job() for job in jobs]
+    _layout.cache_clear()
+    cold = {k: jobs[k]() for k in order.sample(range(len(jobs)), len(jobs))}
+    for k, want in enumerate(warm):
+        assert all(map(np.array_equal, cold[k], want))
 
 
 def with_loss_in_circuit(bundle):
