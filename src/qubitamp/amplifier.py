@@ -19,10 +19,13 @@ transfer matrix, alike on both internal modes: a bundle's matched photons
 go through one circuit run, and `_at_mu` puts the mapped ancillas at
 overlap mu. One array pass (`_herald_pass`; `_herald_probs` without rails
 for the sampler and the two-photon dip) gives each cell's class
-probabilities and rail densities. Its index arrays depend only on the
-photons' support, the detected modes and the herald classes, so `_layout`
-builds them once per such key (an LRU cache of 16) and a call computes
-only the kets' amplitudes, the click model and the sums.
+probabilities and rail densities. A threshold detector sees only its
+photon count, so a class weighs each count pattern (the distinct photon
+counts at the detectors) once, and the kets' |amp|^2 are summed per cell,
+count pattern and photons out first. The pass's index arrays depend only
+on the photons' support, the detected modes and the herald classes, so
+`_layout` builds them once per such key (an LRU cache of 16) and a call
+computes only the kets' amplitudes, the pattern weights and the sums.
 
 Every unnormalised class quantity is linear in the table, so evaluation
 mixes the table's mu rows at mu^2, then contracts the presence weights of
@@ -70,8 +73,7 @@ from .detection import (
 # amplifier.measure_all by name, so the names stay importable from this module.
 from .circuits import mixture_density  # noqa: F401
 from .detection import measure_all  # noqa: F401
-from .fock import (FockState, MATCHED, ORTHOGONAL, mode_labels,
-                   one_photon_occupations)
+from .fock import FockState, MATCHED, mode_labels, one_photon_occupations
 
 
 class UndefinedGainError(ValueError):
@@ -164,15 +166,15 @@ class HeraldClass:
 
 @dataclass(frozen=True)
 class ScenarioBundle:
-    """A scenario at params. slots holds (presence probability, matched
-    wavefunction) per source photon: slot 0 is the input photon, and each
-    later slot an ancilla at overlap params.mu with it (see _at_mu)."""
+    """A scenario at params. slots holds each source photon's matched
+    wavefunction: slot 0 the input photon, present with probability p_in,
+    each later slot an ancilla, present with p_a, at overlap mu with it."""
 
     scenario: str
     params: AmplifierParams
     qubit: QubitSpec | None
     circuit: Circuit
-    slots: tuple[tuple[float, dict], ...]
+    slots: tuple[dict, ...]
     detectors: tuple[Detector, ...]
     herald_classes: tuple[HeraldClass, ...]
 
@@ -265,7 +267,7 @@ def hom_coincidence_fock(mu: float) -> float:
     paths, ideal = ("a", "b"), DetectorSpec(1.0)
     bundle = ScenarioBundle(
         "hom", params, None, Circuit(paths, (BeamSplitter(0.5, paths),)),
-        ((1.0, {("a", MATCHED): 1.0}), (1.0, {("b", MATCHED): 1.0})),
+        ({("a", MATCHED): 1.0}, {("b", MATCHED): 1.0}),
         tuple(Detector(p, p, ideal) for p in paths),
         (HeraldClass("coincidence", ({"a": CLICK, "b": CLICK},)),))
     return float(_herald_probs(bundle)[0])
@@ -300,10 +302,7 @@ def build_fock_hpa(params: AmplifierParams) -> ScenarioBundle:
     threshold detectors on the 50/50 ports.
     """
     paths = ("in", "anc", "out")
-    slots = [
-        (params.p_in, {("in", MATCHED): 1.0}),
-        (params.p_a, {("out", MATCHED): 1.0}),
-    ]
+    slots = ({("in", MATCHED): 1.0}, {("out", MATCHED): 1.0})
     circuit = Circuit(paths, (
         BeamSplitter(params.t, ("anc", "out")),
         BeamSplitter(0.5, ("in", "anc")),
@@ -314,7 +313,7 @@ def build_fock_hpa(params: AmplifierParams) -> ScenarioBundle:
         {"bsm_a": CLICK, "bsm_b": NO_CLICK},
         {"bsm_a": NO_CLICK, "bsm_b": CLICK},
     ))
-    return ScenarioBundle("fock-hpa", params, None, circuit, tuple(slots),
+    return ScenarioBundle("fock-hpa", params, None, circuit, slots,
                           detectors, (herald,))
 
 
@@ -348,11 +347,7 @@ def build_timebin_hqa(params: AmplifierParams,
     """
     paths = ("in_s", "in_l", "anc_s", "anc_l", "out_s", "out_l")
     input_wf = {("in_s", MATCHED): qubit.alpha, ("in_l", MATCHED): qubit.beta}
-    slots = [
-        (params.p_in, input_wf),
-        (params.p_a, {("out_s", MATCHED): 1.0}),
-        (params.p_a, {("out_l", MATCHED): 1.0}),
-    ]
+    slots = (input_wf, {("out_s", MATCHED): 1.0}, {("out_l", MATCHED): 1.0})
     circuit = Circuit(paths, (
         BeamSplitter(params.t, ("anc_s", "out_s")),
         BeamSplitter(params.t, ("anc_l", "out_l")),
@@ -364,7 +359,7 @@ def build_timebin_hqa(params: AmplifierParams,
         Detector("s_a", "in_s", spec), Detector("s_b", "anc_s", spec),
         Detector("l_a", "in_l", spec), Detector("l_b", "anc_l", spec),
     )
-    return ScenarioBundle("timebin-hqa", params, qubit, circuit, tuple(slots),
+    return ScenarioBundle("timebin-hqa", params, qubit, circuit, slots,
                           detectors, _TIMEBIN_CLASSES)
 
 
@@ -399,6 +394,15 @@ def _gain(params, p_in, p_a, prob, p_out):
     return gain, p_out
 
 
+@functools.lru_cache(maxsize=16)
+def _corrections(phases: tuple[float, ...], n_rails: int, ndim: int):
+    """The phase u = exp(1j * phases[class]) on the long rail (index 1) of
+    each class, as the factor u_i conj(u_j) on rails[class, ..., r, r]."""
+    u = np.exp(1j * np.outer(phases, np.arange(n_rails) == 1))
+    return np.expand_dims(u[:, :, None] * u[:, None, :].conj(),
+                          tuple(range(1, ndim - 2)))
+
+
 def _outcome(bundle, sums, rails, p_in, p_a) -> HeraldedOutcome:
     """Outcome over the herald classes of `bundle` at p_in, p_a from their
     unnormalised sums[class, ..., 4] and rails[class, ..., r, r] (see
@@ -406,18 +410,14 @@ def _outcome(bundle, sums, rails, p_in, p_a) -> HeraldedOutcome:
     reads 0. Each class's rails carry its phase correction on the long
     rail, and the combined outcome (the feed-forward-corrected amplifier
     output) is the sum of the corrected classes; every row is then
-    normalised alike. The fidelity to the input
-    qubit (to |1> for the Fock-state amplifier) is None, or NaN at points
-    of an array, without a single photon out."""
+    normalised alike. The fidelity to the input qubit (to |1> for the
+    Fock-state amplifier) is None, or NaN at points of an array, without a
+    single photon out."""
     keep = sums[..., 0] > MIN_OUTCOME_PROB
-    # the phase u on the long rail (index 1) of each class, as the factor
-    # u_i conj(u_j) on every point's rails
-    phases = [cls.correction_phase for cls in bundle.herald_classes]
-    u = np.exp(1j * np.outer(phases, np.arange(rails.shape[-1]) == 1))
-    correction = np.expand_dims(u[:, :, None] * u[:, None, :].conj(),
-                                tuple(range(1, rails.ndim - 2)))
     sums = sums * keep[..., None]
-    rails = rails * keep[..., None, None] * correction
+    phases = tuple(cls.correction_phase for cls in bundle.herald_classes)
+    rails = rails * keep[..., None, None] * _corrections(
+        phases, rails.shape[-1], rails.ndim)
     sums = np.concatenate((sums, sums.sum(axis=0, keepdims=True)))
     rails = np.concatenate((rails, rails.sum(axis=0, keepdims=True)))
     prob = sums[..., 0]
@@ -487,7 +487,7 @@ def _photon_outputs(bundle: ScenarioBundle) -> np.ndarray:
     units = one_photon_occupations(len(labels))
     photons = Mixture([Branch(1.0, FockState(len(labels), {
         u: wf[label] for u, label in zip(units, labels) if label in wf},
-        labels)) for _, wf in bundle.slots])
+        labels)) for wf in bundle.slots])
     return np.array([[b.state.amplitudes.get(u, 0.0) for u in units]
                      for b in run_circuit(photons, bundle.circuit)],
                     dtype=complex)
@@ -510,10 +510,12 @@ class _Layout(NamedTuple):
     fact: np.ndarray  # each ket's sqrt(prod n!)
     occ: np.ndarray  # [ket, mode]: each ket's occupations
     cells: np.ndarray  # each cell's first ket
-    take: np.ndarray  # [pattern, detector, ket] into the click model
+    take: np.ndarray  # [pattern, detector, count pattern] into the click model
     classes: np.ndarray  # each class's first pattern
-    by_out: np.ndarray  # [ket, 4]: 1, and whether 0, 1 or 2+ photons out
+    bins: np.ndarray  # each ket's [cell, 0/1/2+ photons out, count pattern]
+    single: np.ndarray  # whether each ket has one photon out
     groups: np.ndarray  # each coherent group's first ket
+    group_counts: np.ndarray  # each group's count pattern
     group_cells: np.ndarray  # each cell's first group
 
 
@@ -525,7 +527,8 @@ def _layout(support: bytes, shape: tuple, n_detected: int,
     bytes): cell s * 2**n_photons + c is set s with presence bits (photon 0
     first) the binary digits of c. The first n_detected modes are detected,
     two per detector; requirements[class][pattern][detector] is 0 (no
-    click), 1 (click) or 2 (either)."""
+    click), 1 (click) or 2 (either). Count patterns, the distinct photon
+    counts at the detectors, are numbered in order of their digits."""
     n_sets, n_photons, n_modes = shape
     base, scale = n_photons + 1, (n_photons + 1) ** n_modes
     place = base ** np.arange(n_modes - 1, -1, -1)
@@ -549,15 +552,22 @@ def _layout(support: bytes, shape: tuple, n_detected: int,
     # each cell's first ket, and each coherent group's (alike at detectors)
     cells, groups = (np.concatenate(([True], k[1:] != k[:-1])).nonzero()[0]
                      for k in key // [[scale], [scale // base ** n_detected]])
-    det, n_out = occ[:, :n_detected], occ[:, n_detected:].sum(axis=1)
+    n_out = occ[:, n_detected:].sum(axis=1)
+    digits = base ** np.arange(n_detected // 2)
+    # each ket's counts at the detectors as digits, the distinct ones found
+    # by a stable argsort as above (np.unique would page in its own sort)
+    code = occ[:, :n_detected] @ digits.repeat(2)
+    patterns = code[code.argsort(kind="stable")]
+    patterns = patterns[np.concatenate(([True], patterns[1:] != patterns[:-1]))]
+    counts = patterns.searchsorted(code)
     need = np.array(sum(requirements, ()))  # [pattern, detector]
     offset = (need * need.shape[1] + np.arange(need.shape[1])) * base
     fact = np.sqrt([math.factorial(n) for n in range(base)])[occ].prod(axis=1)
-    by_out = np.array(((1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1)))
     return _Layout(gather, kets, fact, occ, cells,
-                   offset[..., None] + (det[:, 0::2] + det[:, 1::2]).T,
+                   offset[..., None] + patterns // digits[:, None] % base,
                    np.cumsum([0] + [len(c) for c in requirements[:-1]]),
-                   by_out[np.minimum(n_out, 2)], groups,
+                   ((key // scale * 3 + np.minimum(n_out, 2)) * len(patterns)
+                    + counts), n_out == 1, groups, counts[groups],
                    groups.searchsorted(cells))
 
 
@@ -565,20 +575,30 @@ def _kets(bundle: ScenarioBundle, photons) -> tuple[_Layout, np.ndarray]:
     """(layout, amp) of the photon outputs photons[set, photon, mode] of
     `bundle`, each detector's two modes put first: each ket sums the option
     products of its choices, times sqrt(prod n!)."""
-    labels = mode_labels(bundle.circuit.paths)
-    detected = [labels.index((d.path, i)) for d in bundle.detectors
-                for i in (MATCHED, ORTHOGONAL)]
-    photons = photons[..., detected + [
-        i for i in range(len(labels)) if i not in detected]]
+    first = {p: 2 * i for i, p in enumerate(bundle.circuit.paths)}
+    requirement = {NO_CLICK: 0, CLICK: 1, ANY: 2}
+    detected = [first[d.path] + i for d in bundle.detectors for i in (0, 1)]
+    photons = photons[..., detected + sorted(
+        set(range(photons.shape[-1])).difference(detected))]
     layout = _layout(np.not_equal(photons, 0).tobytes(), photons.shape,
                      len(detected), tuple(tuple(tuple(
-                         (NO_CLICK, CLICK, ANY).index(p.get(d.name, ANY))
-                         for d in bundle.detectors) for p in c.patterns)
-                         for c in bundle.herald_classes))
+                         requirement[p.get(d.name, ANY)]
+                         for d in bundle.detectors)
+                         for p in c.patterns) for c in bundle.herald_classes))
     options = np.concatenate((np.ones(photons.shape[:2] + (1,)), photons), 2)
     # photon by photon with `*`: np.prod rounds complex products otherwise
     product = functools.reduce(np.multiply, options.ravel()[layout.gather])
     return layout, np.add.reduceat(product, layout.kets) * layout.fact
+
+
+@functools.lru_cache(maxsize=16)
+def _click_model(specs: tuple[DetectorSpec, ...], n_max: int) -> np.ndarray:
+    """[requirement, detector, n]: the no-click, click and either weights
+    of each detector of spec specs[detector] on n = 0 to n_max photons."""
+    n = np.arange(n_max + 1)
+    eta, dark = np.array([(s.eta, s.dark_click_prob) for s in specs]).T[..., None]
+    return np.array((no_click_weight(n, eta, dark), click_prob(n, eta, dark),
+                     np.ones((len(specs), len(n)))))
 
 
 def _herald_pass(bundle: ScenarioBundle, photons, rails: bool = True):
@@ -586,37 +606,40 @@ def _herald_pass(bundle: ScenarioBundle, photons, rails: bool = True):
     probability, and that with 0, 1 and 2+ photons out, [cell, class, 4],
     and if `rails` its single-photon density on the undetected paths times
     its probability, [cell, class, rail, rail], else None. A class weighs a
-    ket by a sum over its patterns of products over the detectors."""
+    count pattern by a sum over its patterns of products over the detectors,
+    and the kets' |amp|^2 are summed per cell, photons out and count pattern."""
     layout, amp = _kets(bundle, photons)
-    n = np.arange(photons.shape[1] + 1)
-    eta, dark = np.array([(d.spec.eta, d.spec.dark_click_prob)
-                          for d in bundle.detectors]).T[..., None]
-    model = np.array((no_click_weight(n, eta, dark), click_prob(n, eta, dark),
-                      np.ones((len(eta), len(n)))))  # [requirement, det, n]
+    model = _click_model(tuple(d.spec for d in bundle.detectors),
+                         photons.shape[1])
     weights = np.add.reduceat(model.take(layout.take).prod(axis=1),
-                              layout.classes)  # [class, ket]
-    shape = (len(layout.cells), len(weights))
-    sums = np.add.reduceat((weights.T[:, :, None] * abs(amp[:, None, None])
-                            ** 2 * layout.by_out[:, None]).reshape(
-        len(amp), -1), layout.cells).reshape(shape + (4,))
+                              layout.classes)  # [class, count pattern]
+    n_cells, n_counts = len(layout.cells), weights.shape[1]
+    by_out = np.einsum("cop,kp->cko", np.bincount(
+        layout.bins, abs(amp) ** 2, n_cells * 3 * n_counts).reshape(
+        n_cells, 3, n_counts), weights)  # [cell, class, 0/1/2+ photons out]
+    sums = np.concatenate((by_out.sum(-1, keepdims=True), by_out), -1)
     if not rails:
         return sums, None
-    out, first = layout.occ[:, 2 * len(eta):], layout.groups
+    out, first = layout.occ[:, 2 * len(bundle.detectors):], layout.groups
     # the single photons out of each group, [group, rail, internal mode]
-    single = np.add.reduceat(out * (amp * layout.by_out[:, 2])[:, None],
+    single = np.add.reduceat(out * (amp * layout.single)[:, None],
                              first).reshape(len(first), -1, 2)
     pairs = (single[:, :, None] * single.conj()[:, None]).sum(-1).reshape(
         len(first), 1, -1)  # [group, 1, rail * rail]
-    rails = np.add.reduceat((weights[:, first].T[:, :, None] * pairs).reshape(
-        len(first), -1), layout.group_cells)
-    return sums, rails.reshape(shape + single.shape[1:2] * 2)
+    rails = np.add.reduceat((weights[:, layout.group_counts].T[:, :, None]
+                             * pairs).reshape(len(first), -1),
+                            layout.group_cells)
+    return sums, rails.reshape(sums.shape[:2] + single.shape[1:2] * 2)
 
 
 def _herald_probs(bundle: ScenarioBundle) -> np.ndarray:
-    """Each herald class's probability at the bundle's mu and slots."""
-    sums, _ = _herald_pass(bundle, _at_mu(_photon_outputs(bundle),
-                                          bundle.params.mu)[None], rails=False)
-    return sums[..., 0].T @ _presence_weights([p for p, _ in bundle.slots])
+    """Each herald class's probability at the bundle's params: its photons
+    at mu, the input photon present with probability p_in, each ancilla p_a."""
+    p = bundle.params
+    sums, _ = _herald_pass(bundle, _at_mu(_photon_outputs(bundle), p.mu)[None],
+                           rails=False)
+    return sums[..., 0].T @ _presence_weights(
+        [p.p_in] + [p.p_a] * (len(bundle.slots) - 1))
 
 
 def compile_scenario(bundle: ScenarioBundle) -> ScenarioTable:

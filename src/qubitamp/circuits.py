@@ -165,16 +165,16 @@ def transfer_matrix(c: Circuit) -> np.ndarray:
     """Path transfer matrix U of the circuit, indexed [out path, in path] in
     the order of c.paths: a one-photon wavefunction psi over the paths
     leaves as U @ psi. Each splitter updates the rows of its two paths by
-    beam_splitter_matrix (a_i+ -> u00 a_i+ + u10 a_j+), each phase scales
-    the row of its path."""
+    the entries of beam_splitter_matrix (a_i+ -> tau a_i+ + rho a_j+), each
+    phase scales the row of its path."""
     index = {p: i for i, p in enumerate(c.paths)}
     u = np.eye(len(index), dtype=complex).tolist()
     for e in c.elements:
         if isinstance(e, BeamSplitter):
             i, j = index[e.paths[0]], index[e.paths[1]]
-            (u00, u01), (u10, u11) = beam_splitter_matrix(e.t).tolist()
-            u[i], u[j] = ([u00 * x + u01 * y for x, y in zip(u[i], u[j])],
-                          [u10 * x + u11 * y for x, y in zip(u[i], u[j])])
+            tau, rho = math.sqrt(e.t), 1j * math.sqrt(1.0 - e.t)
+            u[i], u[j] = ([tau * x + rho * y for x, y in zip(u[i], u[j])],
+                          [rho * x + tau * y for x, y in zip(u[i], u[j])])
         elif isinstance(e, PhaseShift):
             phase = cmath.exp(1j * e.phi)
             u[index[e.path]] = [phase * x for x in u[index[e.path]]]

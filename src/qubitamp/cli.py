@@ -231,6 +231,12 @@ def _grid(cfg: dict, name: str) -> np.ndarray:
     return np.linspace(lo, hi, cfg[f"{name}_steps"])
 
 
+def _unread(cfg: dict, key: str, why: str) -> None:
+    """Reject a key that the command does not read, unless at its default."""
+    if cfg[key] != _KEYS[key][1]:
+        raise ValueError(f"{key} is not read {why}, got {cfg[key]}")
+
+
 def cmd_gain_curve(cfg: dict) -> int:
     # AmplifierParams validates the grid ends; every point lies between them
     p = params_from_config(cfg, pin=cfg["pin_from"])
@@ -250,6 +256,8 @@ def cmd_gain_curve(cfg: dict) -> int:
 def cmd_fringe(cfg: dict) -> int:
     if not 2 <= cfg["phi_steps"] <= MAX_STEPS:
         raise ValueError(f"phi_steps must be at least 2, at most {MAX_STEPS}")
+    if None not in (cfg.get("mu_plus"), cfg.get("mu_minus")):
+        _unread(cfg, "mu", "with mu_plus and mu_minus")
     params = params_from_config(cfg)
     phis = np.linspace(0.0, 2.0 * math.pi, cfg["phi_steps"], endpoint=False)
     scan = fringe_scan(params, phis,
@@ -268,6 +276,7 @@ def cmd_fringe(cfg: dict) -> int:
 
 def cmd_hom(cfg: dict) -> int:
     if cfg.get("mu_steps") is not None:
+        _unread(cfg, "mu", "with mu_steps")
         grid = _grid(cfg, "mu").tolist()
     elif cfg.get("mu_from") is not None or cfg.get("mu_to") is not None:
         raise ValueError("mu_from and mu_to need mu_steps")
@@ -285,10 +294,9 @@ def cmd_hom(cfg: dict) -> int:
 def cmd_estimate(cfg: dict) -> int:
     if cfg["pulses"] < 1:
         raise ValueError("pulses must be at least 1")
-    unread = [k for k in ("analyzer_phi", "delta_phi") if cfg[k] != 0.0]
-    if cfg["scenario"] == "fock-hpa" and unread:
-        raise ValueError(f"{unread[0]} needs scenario timebin-hqa, got "
-                         f"{cfg[unread[0]]}")
+    if cfg["scenario"] == "fock-hpa":  # no qubit and no analyzer
+        for key in ("analyzer_phi", "delta_phi"):
+            _unread(cfg, key, "with scenario fock-hpa")
     counts = sample_events(
         params_from_config(cfg), n_pulses=cfg["pulses"], seed=cfg["seed"],
         scenario=cfg["scenario"], qubit=QubitSpec.from_phase(cfg["delta_phi"]),

@@ -6,7 +6,8 @@ shares no code with the production ket builder. A bundle holds matched
 photons; each ancilla (every slot after the input photon's) is put here at
 overlap mu = bundle.params.mu as the coherent wavefunction
 mu|matched> + sqrt(1 - mu^2)|orthogonal> (`coherent_slots`), and each
-combination's weight is the product over the slots of p or 1 - p
+combination's weight is the product over the slots of p or 1 - p, with p
+params.p_in for the input photon and params.p_a for each ancilla
 (`presence_weights`), so neither shares code with `amplifier._at_mu` or
 `amplifier._presence_weights`. The whole source mixture
 (`source`) runs through the circuit, and one joint
@@ -65,17 +66,22 @@ def source_state(labels, photons) -> FockState:
 
 
 def coherent_slots(bundle):
-    """The bundle's (presence probability, wavefunction) slots with each
-    ancilla's matched amplitude a split into mu * a matched and
-    sqrt(1 - mu^2) * a orthogonal, at mu = bundle.params.mu; the input
-    photon (slot 0) stays as it is."""
+    """The bundle's slot wavefunctions with each ancilla's matched amplitude
+    a split into mu * a matched and sqrt(1 - mu^2) * a orthogonal, at
+    mu = bundle.params.mu; the input photon (slot 0) stays as it is."""
     mu = bundle.params.mu
     nu = math.sqrt(1.0 - mu * mu)
-    (p_in, wf_in), *ancillas = bundle.slots
-    return [(p_in, wf_in)] + [
-        (p, {(path, mode): c * a for (path, _), a in wf.items()
-             for mode, c in ((MATCHED, mu), (ORTHOGONAL, nu))})
-        for p, wf in ancillas]
+    wf_in, *ancillas = bundle.slots
+    return [wf_in] + [{(path, mode): c * a for (path, _), a in wf.items()
+                       for mode, c in ((MATCHED, mu), (ORTHOGONAL, nu))}
+                      for wf in ancillas]
+
+
+def slot_probabilities(bundle) -> list[float]:
+    """Each slot's presence probability: params.p_in for the input photon
+    (slot 0), params.p_a for each ancilla."""
+    p = bundle.params
+    return [p.p_in] + [p.p_a] * (len(bundle.slots) - 1)
 
 
 def presence_weights(probs) -> list[float]:
@@ -93,7 +99,7 @@ def combinations(bundle):
     of c."""
     slots = coherent_slots(bundle)
     return [source_state(mode_labels(bundle.circuit.paths),
-                         [wf for _, wf in itertools.compress(slots, bits)])
+                         list(itertools.compress(slots, bits)))
             for bits in itertools.product((0, 1), repeat=len(slots))]
 
 
@@ -105,7 +111,7 @@ def outcomes(cls, detectors) -> set[tuple[bool, ...]]:
 
 def source(bundle) -> Mixture:
     """The presence combinations of non-zero weight, as a mixture."""
-    weights = presence_weights([p for p, _ in bundle.slots])
+    weights = presence_weights(slot_probabilities(bundle))
     return Mixture([Branch(float(w), state) for w, state in zip(
         weights, combinations(bundle)) if w > 0])
 

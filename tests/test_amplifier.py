@@ -529,6 +529,28 @@ class TestScenarioTable:
             assert np.max(np.abs(g.output_qubit_density
                                  - r.output_qubit_density)) <= 1e-12
 
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_edited_params_give_one_operating_point(self, scenario):
+        # the presence probabilities live in params alone: after a replace
+        # of params, simulate and the sampler's table (summed over the
+        # analyzer click) weigh the photons at the new p_in, p_a and mu,
+        # as a bundle built at those params does
+        qubit = QubitSpec.from_phase(0.4)
+        built = build_scenario(scenario, AmplifierParams(
+            t=0.7, p_in=0.9, p_a=0.3, eta=0.7, mu=1.0), qubit)
+        params = replace(built.params, p_in=0.2, p_a=0.8, mu=0.6)
+        edited = replace(built, params=params)
+        fresh = build_scenario(scenario, params, qubit)
+        for bundle in (edited, fresh):
+            out = simulate(bundle)
+            cells = _branch_outcome_table(bundle, 0.3, 0.9).sum(axis=1)
+            for k, cls in enumerate(bundle.herald_classes):
+                want = out.per_class[cls.name].herald_prob
+                assert abs(cells[k] - want) <= 1e-14
+                assert abs(want - simulate(fresh).per_class[
+                    cls.name].herald_prob) <= 1e-14
+        assert simulate(edited).herald_prob != simulate(built).herald_prob
+
     def test_fidelity_undefined_without_a_photon_out(self):
         # only dark counts herald, and no photon leaves: the fidelity is
         # None at a scalar point and NaN at the points of an array, per

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -17,8 +18,10 @@ from qubitamp.circuits import (
     merge_branches,
     mixture_density,
     run_circuit,
+    transfer_matrix,
 )
-from qubitamp.fock import (FockState, MATCHED, basis_state, mode_labels,
+from qubitamp.fock import (FockState, MATCHED, basis_state,
+                           beam_splitter_matrix, mode_labels,
                            one_photon_occupations)
 
 from exact_herald import expand
@@ -234,6 +237,29 @@ def test_transfer_matrix_run_equals_element_by_element(c, seed, weights):
     assert all(b.state.labels == labels for b in got)
     assert np.max(np.abs(one_photon_vectors(got, n)
                          - one_photon_vectors(want, n))) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(c=random_circuits())
+def test_transfer_matrix_is_the_product_of_splitter_blocks(c):
+    # each element as an n_paths x n_paths block, beam_splitter_matrix on
+    # a splitter's two paths and exp(1j phi) on a phase's path, multiplied
+    # onto U in order by a plain product: each entry is at most two nonzero
+    # products, so the result must be the same bits
+    index = {p: i for i, p in enumerate(c.paths)}
+    n = len(index)
+    u = np.eye(n, dtype=complex).tolist()
+    for e in c.elements:
+        block = np.eye(n, dtype=complex)
+        if isinstance(e, BeamSplitter):
+            ij = [index[p] for p in e.paths]
+            block[np.ix_(ij, ij)] = beam_splitter_matrix(e.t)
+        else:
+            block[index[e.path], index[e.path]] = cmath.exp(1j * e.phi)
+        block = block.tolist()
+        u = [[sum(block[i][k] * u[k][j] for k in range(n)) for j in range(n)]
+             for i in range(n)]
+    assert np.array_equal(transfer_matrix(c), np.array(u, dtype=complex))
 
 
 class TestMixture:

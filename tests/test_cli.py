@@ -151,6 +151,22 @@ class TestGainCurve:
                                                   rel=1e-8)
 
 
+def unread_mu(tmp_path, capsys, command, keys):
+    """Exit code and stderr of `command` with the configuration `keys`
+    given once by flags and once from a file; both must agree."""
+    out = tmp_path / "out.csv"
+    flags = [w for k, v in keys.items() for w in (f"--{k.replace('_', '-')}",
+                                                  v)]
+    code = run([command, *flags, "--out", str(out)])
+    err = capsys.readouterr().err
+    cfg = tmp_path / "keys.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
+    assert run([command, "--config", str(cfg), "--out", str(out)]) == code
+    assert capsys.readouterr().err == err
+    assert out.exists() == (code == EXIT_OK)
+    return code, err
+
+
 class TestFringe:
     def test_single_phase_rejected(self, tmp_path, capsys):
         out = tmp_path / "fringe.csv"
@@ -216,8 +232,33 @@ class TestFringe:
         assert float(rows[0][3]) == pytest.approx(0.98, abs=1e-9)
         assert float(rows[0][5]) == pytest.approx(0.99, abs=1e-9)
 
+    @pytest.mark.parametrize("mu,code", [("0.5", EXIT_VALIDATION),
+                                         ("1.0", EXIT_OK)])
+    def test_mu_with_both_class_overlaps(self, tmp_path, capsys, mu, code):
+        # both classes take their own overlap, so mu is not read: a value
+        # other than the default wrote the same bytes as none
+        got, err = unread_mu(tmp_path, capsys, "fringe", {
+            "mu": mu, "mu_plus": "0.9", "mu_minus": "0.8", "phi_steps": "8"})
+        assert got == code
+        assert ("validation error: mu is not read" in err) == (got != EXIT_OK)
+
+    def test_mu_with_one_class_overlap_is_read(self, tmp_path, capsys):
+        code, _ = unread_mu(tmp_path, capsys, "fringe", {
+            "mu": "0.5", "mu_plus": "0.9", "phi_steps": "8"})
+        assert code == EXIT_OK
+
 
 class TestHom:
+    @pytest.mark.parametrize("mu,code", [("0.3", EXIT_VALIDATION),
+                                         ("1.0", EXIT_OK)])
+    def test_mu_with_a_sweep(self, tmp_path, capsys, mu, code):
+        # the sweep's grid replaces mu, so a value other than the default
+        # wrote the same bytes as none
+        got, err = unread_mu(tmp_path, capsys, "hom", {
+            "mu": mu, "mu_from": "0", "mu_to": "1", "mu_steps": "2"})
+        assert got == code
+        assert ("validation error: mu is not read" in err) == (got != EXIT_OK)
+
     def test_single_point(self, capsys):
         code = run(["hom", "--mu", "0.959"])
         assert code == EXIT_OK

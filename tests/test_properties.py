@@ -44,7 +44,9 @@ from qubitamp.detection import (
     NO_CLICK,
     Detector,
     DetectorSpec,
+    click_prob,
     measure_all,
+    no_click_weight,
 )
 from qubitamp.fock import (
     DROP_TOLERANCE,
@@ -317,6 +319,80 @@ def test_analyzer_split_equals_full_mixture_run(scenario, t, p_in, p_a, specs,
     got = _branch_outcome_table(bundle, analyzer_phi, eta_out)
     want = branch_outcomes(bundle, _probe(bundle, analyzer_phi, eta_out))
     assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def per_ket_pass(bundle, photons):
+    """(sums, rails) of `_herald_pass`, ket by ket: each ket's class
+    weights from its photon counts at the detectors, by no_click_weight and
+    click_prob, times its |amp|^2, summed per cell (correctly rounded, by
+    math.fsum); each coherent group's single-photon amplitudes out, their
+    outer product traced over the internal modes, times the weights of the
+    group's first ket, summed per cell. The last two steps are array
+    operations over all groups, as in the pass, since numpy may fuse a
+    complex product's multiply and add and sums a reduction pairwise."""
+    layout, amp = _kets(bundle, photons)
+    n_det = len(bundle.detectors)
+    counts = layout.occ[:, 0:2 * n_det:2] + layout.occ[:, 1:2 * n_det:2]
+    out = layout.occ[:, 2 * n_det:]
+    factor = {CLICK: click_prob, NO_CLICK: no_click_weight}
+    weights = []  # [class, ket]
+    for cls in bundle.herald_classes:
+        total = 0.0
+        for pattern in cls.patterns:
+            w = np.ones(len(amp))
+            for i, d in enumerate(bundle.detectors):
+                if d.name in pattern:
+                    w = w * factor[pattern[d.name]](
+                        counts[:, i], d.spec.eta, d.spec.dark_click_prob)
+            total = total + w
+        weights.append(total)
+    weights = np.array(weights)
+    n_out = np.minimum(out.sum(axis=1), 2)
+    ends = np.append(layout.cells, len(amp))
+    sums = np.zeros((len(layout.cells), len(weights), 4))
+    for c in range(len(layout.cells)):
+        ket = slice(ends[c], ends[c + 1])
+        for k, terms in enumerate(weights[:, ket] * abs(amp[ket]) ** 2):
+            sums[c, k] = [math.fsum(terms)] + [
+                math.fsum(terms[n_out[ket] == n]) for n in range(3)]
+    groups = np.append(layout.groups, len(amp))
+    single = np.zeros((len(layout.groups), out.shape[1]), complex)
+    for g, (first, end) in enumerate(zip(groups, groups[1:])):
+        for k in range(first, end):
+            if n_out[k] == 1:
+                single[g, out[k].argmax()] += amp[k]
+    single = single.reshape(len(single), -1, 2)  # [group, rail, internal]
+    pairs = (single[:, :, None] * single.conj()[:, None]).sum(-1)
+    terms = weights[:, layout.groups].T[:, :, None, None] * pairs[:, None]
+    return sums, np.add.reduceat(terms, layout.groups.searchsorted(
+        layout.cells))
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenario=st.sampled_from(SCENARIOS), probe=st.booleans(),
+       t=st.sampled_from([0.0, 1.0]) | unit, eta=st.just(1.0) | unit,
+       dark=st.just(0.0) | st.floats(0.0, 0.9), mu=unit, delta_phi=angles,
+       analyzer_phi=angles)
+def test_pass_equals_a_per_ket_reference(scenario, probe, t, eta, dark, mu,
+                                         delta_phi, analyzer_phi):
+    # the pass weighs each distinct pattern of photon counts at the
+    # detectors once and sums the kets' |amp|^2 per pattern first; ket by
+    # ket, the sums agree to rounding (the products of tiny weights and
+    # amplitudes may underflow: less than the smallest normal number on
+    # top) and the rails are the same bits, on the scenario or on the
+    # sampler's probe (amplifier, analyzer and d4)
+    params = AmplifierParams(t=t, p_in=1.0, p_a=1.0, eta=eta, mu=mu,
+                             dark_click_prob=dark)
+    bundle = build_scenario(scenario, params, QubitSpec.from_phase(delta_phi))
+    if probe:
+        bundle = _probe(bundle, analyzer_phi, eta)
+    at_1 = _photon_outputs(bundle)
+    photons = np.stack((_at_mu(at_1, mu), _at_mu(at_1, 0.0)))
+    sums, rails = _herald_pass(bundle, photons)
+    want_sums, want_rails = per_ket_pass(bundle, photons)
+    assert np.all(np.abs(sums - want_sums)
+                  <= 1e-15 * want_sums + np.finfo(float).tiny)
+    assert np.array_equal(rails, want_rails)
 
 
 @settings(max_examples=30, deadline=None)
