@@ -28,17 +28,18 @@ on the photons' support, the detected modes and the herald classes, so
 computes only the kets' amplitudes, the pattern weights and the sums.
 
 Every unnormalised class quantity is linear in the table, so evaluation
-mixes the table's mu rows at mu^2, then contracts the presence weights of
-all points with it in one matrix product (`ScenarioTable.contract`). The
-combined outcome after feed-forward is the sum over classes of their
-phase-corrected rows, normalised once like each class row.
+(`ScenarioTable.contract`) mixes the table's mu rows at mu^2, then weighs
+them: it contracts the presence weights of all points with every leading
+row in one matrix product (`ScenarioTable.weigh`). The combined outcome
+after feed-forward is the sum over classes of their phase-corrected rows,
+normalised once like each class row.
 
-The same contraction fixes the time-bin fringes. Conjugation maps the
-circuit onto itself (a splitter has U* = Z U Z; the ancillas are real), so
-each class's analyzer rate is even in the input phase: R_k(-phi) =
-R_k(phi). A pi phase on in_l swaps l_a and l_b, so R_minus(phi) =
-R_plus(phi + pi). Hence R_plus, R_minus = a +- b cos(phi), fixed by the
-rates at phi = 0.
+Weighing the table's own rows, its mu = 0 and mu = 1 ends, with no mixing,
+fixes the time-bin fringes. Conjugation maps the circuit onto itself (a
+splitter has U* = Z U Z; the ancillas are real), so each class's analyzer
+rate is even in the input phase: R_k(-phi) = R_k(phi). A pi phase on in_l
+swaps l_a and l_b, so R_minus(phi) = R_plus(phi + pi). Hence R_plus,
+R_minus = a +- b cos(phi), fixed by the rates at phi = 0.
 
 The closed-form gain
 
@@ -53,7 +54,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -457,19 +458,25 @@ class ScenarioTable:
     cells: np.ndarray
     rails: np.ndarray
 
-    def contract(self, p_in, p_a, mu) -> tuple[np.ndarray, np.ndarray]:
-        """cells and rails mixed at overlap mu, then summed over presence
-        combinations weighted at presence probabilities p_in, p_a, by one
-        matrix product over the flattened points: sums[..., k, ..., 4] and
-        rails[..., k, ..., r, r]; mu's axes lead, p_in's and p_a's follow k."""
-        n_ancillas = self.cells.shape[2].bit_length() - 2
+    def weigh(self, p_in, p_a, cells, rails) -> tuple[np.ndarray, np.ndarray]:
+        """cells[..., k, c, 4] and rails[..., k, c, r, r] summed over the
+        presence combinations c at presence probabilities p_in, p_a, by one
+        matrix product over the flattened points; their axes replace c."""
+        n_ancillas = cells.shape[-2].bit_length() - 2
         weights = _presence_weights([p_in] + [p_a] * n_ancillas)
         points = weights.reshape(-1, weights.shape[-1])
-        m, n = np.square(mu), np.ndim(mu) + 1  # n: the axes up to the class
-        mixed = [np.multiply.outer(1.0 - m, t[0]) + np.multiply.outer(m, t[1])
-                 for t in (self.cells, self.rails)]
+        n = cells.ndim - 2  # the axes up to the combination
         return tuple((points @ t.reshape(t.shape[:n + 1] + (-1,))).reshape(
-            t.shape[:n] + weights.shape[:-1] + t.shape[n + 1:]) for t in mixed)
+            t.shape[:n] + weights.shape[:-1] + t.shape[n + 1:])
+            for t in (cells, rails))
+
+    def contract(self, p_in, p_a, mu) -> tuple[np.ndarray, np.ndarray]:
+        """cells and rails mixed at overlap mu, their rows at mu = 0 and 1
+        combined at mu^2, then weighed at p_in, p_a; mu's axes lead."""
+        m = np.square(mu)
+        return self.weigh(p_in, p_a, *(
+            np.multiply.outer(1.0 - m, t[0]) + np.multiply.outer(m, t[1])
+            for t in (self.cells, self.rails)))
 
     def evaluate(self, p_in, p_a, mu) -> HeraldedOutcome:
         """Heralded outcome at input and ancilla presence probabilities
@@ -624,7 +631,9 @@ def _herald_pass(bundle: ScenarioBundle, photons, rails: bool = True):
     # the single photons out of each group, [group, rail, internal mode]
     single = np.add.reduceat(out * (amp * layout.single)[:, None],
                              first).reshape(len(first), -1, 2)
-    pairs = (single[:, :, None] * single.conj()[:, None]).sum(-1).reshape(
+    # summed over the internal modes term by term, not by a strided .sum(-1)
+    s, c = single[:, :, None], single.conj()[:, None]
+    pairs = (s[..., 0] * c[..., 0] + s[..., 1] * c[..., 1]).reshape(
         len(first), 1, -1)  # [group, 1, rail * rail]
     rails = np.add.reduceat((weights[:, layout.group_counts].T[:, :, None]
                              * pairs).reshape(len(first), -1),
@@ -694,7 +703,8 @@ def _fringe_ends(params: AmplifierParams) -> np.ndarray:
     zero-phase qubit, or 0 for a class that cannot herald. The total herald
     probability is affine in mu^2 and the same at every phase."""
     table = compile_scenario(build_scenario("timebin-hqa", params))
-    sums, rails = table.contract(params.p_in, params.p_a, np.array((0.0, 1.0)))
+    # the table's rows are its mu = 0 and mu = 1 ends: weighed, not mixed
+    sums, rails = table.weigh(params.p_in, params.p_a, table.cells, table.rails)
     prob = sums[..., 0]
     if prob.sum(axis=1).max() <= 1e-30:
         raise ZeroHeraldError(
@@ -715,22 +725,20 @@ def fringe_scan(params: AmplifierParams, phis,
     in mu^2, so one scenario table fixes both fringes. Raises
     ZeroHeraldError if no herald can occur.
     """
-    phis = np.asarray(list(phis), dtype=float)
+    phis = np.array(phis if isinstance(phis, np.ndarray) else [*phis], float)
     if phis.size < 2:
         raise ValueError("phase grid needs at least two phases")
     ends = _fringe_ends(params)
     rates = []  # psi_plus, psi_minus
     for k, mu in enumerate((mu_plus, mu_minus)):
-        # replace() rejects a mu outside [0, 1]
-        mu = replace(params, mu=params.mu if mu is None else mu).mu
+        mu = params.mu if mu is None else mu
+        _check_unit_interval(mu=mu)
         at_mu = ends[0] + mu * mu * (ends[1] - ends[0])
         r0, r_pi = at_mu[k], at_mu[1 - k]  # R_k(pi) is the other R(0)
         fringe = 0.5 * (r0 + r_pi) + 0.5 * (r0 - r_pi) * np.cos(phis)
         rates.append(np.maximum(fringe, 0.0))  # clamp rounding dust
-    v_plus, v_minus = map(visibility, rates)
-    return FringeScan(phis, *rates, v_plus, v_minus,
-                      fidelity_from_visibility(v_plus),
-                      fidelity_from_visibility(v_minus))
+    vis = [visibility(r) for r in rates]
+    return FringeScan(phis, *rates, *vis, *map(fidelity_from_visibility, vis))
 
 
 def mu_for_visibility(target: float, params: AmplifierParams,

@@ -155,14 +155,9 @@ def resolve_config(flags: dict) -> dict:
 
 
 def params_from_config(cfg: dict, pin: float | None = None) -> AmplifierParams:
-    return AmplifierParams(
-        t=cfg["t"],
-        p_in=cfg["pin"] if pin is None else pin,
-        p_a=cfg["pa"],
-        eta=cfg["eta"],
-        mu=cfg["mu"],
-        dark_click_prob=cfg["dark"],
-    )
+    return AmplifierParams(t=cfg["t"], p_in=cfg["pin"] if pin is None else pin,
+                           p_a=cfg["pa"], eta=cfg["eta"], mu=cfg["mu"],
+                           dark_click_prob=cfg["dark"])
 
 
 def write_csv(out: str | None, header: list[str], rows) -> None:
@@ -258,19 +253,18 @@ def cmd_fringe(cfg: dict) -> int:
         raise ValueError(f"phi_steps must be at least 2, at most {MAX_STEPS}")
     if None not in (cfg.get("mu_plus"), cfg.get("mu_minus")):
         _unread(cfg, "mu", "with mu_plus and mu_minus")
-    params = params_from_config(cfg)
     phis = np.linspace(0.0, 2.0 * math.pi, cfg["phi_steps"], endpoint=False)
-    scan = fringe_scan(params, phis,
-                       mu_plus=cfg.get("mu_plus"),
-                       mu_minus=cfg.get("mu_minus"))
-    rows = [[float(phi), float(rp), float(rm),
-             scan.visibility_plus, scan.visibility_minus,
-             scan.fidelity_plus, scan.fidelity_minus]
-            for phi, rp, rm in zip(scan.phis, scan.rate_plus, scan.rate_minus)]
+    scan = fringe_scan(params_from_config(cfg), phis,
+                       mu_plus=cfg.get("mu_plus"), mu_minus=cfg.get("mu_minus"))
+    # the run's constants, formatted once as write_csv formats a float
+    constants = tuple(format(v, ".9g") for v in (scan.visibility_plus,
+        scan.visibility_minus, scan.fidelity_plus, scan.fidelity_minus))
     write_csv(cfg.get("out"),
               ["delta_phi", "rate_psi_plus", "rate_psi_minus",
                "visibility_plus", "visibility_minus",
-               "fidelity_plus", "fidelity_minus"], rows)
+               "fidelity_plus", "fidelity_minus"],
+              (row + constants for row in zip(scan.phis.tolist(),
+                  scan.rate_plus.tolist(), scan.rate_minus.tolist())))
     return EXIT_OK
 
 
@@ -292,8 +286,9 @@ def cmd_hom(cfg: dict) -> int:
 
 
 def cmd_estimate(cfg: dict) -> int:
-    if cfg["pulses"] < 1:
-        raise ValueError("pulses must be at least 1")
+    if not 1 <= cfg["pulses"] <= 2**63 - 1:  # the most one multinomial takes
+        raise ValueError(
+            f"pulses must lie in [1, 2**63 - 1], got {cfg['pulses']}")
     if cfg["scenario"] == "fock-hpa":  # no qubit and no analyzer
         for key in ("analyzer_phi", "delta_phi"):
             _unread(cfg, key, "with scenario fock-hpa")
@@ -302,16 +297,13 @@ def cmd_estimate(cfg: dict) -> int:
         scenario=cfg["scenario"], qubit=QubitSpec.from_phase(cfg["delta_phi"]),
         analyzer_phi=cfg["analyzer_phi"], eta_herald=cfg["eta_herald"],
         eta_out=cfg["eta_out"])
-    pin = estimate_pin(counts)
-    rows = []
+    pin, rows = estimate_pin(counts), []
     for cls in sorted(counts.threefold):
-        pout = estimate_pout(counts, cls)
-        gain = estimate_gain(counts, cls)
+        pout, gain = estimate_pout(counts, cls), estimate_gain(counts, cls)
         rows.append([cfg["scenario"], cls, counts.n_pulses, cfg["seed"],
-                     counts.d1, counts.d1_d2,
-                     counts.threefold[cls], counts.fourfold[cls],
-                     pin.value, pin.error, pout.value, pout.error,
-                     gain.value, gain.error])
+                     counts.d1, counts.d1_d2, counts.threefold[cls],
+                     counts.fourfold[cls], pin.value, pin.error, pout.value,
+                     pout.error, gain.value, gain.error])
     write_csv(cfg.get("out"),
               ["scenario", "herald_class", "n_pulses", "seed", "d1", "d1_d2",
                "threefold", "fourfold", "p_in_est", "p_in_err",

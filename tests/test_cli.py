@@ -585,12 +585,15 @@ class TestConfigHandling:
         assert run(base + [flag, "0", "--out", str(out)]) == EXIT_OK
 
     def test_huge_pulse_count_is_validation_error(self, tmp_path, capsys):
+        # one check in the CLI, naming the key, bounds both ends
         out = tmp_path / "est.csv"
-        code = run(["estimate", "--pulses", "99999999999999999999",
-                    "--out", str(out)])
-        assert code == EXIT_VALIDATION
-        assert "2**63 - 1" in capsys.readouterr().err
-        assert not out.exists()
+        for pulses in ("99999999999999999999", "0", "-1"):
+            code = run(["estimate", "--pulses", pulses, "--out", str(out)])
+            assert code == EXIT_VALIDATION
+            err = capsys.readouterr().err
+            assert err.startswith("validation error: pulses")
+            assert f"[1, 2**63 - 1], got {pulses}" in err
+            assert not out.exists()
 
     def test_negative_value_after_flag(self, tmp_path):
         spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
@@ -758,6 +761,64 @@ class TestFlagParsing:
         assert parse_flags(["fringe", "--out", "--mu-plus",
                             "--mu-minus", "-inf"]) == (
             "fringe", {"out": "--mu-plus", "mu_minus": -math.inf})
+
+
+#: Values of each kind of key: valid ones kept small, so that nothing big is
+#: made (steps at most 64, pulses at most 10**6); edges; NaN and infinities;
+#: negatives; huge values, each one that is rejected before it is used;
+#: and words that are not numbers.
+BAD_WORDS = st.sampled_from(["abc", "", "1,5", "0x10", "--help"])
+FLOAT_VALUES = (st.floats(0.0, 1.0).map(repr)
+                | st.sampled_from(["0", "1", "-0.0", "5e-324", "1e-300",
+                                   repr(1.0 - 1e-16), "nan", "inf", "-inf",
+                                   "-1e-300", "-0.5", "1e308", "1e400"])
+                | BAD_WORDS)
+INT_OTHERS = (st.sampled_from([0, 1, 2, -1, cli.MAX_STEPS + 1, 2**63, 10**20,
+                               2**128]).map(str)
+              | st.sampled_from(["nan", "inf", "1.5", "1e3"]) | BAD_WORDS)
+#: Each key's values; a key not named here is a float
+VALUES = {
+    "pin_steps": st.integers(1, 64).map(str) | INT_OTHERS,
+    "mu_steps": st.integers(1, 64).map(str) | INT_OTHERS,
+    "phi_steps": st.integers(1, 64).map(str) | INT_OTHERS,
+    "pulses": st.integers(1, 10**6).map(str) | INT_OTHERS,
+    "seed": st.integers(0, 2**128 - 1).map(str) | INT_OTHERS,
+    "scenario": st.sampled_from(["fock-hpa", "timebin-hqa", "bogus", ""]),
+    "preset": st.sampled_from(["paper-solid", "paper-dashed", "bogus"]),
+    # an empty file; a path under a file, which cannot be opened
+    "config": st.sampled_from([os.devnull, os.path.join(os.devnull, "x")]),
+    "out": st.sampled_from([os.devnull, os.path.join(os.devnull, "x.csv")]),
+}
+
+
+@st.composite
+def argvs(draw):
+    """A command and flags of its keys (selftest: of any key), each given as
+    `--key value` or `--key=value`, with values of every kind."""
+    command = draw(st.sampled_from(sorted(cli._COMMAND_KEYS)))
+    keys = cli._COMMAND_KEYS[command][1] or tuple(cli._KEYS)
+    argv = [command]
+    for key in draw(st.lists(st.sampled_from(keys), min_size=not
+                             cli._COMMAND_KEYS[command][1], max_size=5)):
+        value = draw(VALUES.get(key, FLOAT_VALUES))
+        flag = "--" + key.replace("_", "-")
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=argvs())
+def test_any_argv_exits_with_a_documented_code_and_one_line(argv):
+    # nothing escapes main: every failure is an exit code and one line on
+    # stderr, and a success writes nothing there
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, EXIT_NUMERICAL)
+    if code == EXIT_OK:
+        assert err.getvalue() == ""
+    else:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
 
 
 def readme_cli_examples():

@@ -228,6 +228,34 @@ def same_value(got, want) -> bool:
     return got == want or abs(got - want) <= 1e-15 * max(1.0, abs(want))
 
 
+#: Values of [0, 1] with its ends and the subnormal, tiny and
+#: next-below-one values where rounding and signed zeros show.
+edges = st.sampled_from([0.0, 1.0, 5e-324, 1e-300, 1.0 - 1e-16]) | unit
+
+
+def same_bits(got, want) -> bool:
+    """Equal arrays of the same dtype whose zeros have the same signs, in
+    the real and the imaginary parts alike."""
+    return got.dtype == want.dtype and all(
+        np.array_equal(g, w) and np.array_equal(np.signbit(g), np.signbit(w))
+        for g, w in ((got.real, want.real), (np.imag(got), np.imag(want))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(t=edges, p_in=edges, p_a=edges, eta=edges,
+       dark=st.just(0.0) | st.floats(0.0, 1.0, exclude_max=True), phi=angles)
+def test_weighing_the_table_rows_equals_contracting_at_the_mu_ends(
+        t, p_in, p_a, eta, dark, phi):
+    # the table's rows are its mu = 0 and mu = 1 ends, so the fringe weighs
+    # them without mixing; every bit must match, the signs of zeros too
+    table = compile_scenario(build_scenario("timebin-hqa", AmplifierParams(
+        t=t, p_in=p_in, p_a=p_a, eta=eta, dark_click_prob=dark),
+        QubitSpec.from_phase(phi)))
+    got = table.weigh(p_in, p_a, table.cells, table.rails)
+    want = table.contract(p_in, p_a, np.array((0.0, 1.0)))
+    assert all(map(same_bits, got, want))
+
+
 @settings(max_examples=20, deadline=None)
 @given(scenario=st.sampled_from(SCENARIOS), t=transmission, eta=positive,
        mu=unit, dark=st.floats(0.0, 0.5), delta_phi=angles,
