@@ -250,11 +250,11 @@ def fidelity_from_visibility(v: float) -> float:
     return (1.0 + v) / 2.0
 
 
-def hom_coincidence(mu: float) -> tuple[float, float]:
-    """Two-photon coincidence and dip visibility for internal overlap mu.
-
-    Two single photons with mode overlap mu meeting on a 50/50 splitter
-    coincide with probability (1 - mu^2) / 2; the dip visibility is mu^2.
+def hom_coincidence(mu) -> tuple:
+    """Two-photon coincidence and dip visibility for internal overlap mu, a
+    number or an array, as is each result. Two single photons with mode
+    overlap mu meeting on a 50/50 splitter coincide with probability
+    (1 - mu^2) / 2; the dip visibility is mu^2.
     """
     _check_unit_interval(mu=mu)
     return (1.0 - mu * mu) / 2.0, mu * mu

@@ -2,17 +2,16 @@
 
 `qubitamp COMMAND --flag VALUE ...`: a flag is a configuration key with '_'
 written as '-', given as `--key value` or `--key=value`, and its value is
-read as in a configuration file. A command's flags are the keys it reads,
-listed in _COMMAND_KEYS; any other flag is a parse error, as are
-abbreviations. The word after a flag is always its value and the last
-repeat wins. `-h` or `--help` lists each command's flags from _COMMAND_KEYS
-and the key table _KEYS, which holds each key's type and default.
+read as in a configuration file. COMMANDS lists each command's function,
+summary and flags, the keys it reads; any other flag is a parse error, as
+are abbreviations. The word after a flag is always its value and the last
+repeat wins. `-h` or `--help` lists them, with each key's type from _KEYS.
 
 Configuration is a flat key=value file with '#' comments; it may hold any
 command's keys but `config`. Command-line flags override file values, and a
-named preset fills in parameter defaults before either. CSV output uses 9
-significant digits, '.' decimals and bare newline line endings. An existing
---out file is overwritten in place and cut to the new length.
+named preset fills in parameter defaults before either, unless they give
+all its keys. Each command hands write_csv one dict of its columns, which
+it writes with 9 significant digits, '.' decimals and newline line endings.
 
 Exit codes: 0 success, 2 parse error, 3 validation error (including a
 non-finite float value, an unknown scenario, a grid of over MAX_STEPS
@@ -78,22 +77,6 @@ _KEYS: dict = {
     "eta_out": ("FLOAT", 1.0), "analyzer_phi": ("FLOAT", 0.0),
     "delta_phi": ("FLOAT", 0.0),
 }
-#: command -> (summary, the keys it reads, which are its flags)
-_COMMAND_KEYS = {
-    "gain-curve": ("gain and output probability versus p_in",
-                   ("config", "out", "scenario", "preset", "t", "pa", "eta",
-                    "mu", "dark", "pin_from", "pin_to", "pin_steps")),
-    "fringe": ("per-class analyzer rates versus input phase",
-               ("config", "out", "preset", "t", "pa", "eta", "mu", "pin",
-                "dark", "phi_steps", "mu_plus", "mu_minus")),
-    "hom": ("two-photon interference dip versus overlap",
-            ("config", "out", "mu", "mu_from", "mu_to", "mu_steps")),
-    "estimate": ("Monte Carlo coincidence counts and estimators",
-                 ("config", "out", "scenario", "preset", "t", "pa", "eta",
-                  "mu", "pin", "dark", "seed", "pulses", "eta_herald",
-                  "eta_out", "analyzer_phi", "delta_phi")),
-    "selftest": ("run the acceptance grid and cross-checks", ()),
-}
 
 
 class ConfigError(Exception):
@@ -144,8 +127,11 @@ def resolve_config(flags: dict) -> dict:
         if preset not in PRESETS:
             raise ValueError(f"unknown preset {preset!r}; "
                              f"available: {sorted(PRESETS)}")
-        for pkey, pval in PRESETS[preset].items():
-            cfg[{"p_a": "pa"}.get(pkey, pkey)] = pval
+        keys = [{"p_a": "pa"}.get(key, key) for key in PRESETS[preset]]
+        if {*file_values, *flag_values}.issuperset(keys):
+            raise ValueError(f"preset is not read with {' and '.join(keys)}"
+                             f" given, got {preset}")
+        cfg.update(zip(keys, PRESETS[preset].values()))
     cfg.update({k: v for k, v in file_values.items() if k != "preset"})
     cfg.update({k: v for k, v in flag_values.items() if k != "preset"})
     if cfg["scenario"] not in SCENARIOS:
@@ -160,13 +146,14 @@ def params_from_config(cfg: dict, pin: float | None = None) -> AmplifierParams:
                            dark_click_prob=cfg["dark"])
 
 
-def write_csv(out: str | None, header: list[str], rows) -> None:
-    """CSV text of the header and `rows` (any iterable of rows) to the file
-    `out`, or to stdout if out is None.
+def write_csv(out: str | None, columns: dict) -> None:
+    """CSV text of `columns` to the file `out`, or to stdout if out is None.
 
-    A float (or float subclass, such as numpy.float64) is written as
-    format(x, ".9g") and any other value as str(x): each row by one % with
-    a template of "%.9g" and "%s" fields, built once per tuple of types.
+    `columns` maps each header name to a list or 1-D array of one value
+    type, one per row, or to one value for every row. A float (or float
+    subclass, such as numpy.float64) is written as format(x, ".9g") and any
+    other value as str(x), by one % template per call: "%.9g" for a float
+    list, "%s" for any other, and each single value put in once, escaped.
 
     An existing file is overwritten in place and then cut to the new length,
     not truncated to zero first: on ext4 (auto_da_alloc) a truncate to zero
@@ -176,14 +163,19 @@ def write_csv(out: str | None, header: list[str], rows) -> None:
     /dev/stdout) take the bytes as a stream. A write that fails part way
     cuts the file to zero, so it never holds new rows followed by old ones.
     A path that cannot be opened or written is a ValueError that names it."""
-    lines, templates = [",".join(header)], {}
-    for row in map(tuple, rows):
-        kinds = tuple(map(type, row))
-        if kinds not in templates:
-            templates[kinds] = ",".join(
-                "%.9g" if issubclass(k, float) else "%s" for k in kinds)
-        lines.append(templates[kinds] % row)
-    text = "\n".join(lines) + "\n"
+    fields, lists = [], []
+    for v in columns.values():
+        if isinstance(v, np.ndarray):
+            v = v.tolist()
+        if isinstance(v, list):
+            lists.append(v)
+            fields.append("%.9g" if v and isinstance(v[0], float) else "%s")
+        else:
+            fields.append((format(v, ".9g") if isinstance(v, float)
+                           else str(v)).replace("%", "%%"))
+    template = ",".join(fields)
+    text = "\n".join([",".join(columns), *(
+        template % row for row in zip(*lists, strict=True))]) + "\n"
     if out is None:
         sys.stdout.write(text)
         return
@@ -240,11 +232,9 @@ def cmd_gain_curve(cfg: dict) -> int:
     oracle = compile_scenario(build_scenario(cfg["scenario"], p)).evaluate(
         grid, p.p_a, p.mu)
     g_formula = gain_analytic(p.t, p.p_a, p.eta, grid)
-    write_csv(cfg.get("out"),
-              ["p_in", "gain_analytic", "gain_oracle",
-               "p_out_analytic", "p_out_oracle"],
-              zip(*(a.tolist() for a in (grid, g_formula, oracle.gain,
-                                         g_formula * grid, oracle.p_out))))
+    write_csv(cfg.get("out"), {
+        "p_in": grid, "gain_analytic": g_formula, "gain_oracle": oracle.gain,
+        "p_out_analytic": g_formula * grid, "p_out_oracle": oracle.p_out})
     return EXIT_OK
 
 
@@ -256,32 +246,29 @@ def cmd_fringe(cfg: dict) -> int:
     phis = np.linspace(0.0, 2.0 * math.pi, cfg["phi_steps"], endpoint=False)
     scan = fringe_scan(params_from_config(cfg), phis,
                        mu_plus=cfg.get("mu_plus"), mu_minus=cfg.get("mu_minus"))
-    # the run's constants, formatted once as write_csv formats a float
-    constants = tuple(format(v, ".9g") for v in (scan.visibility_plus,
-        scan.visibility_minus, scan.fidelity_plus, scan.fidelity_minus))
-    write_csv(cfg.get("out"),
-              ["delta_phi", "rate_psi_plus", "rate_psi_minus",
-               "visibility_plus", "visibility_minus",
-               "fidelity_plus", "fidelity_minus"],
-              (row + constants for row in zip(scan.phis.tolist(),
-                  scan.rate_plus.tolist(), scan.rate_minus.tolist())))
+    write_csv(cfg.get("out"), {
+        "delta_phi": scan.phis, "rate_psi_plus": scan.rate_plus,
+        "rate_psi_minus": scan.rate_minus,
+        "visibility_plus": scan.visibility_plus,
+        "visibility_minus": scan.visibility_minus,
+        "fidelity_plus": scan.fidelity_plus,
+        "fidelity_minus": scan.fidelity_minus})
     return EXIT_OK
 
 
 def cmd_hom(cfg: dict) -> int:
     if cfg.get("mu_steps") is not None:
         _unread(cfg, "mu", "with mu_steps")
-        grid = _grid(cfg, "mu").tolist()
+        grid = _grid(cfg, "mu")
     elif cfg.get("mu_from") is not None or cfg.get("mu_to") is not None:
         raise ValueError("mu_from and mu_to need mu_steps")
     else:
-        grid = [cfg["mu"]]
-    rows = []
-    for mu in grid:
-        coincidence, vis = hom_coincidence(mu)
-        rows.append([mu, coincidence, hom_coincidence_fock(mu), vis])
-    write_csv(cfg.get("out"),
-              ["mu", "coincidence", "coincidence_fock", "visibility"], rows)
+        grid = np.array([cfg["mu"]])
+    coincidence, visibility = hom_coincidence(grid)
+    write_csv(cfg.get("out"), {
+        "mu": grid, "coincidence": coincidence,
+        "coincidence_fock": [hom_coincidence_fock(mu) for mu in grid.tolist()],
+        "visibility": visibility})
     return EXIT_OK
 
 
@@ -297,17 +284,20 @@ def cmd_estimate(cfg: dict) -> int:
         scenario=cfg["scenario"], qubit=QubitSpec.from_phase(cfg["delta_phi"]),
         analyzer_phi=cfg["analyzer_phi"], eta_herald=cfg["eta_herald"],
         eta_out=cfg["eta_out"])
-    pin, rows = estimate_pin(counts), []
-    for cls in sorted(counts.threefold):
-        pout, gain = estimate_pout(counts, cls), estimate_gain(counts, cls)
-        rows.append([cfg["scenario"], cls, counts.n_pulses, cfg["seed"],
-                     counts.d1, counts.d1_d2, counts.threefold[cls],
-                     counts.fourfold[cls], pin.value, pin.error, pout.value,
-                     pout.error, gain.value, gain.error])
-    write_csv(cfg.get("out"),
-              ["scenario", "herald_class", "n_pulses", "seed", "d1", "d1_d2",
-               "threefold", "fourfold", "p_in_est", "p_in_err",
-               "p_out_est", "p_out_err", "gain_est", "gain_err"], rows)
+    classes, pin = sorted(counts.threefold), estimate_pin(counts)
+    pout = [estimate_pout(counts, cls) for cls in classes]
+    gain = [estimate_gain(counts, cls) for cls in classes]
+    write_csv(cfg.get("out"), {
+        "scenario": cfg["scenario"], "herald_class": classes,
+        "n_pulses": counts.n_pulses, "seed": cfg["seed"], "d1": counts.d1,
+        "d1_d2": counts.d1_d2,
+        "threefold": [counts.threefold[cls] for cls in classes],
+        "fourfold": [counts.fourfold[cls] for cls in classes],
+        "p_in_est": pin.value, "p_in_err": pin.error,
+        "p_out_est": [e.value for e in pout],
+        "p_out_err": [e.error for e in pout],
+        "gain_est": [e.value for e in gain],
+        "gain_err": [e.error for e in gain]})
     return EXIT_OK
 
 
@@ -326,12 +316,21 @@ def cmd_selftest(cfg: dict) -> int:
 # -- argument parsing ---------------------------------------------------
 
 
+#: command -> (function, summary, the keys it reads, which are its flags)
 COMMANDS = {
-    "gain-curve": cmd_gain_curve,
-    "fringe": cmd_fringe,
-    "hom": cmd_hom,
-    "estimate": cmd_estimate,
-    "selftest": cmd_selftest,
+    "gain-curve": (cmd_gain_curve, "gain and output probability versus p_in",
+                   ("config", "out", "scenario", "preset", "t", "pa", "eta",
+                    "mu", "dark", "pin_from", "pin_to", "pin_steps")),
+    "fringe": (cmd_fringe, "per-class analyzer rates versus input phase",
+               ("config", "out", "preset", "t", "pa", "eta", "mu", "pin",
+                "dark", "phi_steps", "mu_plus", "mu_minus")),
+    "hom": (cmd_hom, "two-photon interference dip versus overlap",
+            ("config", "out", "mu", "mu_from", "mu_to", "mu_steps")),
+    "estimate": (cmd_estimate, "Monte Carlo coincidence counts and estimators",
+                 ("config", "out", "scenario", "preset", "t", "pa", "eta",
+                  "mu", "pin", "dark", "seed", "pulses", "eta_herald",
+                  "eta_out", "analyzer_phi", "delta_phi")),
+    "selftest": (cmd_selftest, "run the acceptance grid and cross-checks", ()),
 }
 
 
@@ -341,7 +340,7 @@ def usage() -> str:
              "A flag is a configuration key with '_' written as '-'; its "
              "value is read as in\na configuration file. The last repeat "
              "wins.\n", "commands:"]
-    for name, (summary, keys) in _COMMAND_KEYS.items():
+    for name, (_, summary, keys) in COMMANDS.items():
         flags = [f"--{k.replace('_', '-')} {_KEYS[k][0]}" for k in keys]
         lines += [f"  {name:<12}{summary}"] + [
             f"{'':<14}{'  '.join(flags[i:i + 4])}"
@@ -357,7 +356,7 @@ def parse_flags(argv: list[str]) -> tuple[str, dict]:
         raise ConfigError(f"expected a command ({', '.join(COMMANDS)}), "
                           f"got {' '.join(argv[:1]) or 'none'}")
     command, words = argv[0], iter(argv[1:])
-    allowed = _COMMAND_KEYS[command][1]
+    allowed = COMMANDS[command][2]
     flags: dict = {}
     for word in words:
         flag, eq, value = word.partition("=")
@@ -379,7 +378,7 @@ def main(argv=None) -> int:
         return EXIT_OK
     try:
         command, flags = parse_flags(argv)
-        return COMMANDS[command](resolve_config(flags))
+        return COMMANDS[command][0](resolve_config(flags))
     except ConfigError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qubitamp import cli
+from qubitamp.amplifier import PRESETS
 from qubitamp.checks import CHECKS
 from qubitamp.cli import (
     EXIT_NUMERICAL,
@@ -151,7 +152,7 @@ class TestGainCurve:
                                                   rel=1e-8)
 
 
-def unread_mu(tmp_path, capsys, command, keys):
+def unread_key(tmp_path, capsys, command, keys):
     """Exit code and stderr of `command` with the configuration `keys`
     given once by flags and once from a file; both must agree."""
     out = tmp_path / "out.csv"
@@ -237,13 +238,13 @@ class TestFringe:
     def test_mu_with_both_class_overlaps(self, tmp_path, capsys, mu, code):
         # both classes take their own overlap, so mu is not read: a value
         # other than the default wrote the same bytes as none
-        got, err = unread_mu(tmp_path, capsys, "fringe", {
+        got, err = unread_key(tmp_path, capsys, "fringe", {
             "mu": mu, "mu_plus": "0.9", "mu_minus": "0.8", "phi_steps": "8"})
         assert got == code
         assert ("validation error: mu is not read" in err) == (got != EXIT_OK)
 
     def test_mu_with_one_class_overlap_is_read(self, tmp_path, capsys):
-        code, _ = unread_mu(tmp_path, capsys, "fringe", {
+        code, _ = unread_key(tmp_path, capsys, "fringe", {
             "mu": "0.5", "mu_plus": "0.9", "phi_steps": "8"})
         assert code == EXIT_OK
 
@@ -254,7 +255,7 @@ class TestHom:
     def test_mu_with_a_sweep(self, tmp_path, capsys, mu, code):
         # the sweep's grid replaces mu, so a value other than the default
         # wrote the same bytes as none
-        got, err = unread_mu(tmp_path, capsys, "hom", {
+        got, err = unread_key(tmp_path, capsys, "hom", {
             "mu": mu, "mu_from": "0", "mu_to": "1", "mu_steps": "2"})
         assert got == code
         assert ("validation error: mu is not read" in err) == (got != EXIT_OK)
@@ -446,40 +447,74 @@ class TestOutFile:
         assert out.read_text().startswith("mu,")
 
 
-#: Values of every type the commands write, and the float edges where
-#: %-formatting and format() could part: signed zeros, infinities, NaN,
-#: subnormals and values of 1e16 and above.
-csv_values = st.one_of(
-    st.floats(), st.floats().map(np.float64),
-    st.floats(width=32).map(np.float32),
-    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
-                     5e-324, -2.2250738585072e-308, 1e16, 1.2345678955e17,
-                     -9.9999999995e22, 1.7976931348623157e308]),
-    st.integers(), st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
-    st.booleans(), st.text())
+#: The float edges where %-formatting and format() could part: signed
+#: zeros, infinities, NaN, subnormals and values of 1e16 and above.
+FLOAT_EDGES = st.sampled_from([
+    0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324,
+    -2.2250738585072e-308, 1e16, 1.2345678955e17, -9.9999999995e22,
+    1.7976931348623157e308])
+#: Values of each type the commands write, one strategy per type; text
+#: with '%' in it, which a template must not read as a field.
+CSV_KINDS = (
+    st.floats() | FLOAT_EDGES, (st.floats() | FLOAT_EDGES).map(np.float64),
+    st.floats(width=32).map(np.float32), st.integers(),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64), st.booleans(),
+    st.text() | st.sampled_from(["%", "%s", "100%", "%%", "%(a)s", "%.9g"]))
+
+
+@st.composite
+def csv_columns(draw):
+    """Header names to values: lists, or float arrays, of one type and one
+    length, and single values."""
+    n_rows, columns = draw(st.integers(0, 6)), {}
+    for name in draw(st.lists(st.text(), min_size=1, max_size=5, unique=True)):
+        kind = draw(st.sampled_from(CSV_KINDS))
+        if draw(st.booleans()):
+            columns[name] = draw(kind)
+        else:
+            values = draw(st.lists(kind, min_size=n_rows, max_size=n_rows))
+            as_array = kind is CSV_KINDS[0] and draw(st.booleans())
+            columns[name] = np.array(values) if as_array else values
+    return columns
+
+
+def csv_cell(value):
+    return format(value, ".9g") if isinstance(value, float) else str(value)
 
 
 @settings(max_examples=200, deadline=None)
-@given(header=st.lists(st.text(), min_size=1, max_size=4),
-       rows=st.lists(st.lists(csv_values, max_size=5), max_size=6))
-# rows whose value types change from row to row at one length
-@example(header=["a", "b"], rows=[
-    [1.5, "x"], ["x", 1.5], [np.float32(1.5), True], [np.float64(-0.0), 2],
-    [np.int64(3), math.nan], [1e16, np.float64(5e-324)]])
-def test_write_csv_bytes_equal_reference(header, rows):
-    reference = "\n".join([",".join(header)] + [",".join(
-        format(v, ".9g") if isinstance(v, float) else str(v) for v in row)
-        for row in rows]) + "\n"
+@given(columns=csv_columns())
+@example(columns={
+    "x": [1.5, -0.0, math.nan], "%s": "100%", "n": np.int64(3),
+    "y": np.array([1e16, 5e-324, -math.inf]), "f": np.float32(1.5),
+    "b": [True, False, True], "g": np.float64(-0.0), "z": 1.2345678955e17})
+def test_write_csv_bytes_equal_reference(columns):
+    # a row per entry of the list columns (none without one), each single
+    # value repeated on every row; an array as its values' Python numbers
+    lists = {name: v.tolist() if isinstance(v, np.ndarray) else v
+             for name, v in columns.items()}
+    n_rows = min((len(v) for v in lists.values() if isinstance(v, list)),
+                 default=0)
+    reference = "\n".join([",".join(columns)] + [",".join(
+        csv_cell(v[i] if isinstance(v, list) else v) for v in lists.values())
+        for i in range(n_rows)]) + "\n"
     text = io.StringIO()
     with contextlib.redirect_stdout(text):
-        cli.write_csv(None, header, rows)
+        cli.write_csv(None, columns)
     assert text.getvalue() == reference
+
+
+def test_write_csv_columns_of_two_lengths_are_an_error(capsys):
+    with pytest.raises(ValueError):
+        cli.write_csv(None, {"a": [1.0, 2.0], "b": "x", "c": [1]})
+    assert capsys.readouterr().out == ""
 
 
 def test_out_of_memory_is_numerical_error(monkeypatch, capsys):
     def fringe(cfg):
         raise MemoryError("Unable to allocate 745. GiB for an array")
-    monkeypatch.setitem(cli.COMMANDS, "fringe", fringe)
+    monkeypatch.setitem(cli.COMMANDS, "fringe",
+                        (fringe, *cli.COMMANDS["fringe"][1:]))
     assert run(["fringe", "--phi-steps", "100000000000"]) == EXIT_NUMERICAL
     err = capsys.readouterr().err
     assert err == ("numerical failure: out of memory: "
@@ -644,6 +679,43 @@ class TestConfigHandling:
         assert run(["hom", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         assert len(read_csv(out)[2]) == 2
 
+    @pytest.mark.parametrize("command,args", [
+        ("gain-curve", {"pin_steps": "4"}), ("fringe", {"phi_steps": "8"}),
+        ("estimate", {"pulses": "1000"})])
+    def test_preset_with_every_key_given_is_validation_error(
+            self, tmp_path, capsys, command, args):
+        # pa and eta both given left the preset nothing to set: it wrote
+        # the same bytes as no preset
+        code, err = unread_key(tmp_path, capsys, command, {
+            "preset": "paper-solid", "pa": "0.5", "eta": "0.6", **args})
+        assert (code, err) == (EXIT_VALIDATION, "validation error: preset is "
+                               "not read with pa and eta given, got "
+                               "paper-solid\n")
+
+    @pytest.mark.parametrize("in_file", [["preset"], ["pa", "eta"], ["pa"]])
+    def test_preset_keys_given_by_file_and_flags_together(
+            self, tmp_path, capsys, in_file):
+        keys = {"preset": "paper-dashed", "pa": "0.5", "eta": "0.6"}
+        cfg = tmp_path / "keys.cfg"
+        cfg.write_text("".join(f"{k} = {keys[k]}\n" for k in in_file))
+        flags = [w for k in keys.keys() - in_file for w in (f"--{k}", keys[k])]
+        assert run(["gain-curve", "--config", str(cfg), *flags,
+                    "--out", os.devnull]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("validation error: preset ")
+
+    @pytest.mark.parametrize("given,left", [
+        ({"pa": "0.5"}, {"eta": "0.7"}),
+        ({"eta": "0.6"}, {"pa": repr(PRESETS["paper-solid"]["p_a"])})])
+    def test_preset_with_a_key_left_to_it_is_read(self, tmp_path, capsys,
+                                                  given, left):
+        code, _ = unread_key(tmp_path, capsys, "gain-curve", {
+            "preset": "paper-solid", **given, "pin_steps": "4"})
+        assert code == EXIT_OK
+        preset = (tmp_path / "out.csv").read_bytes()
+        code, _ = unread_key(tmp_path, capsys, "gain-curve", {
+            **given, **left, "pin_steps": "4"})
+        assert code == EXIT_OK and (tmp_path / "out.csv").read_bytes() == preset
+
     def test_parse_config_file_values(self, tmp_path):
         cfg = tmp_path / "ok.cfg"
         cfg.write_text("scenario = timebin-hqa\nseed = 7\neta = 0.7\n")
@@ -795,11 +867,11 @@ VALUES = {
 def argvs(draw):
     """A command and flags of its keys (selftest: of any key), each given as
     `--key value` or `--key=value`, with values of every kind."""
-    command = draw(st.sampled_from(sorted(cli._COMMAND_KEYS)))
-    keys = cli._COMMAND_KEYS[command][1] or tuple(cli._KEYS)
+    command = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    keys = cli.COMMANDS[command][2] or tuple(cli._KEYS)
     argv = [command]
     for key in draw(st.lists(st.sampled_from(keys), min_size=not
-                             cli._COMMAND_KEYS[command][1], max_size=5)):
+                             cli.COMMANDS[command][2], max_size=5)):
         value = draw(VALUES.get(key, FLOAT_VALUES))
         flag = "--" + key.replace("_", "-")
         argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
@@ -819,6 +891,63 @@ def test_any_argv_exits_with_a_documented_code_and_one_line(argv):
         assert err.getvalue() == ""
     else:
         assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+
+
+#: A valid argv of each command, to which one key at a time is added
+BASE_ARGV = {
+    # dark counts part the two scenarios, equal at this grid without them
+    "gain-curve": ["--pin-steps", "4", "--dark", "0.01"],
+    "fringe": ["--phi-steps", "8"],
+    "hom": [],
+    "estimate": ["--scenario", "timebin-hqa", "--pulses", "100000"],
+}
+#: Keys that a pair needs as well, so that the command reads its key
+PAIR_ARGV = {("hom", "mu_from"): ["--mu-steps", "3"],
+             ("hom", "mu_to"): ["--mu-steps", "3"]}
+#: Two distinct valid values of each key
+TWO_VALUES = {
+    "scenario": ("fock-hpa", "timebin-hqa"),
+    "preset": ("paper-solid", "paper-dashed"),
+    "t": ("0.7", "0.9"), "pa": ("0.5", "0.8"), "eta": ("0.6", "0.9"),
+    "mu": ("0.8", "0.9"), "pin": ("0.3", "0.5"), "dark": ("0", "0.01"),
+    "seed": ("1", "2"), "pulses": ("1000", "2000"),
+    "pin_from": ("0.1", "0.2"), "pin_to": ("0.8", "0.9"),
+    "pin_steps": ("3", "4"), "phi_steps": ("4", "8"),
+    "mu_plus": ("0.9", "0.95"), "mu_minus": ("0.9", "0.95"),
+    "mu_from": ("0", "0.5"), "mu_to": ("0.8", "1"), "mu_steps": ("2", "3"),
+    "eta_herald": ("0.5", "0.9"), "eta_out": ("0.5", "1"),
+    "analyzer_phi": ("0", "1"), "delta_phi": ("0", "1"),
+}
+KEY_CASES = [
+    (command, key, BASE_ARGV[command] + PAIR_ARGV.get((command, key), []))
+    for command, (_, _, keys) in cli.COMMANDS.items()
+    for key in keys if key not in ("config", "out")] + [
+    # every key of the preset given too, so that it sets nothing
+    (command, "preset", BASE_ARGV[command] + ["--pa", "0.5", "--eta", "0.6"])
+    for command in ("gain-curve", "fringe", "estimate")]
+
+
+@pytest.mark.parametrize("command,key,argv", KEY_CASES,
+                         ids=lambda v: " ".join(v) if isinstance(v, list)
+                         else v)
+def test_every_key_changes_the_bytes_or_is_rejected(tmp_path, capsys,
+                                                    command, key, argv):
+    # two valid values of a key a command reads write different CSVs, or
+    # both are a validation error that names the key
+    outcomes = []
+    for i, value in enumerate(TWO_VALUES[key]):
+        out = tmp_path / f"{i}.csv"
+        code = run([command, *argv, "--" + key.replace("_", "-"), value,
+                    "--out", str(out)])
+        err = capsys.readouterr().err
+        outcomes.append((code, err, out.exists() and out.read_bytes()))
+    (code, err, csv), (code2, err2, csv2) = outcomes
+    if EXIT_VALIDATION in (code, code2):
+        assert code == code2 == EXIT_VALIDATION
+        assert all(e.startswith(f"validation error: {key} ")
+                   for e in (err, err2))
+    else:
+        assert (code, code2) == (EXIT_OK, EXIT_OK) and csv != csv2
 
 
 def readme_cli_examples():
