@@ -13,19 +13,19 @@ Exact outcomes come from a scenario table. Every unnormalised herald-class
 output is multilinear in the presence probabilities of the source photons
 and, with at most three photons, affine in mu^2. So `compile_scenario`
 tabulates each presence combination at mu = 0 and at mu = 1, and any
-(p_in, p_a, mu) is a weighted sum over the table. The passive linear
-circuits map each photon's creation operator on its own, by the path
-transfer matrix, alike on both internal modes: a bundle's matched photons
-go through one circuit run, and `_at_mu` puts the mapped ancillas at
-overlap mu. One array pass (`_herald_pass`; `_herald_probs` without rails
-for the sampler and the two-photon dip) gives each cell's class
-probabilities and rail densities. A threshold detector sees only its
-photon count, so a class weighs each count pattern (the distinct photon
-counts at the detectors) once, and the kets' |amp|^2 are summed per cell,
-count pattern and photons out first. The pass's index arrays depend only
-on the photons' support, the detected modes and the herald classes, so
-`_layout` builds them once per such key (an LRU cache of 16) and a call
-computes only the kets' amplitudes, the pattern weights and the sums.
+(p_in, p_a, mu) is a weighted sum over the table; the two-photon dip is
+read off one compiled table at every mu. The passive linear circuits map
+each photon's creation operator on its own, by the path transfer matrix,
+alike on both internal modes: a bundle's matched photons go through one
+circuit run, and `_at_mu` puts the mapped ancillas at overlap mu. One
+array pass (`_herald_pass`; the sampler's `_herald_probs` builds no rails)
+gives each cell's class probabilities and rail densities. A threshold
+detector sees only its photon count, so a class weighs each count pattern
+(the distinct photon counts at the detectors) once, and the kets' |amp|^2
+are summed per cell, count pattern and photons out first. The pass's index
+arrays depend only on the photons' support, the detected modes and the
+herald classes, so `_layout` builds them once per such key (an LRU cache
+of 16), and a call computes only amplitudes, pattern weights and sums.
 
 Every unnormalised class quantity is linear in the table, so evaluation
 (`ScenarioTable.contract`) mixes the table's mu rows at mu^2, then weighs
@@ -260,18 +260,18 @@ def hom_coincidence(mu) -> tuple:
     return (1.0 - mu * mu) / 2.0, mu * mu
 
 
-def hom_coincidence_fock(mu: float) -> float:
-    """Coincidence probability of a matched photon on path a and one of
-    overlap mu on path b after a 50/50 splitter, from the table pass: two
-    ideal threshold detectors both click iff one photon reaches each."""
-    params = AmplifierParams(t=0.5, p_in=1.0, p_a=1.0, eta=1.0, mu=mu)
-    paths, ideal = ("a", "b"), DetectorSpec(1.0)
-    bundle = ScenarioBundle(
-        "hom", params, None, Circuit(paths, (BeamSplitter(0.5, paths),)),
+def hom_coincidence_fock(mu):
+    """Coincidence of two photons at overlap mu, one on each path of a 50/50
+    splitter, read off one compiled table at every mu (a number or an array,
+    as is the result): both ideal detectors click iff each gets one."""
+    table = compile_scenario(ScenarioBundle(
+        "hom", AmplifierParams(t=0.5, p_in=1.0, p_a=1.0, eta=1.0), None,
+        Circuit(("a", "b"), (BeamSplitter(0.5, ("a", "b")),)),
         ({("a", MATCHED): 1.0}, {("b", MATCHED): 1.0}),
-        tuple(Detector(p, p, ideal) for p in paths),
-        (HeraldClass("coincidence", ({"a": CLICK, "b": CLICK},)),))
-    return float(_herald_probs(bundle)[0])
+        tuple(Detector(p, p, DetectorSpec(1.0)) for p in ("a", "b")),
+        (HeraldClass("coincidence", ({"a": CLICK, "b": CLICK},)),)))
+    dip = table.contract(1.0, 1.0, mu)[0][..., 0, 0]  # class 0's probability
+    return dip if np.ndim(mu) else float(dip)
 
 
 # -- source construction ----------------------------------------------
@@ -471,8 +471,9 @@ class ScenarioTable:
             for t in (cells, rails))
 
     def contract(self, p_in, p_a, mu) -> tuple[np.ndarray, np.ndarray]:
-        """cells and rails mixed at overlap mu, their rows at mu = 0 and 1
-        combined at mu^2, then weighed at p_in, p_a; mu's axes lead."""
+        """cells and rails mixed at mu, their rows at mu = 0 and 1 combined at
+        mu^2, then weighed at p_in, p_a (each in [0, 1]); mu's axes lead."""
+        _check_unit_interval(p_in=p_in, p_a=p_a, mu=mu)
         m = np.square(mu)
         return self.weigh(p_in, p_a, *(
             np.multiply.outer(1.0 - m, t[0]) + np.multiply.outer(m, t[1])
@@ -482,7 +483,6 @@ class ScenarioTable:
         """Heralded outcome at input and ancilla presence probabilities
         p_in, p_a and overlap mu, each in [0, 1]. p_in and p_a may be arrays:
         they broadcast against each other, and so does every outcome field."""
-        _check_unit_interval(p_in=p_in, p_a=p_a, mu=mu)
         return _outcome(self.bundle, *self.contract(p_in, p_a, mu), p_in, p_a)
 
 

@@ -14,9 +14,10 @@ all its keys. Each command hands write_csv one dict of its columns, which
 it writes with 9 significant digits, '.' decimals and newline line endings.
 
 Exit codes: 0 success, 2 parse error, 3 validation error (including a
-non-finite float value, an unknown scenario, a grid of over MAX_STEPS
-points, or an --out path that cannot be opened or written, such as a full
-disk), 4 internal numerical failure (including running out of memory).
+non-finite float value or one out of range, named by its key, an unknown
+scenario, a grid of over MAX_STEPS points, or an --out path that cannot be
+opened or written, such as a full disk), 4 internal numerical failure
+(including running out of memory).
 """
 
 from __future__ import annotations
@@ -112,14 +113,22 @@ def _parse_value(key: str, value: str, where: str):
 
 
 def resolve_config(flags: dict) -> dict:
-    """Merge defaults, preset, config file and flags (later wins)."""
+    """Merge defaults, preset, config file and flags (later wins). Each
+    given float is checked first: it must be finite and, but for the
+    phases, lie in [0, 1] ([0, 1) for dark); a range error names its key."""
     flag_values = dict(flags)
     path = flag_values.pop("config", None)
     file_values = parse_config_file(path) if path is not None else {}
     for source in (file_values, flag_values):
         for key, value in source.items():
-            if _KEYS[key][0] == "FLOAT" and not math.isfinite(value):
+            if _KEYS[key][0] != "FLOAT":
+                continue
+            if not math.isfinite(value):
                 raise ValueError(f"{key} must be finite, got {value}")
+            top = ")" if key == "dark" else "]"
+            inside = 0.0 <= value < 1.0 if top == ")" else 0.0 <= value <= 1.0
+            if key not in ("analyzer_phi", "delta_phi") and not inside:
+                raise ValueError(f"{key} must lie in [0, 1{top}, got {value}")
     preset = flag_values.get("preset", file_values.get("preset"))
     cfg = {key: default for key, (_, default) in _KEYS.items()
            if default is not None}
@@ -225,9 +234,7 @@ def _unread(cfg: dict, key: str, why: str) -> None:
 
 
 def cmd_gain_curve(cfg: dict) -> int:
-    # AmplifierParams validates the grid ends; every point lies between them
     p = params_from_config(cfg, pin=cfg["pin_from"])
-    params_from_config(cfg, pin=cfg["pin_to"])
     grid = _grid(cfg, "pin")
     oracle = compile_scenario(build_scenario(cfg["scenario"], p)).evaluate(
         grid, p.p_a, p.mu)
@@ -267,7 +274,7 @@ def cmd_hom(cfg: dict) -> int:
     coincidence, visibility = hom_coincidence(grid)
     write_csv(cfg.get("out"), {
         "mu": grid, "coincidence": coincidence,
-        "coincidence_fock": [hom_coincidence_fock(mu) for mu in grid.tolist()],
+        "coincidence_fock": hom_coincidence_fock(grid),
         "visibility": visibility})
     return EXIT_OK
 

@@ -21,12 +21,14 @@ the output analyzer and measures the analyzer click. Every circuit here
 is applied element by element (`expand`), the binomial Fock expansion,
 also where a mixture holds one photon per ket and `run_circuit` would use
 the transfer matrix.
-`amplifier.compile_scenario` and `amplifier._herald_probs` (behind the
-sampler's `montecarlo._branch_outcome_table` and `hom_coincidence_fock`)
-instead map the matched source photons by the transfer matrix, put the
-ancillas at mu by one rule, build the output kets of every presence
-combination as arrays from them and weight them with per-pattern products
-of the click model, so the tests that compare the two check that route.
+`amplifier.compile_scenario` (behind `hom_coincidence_fock` too, whose
+dip is read off one compiled table at every mu) and
+`amplifier._herald_probs` (the sampler's, behind
+`montecarlo._branch_outcome_table`) instead map the matched source
+photons by the transfer matrix, put the ancillas at mu by one rule,
+build the output kets of every presence combination as arrays from them
+and weight them with per-pattern products of the click model, so the
+tests that compare the two check that route.
 """
 
 import itertools

@@ -167,6 +167,21 @@ class TestFockHpaOracle:
             simulate_scenario(
                 "fock-hpa", AmplifierParams(t=0.9, p_in=0.0, p_a=0.0, eta=0.7))
 
+    def test_tiny_point_is_refused_or_exact(self):
+        # the herald probability is 1.4e-213, but the table's unnormalised
+        # prob * single underflows to 0: without the 1e-30 floor the gain
+        # read 0.0 against the closed form's 1.2153
+        t, p_in, p_a, eta = (0.5486018139195983, 1.8523965903096223e-292,
+                             1.132224641229908e-74, 2.7732815715862578e-139)
+        try:
+            out = simulate_scenario("fock-hpa", AmplifierParams(
+                t=t, p_in=p_in, p_a=p_a, eta=eta))
+        except ZeroHeraldError:
+            return
+        want = gain_analytic(t, p_a, eta, p_in)
+        assert out.gain == pytest.approx(want, rel=1e-9, abs=0.0)
+        assert out.p_out == pytest.approx(want * p_in, rel=1e-9, abs=0.0)
+
     def test_outcome_invariants(self):
         out = simulate_scenario(
             "fock-hpa", AmplifierParams(t=0.8, p_in=0.3, p_a=0.7, eta=0.6,
@@ -629,10 +644,12 @@ class TestScenarioTable:
         assert not engine_calls["expansions"]
 
     def test_hom_dip_runs_its_two_photons_once(self, engine_calls):
-        # the dip comes from the table pass too: one run of two one-photon
-        # branches, and no Fock expansion of the two-photon state
-        assert hom_coincidence_fock(0.6) == pytest.approx(
-            hom_coincidence(0.6)[0], abs=1e-12)
+        # the whole dip comes from one compiled table: one run of two
+        # one-photon branches, no Fock expansion of the two-photon state,
+        # and one table pass for every mu of the grid
+        mu = np.linspace(0.0, 1.0, 101)
+        assert hom_coincidence_fock(mu) == pytest.approx(
+            hom_coincidence(mu)[0], abs=1e-12)
         assert engine_calls["runs"] == [2]
         assert not engine_calls["expansions"]
-        assert engine_calls["rails"] == [False]
+        assert engine_calls["rails"] == [True]

@@ -184,7 +184,8 @@ class TestFringe:
         code = run(["fringe", flag, value, "--phi-steps", "8",
                     "--out", str(out)])
         assert code == EXIT_VALIDATION
-        assert "mu must lie in [0, 1]" in capsys.readouterr().err
+        key = flag[2:].replace("-", "_")  # the key set, not fringe_scan's mu
+        assert f"{key} must lie in [0, 1]" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("flag,value", [("--pa", "0"), ("--t", "1.0")])
@@ -521,6 +522,15 @@ def test_out_of_memory_is_numerical_error(monkeypatch, capsys):
                    "Unable to allocate 745. GiB for an array\n")
 
 
+#: A value below and one above [0, 1] of each command's float keys but the
+#: phases, and dark = 1, which must lie in [0, 1)
+OUT_OF_RANGE = [(command, key, value)
+                for command, (_, _, keys) in cli.COMMANDS.items()
+                for key in keys if cli._KEYS[key][0] == "FLOAT"
+                and key not in ("analyzer_phi", "delta_phi")
+                for value in ("-0.1", "1.5") + ("1",) * (key == "dark")]
+
+
 class TestConfigHandling:
     def test_file_values_and_flag_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -653,6 +663,23 @@ class TestConfigHandling:
         cfg.write_text("cutoff = 4\n")
         assert run(["hom", "--config", str(cfg)]) == EXIT_PARSE
         assert run(["hom", "--cutoff", "4"]) == EXIT_PARSE
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("command,key,value", OUT_OF_RANGE)
+    def test_value_out_of_range_names_its_key(self, tmp_path, capsys, command,
+                                              key, value, source):
+        # the message names the key the user set, not the argument it
+        # reaches (p_in for pin_from, mu for mu_plus, dark_click_prob)
+        out, cfg = tmp_path / "out.csv", tmp_path / "range.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        given = (["--" + key.replace("_", "-"), value] if source == "flag"
+                 else ["--config", str(cfg)])
+        assert run([command, *given, "--out", str(out)]) == EXIT_VALIDATION
+        top = ")" if key == "dark" else "]"
+        assert capsys.readouterr().err == (
+            f"validation error: {key} must lie in [0, 1{top}, got "
+            f"{float(value)}\n")
+        assert not out.exists()
 
     def test_non_finite_config_value_is_validation_error(self, tmp_path,
                                                          capsys):

@@ -21,6 +21,7 @@ from qubitamp.amplifier import (
     HeraldClass,
     QubitSpec,
     SCENARIOS,
+    ScenarioBundle,
     _at_mu,
     _herald_pass,
     _herald_probs,
@@ -33,6 +34,7 @@ from qubitamp.amplifier import (
     compile_scenario,
     fringe_scan,
     gain_analytic,
+    hom_coincidence,
     hom_coincidence_fock,
     simulate_scenario,
 )
@@ -139,6 +141,31 @@ def test_oracle_gain_equals_closed_form(scenario, t, p_a, eta, p_in):
     out = simulate_scenario(scenario,
                             AmplifierParams(t=t, p_in=p_in, p_a=p_a, eta=eta))
     assert abs(out.gain - gain_analytic(t, p_a, eta, p_in)) <= 1e-9
+
+
+def dip_bundle(mu):
+    """The two-photon dip's bundle at overlap mu: a matched photon on path
+    a and one on path b of a 50/50 splitter, both present, and one class
+    in which both ideal detectors click."""
+    return ScenarioBundle(
+        "hom", AmplifierParams(t=0.5, p_in=1.0, p_a=1.0, eta=1.0, mu=mu),
+        None, Circuit(("a", "b"), (BeamSplitter(0.5, ("a", "b")),)),
+        ({("a", MATCHED): 1.0}, {("b", MATCHED): 1.0}),
+        tuple(Detector(p, p, DetectorSpec(1.0)) for p in ("a", "b")),
+        (HeraldClass("coincidence", ({"a": CLICK, "b": CLICK},)),))
+
+
+@settings(max_examples=30, deadline=None)
+@given(mu=st.lists(unit, max_size=8).flatmap(
+    lambda mu: st.permutations([0.0, 1.0] + mu)).map(np.array))
+def test_dip_from_one_table_equals_a_pass_per_mu(mu):
+    # the dip read off one table at every mu equals a table pass at each
+    # mu alone, with the photons put at mu first, and the closed form
+    dip = hom_coincidence_fock(mu)
+    assert dip.shape == mu.shape
+    for m, d in zip(mu.tolist(), dip.tolist()):
+        assert abs(d - _herald_probs(dip_bundle(m))[0]) <= 1e-15
+    assert np.max(np.abs(dip - hom_coincidence(mu)[0])) <= 1e-15
 
 
 @settings(max_examples=50, deadline=None)
