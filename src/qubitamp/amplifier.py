@@ -526,56 +526,56 @@ class _Layout(NamedTuple):
     group_cells: np.ndarray  # each cell's first group
 
 
+def _starts(rows: np.ndarray) -> np.ndarray:
+    """Where each run of equal rows of the sorted rows[row, column] starts."""
+    return np.flatnonzero(np.insert((rows[1:] != rows[:-1]).any(1), 0, True))
+
+
 @functools.lru_cache(maxsize=16)
 def _layout(support: bytes, shape: tuple, n_detected: int,
             requirements: tuple) -> _Layout:
     """Index arrays of the kets of every presence combination of one-photon
     states photons[set, photon, mode] of nonzero pattern `support` (bool
     bytes): cell s * 2**n_photons + c is set s with presence bits (photon 0
-    first) the binary digits of c. The first n_detected modes are detected,
-    two per detector; requirements[class][pattern][detector] is 0 (no
-    click), 1 (click) or 2 (either). Count patterns, the distinct photon
-    counts at the detectors, are numbered in order of their digits."""
+    first) the binary digits of c. Each choice of an option per photon is a
+    (cell, occupation) row, and sorted, cell first, each run of equal rows
+    is a ket. The first n_detected modes are detected, two per detector; a
+    coherent group is a cell's kets alike there. requirements[class][pattern]
+    [detector] is 0 (no click), 1 (click) or 2 (either). Count patterns (the
+    detectors' photon counts) are numbered with the last detector slowest."""
     n_sets, n_photons, n_modes = shape
-    base, scale = n_photons + 1, (n_photons + 1) ** n_modes
-    place = base ** np.arange(n_modes - 1, -1, -1)
-    # option 0 leaves a photon out, option 1 + i puts it in mode i
-    allowed = np.concatenate((np.ones((n_sets, n_photons, 1), bool),
-                              np.frombuffer(support, bool).reshape(shape)), 2)
-    # each choice of nonzero options, photon 0's slowest: its set, gather
-    # indices and key (cell and occupation as digits in base n_photons + 1)
-    sets, gather = np.arange(n_sets), np.empty((0, n_sets), int)
-    key = (sets << n_photons) * scale
-    for j in range(n_photons):
-        at, option = allowed[sets, j].nonzero()
-        sets, key = sets[at], key[at] + np.concatenate((
-            [0], place + (scale << n_photons - 1 - j)))[option]
-        gather = np.concatenate((gather[:, at], [
-            (sets * n_photons + j) * (n_modes + 1) + option]))
-    order = key.argsort(kind="stable")  # merge the choices of one ket
-    gather, key = gather[:, order], key[order]
-    kets = np.concatenate(([True], key[1:] != key[:-1])).nonzero()[0]
-    occ, key = key[kets, None] // place % base, key[kets]
-    # each cell's first ket, and each coherent group's (alike at detectors)
-    cells, groups = (np.concatenate(([True], k[1:] != k[:-1])).nonzero()[0]
-                     for k in key // [[scale], [scale // base ** n_detected]])
+    nonzero = np.frombuffer(support, bool).reshape(shape)
+    # option 0 leaves a photon out, option 1 + i puts it in mode i: each
+    # set's choices of nonzero options, photon 0's slowest
+    choices = np.array([(s, *c) for s in range(n_sets) for c in
+                        itertools.product(*((0, *1 + m.nonzero()[0])
+                                            for m in nonzero[s]))])
+    sets, option = choices[:, 0], choices[:, 1:]  # [choice], [choice, photon]
+    rows = np.column_stack((  # [choice, cell then each mode's occupation]
+        (sets << n_photons) + (option > 0) @ (1 << np.arange(n_photons)[::-1]),
+        (option[..., None] == np.arange(1, n_modes + 1)).sum(axis=1)))
+    order = np.lexsort(rows.T[::-1])  # stable: a ket's choices keep theirs
+    rows = rows[order]
+    kets = _starts(rows)
+    cell, occ = rows[kets, 0], rows[kets, 1:]
+    cells, groups = _starts(cell[:, None]), _starts(rows[kets, :1 + n_detected])
     n_out = occ[:, n_detected:].sum(axis=1)
-    digits = base ** np.arange(n_detected // 2)
-    # each ket's counts at the detectors as digits, the distinct ones found
-    # by a stable argsort as above (np.unique would page in its own sort)
-    code = occ[:, :n_detected] @ digits.repeat(2)
-    patterns = code[code.argsort(kind="stable")]
-    patterns = patterns[np.concatenate(([True], patterns[1:] != patterns[:-1]))]
-    counts = patterns.searchsorted(code)
+    tally = occ[:, :n_detected].reshape(len(occ), n_detected // 2, 2).sum(2)
+    # np.unique sorts rows first column slowest, so the detectors go reversed
+    patterns, counts = np.unique(tally[:, ::-1], axis=0, return_inverse=True)
     need = np.array(sum(requirements, ()))  # [pattern, detector]
-    offset = (need * need.shape[1] + np.arange(need.shape[1])) * base
-    fact = np.sqrt([math.factorial(n) for n in range(base)])[occ].prod(axis=1)
-    return _Layout(gather, kets, fact, occ, cells,
-                   offset[..., None] + patterns // digits[:, None] % base,
-                   np.cumsum([0] + [len(c) for c in requirements[:-1]]),
-                   ((key // scale * 3 + np.minimum(n_out, 2)) * len(patterns)
-                    + counts), n_out == 1, groups, counts[groups],
-                   groups.searchsorted(cells))
+    detector = np.arange(need.shape[1])[:, None]
+    fact = np.sqrt([math.factorial(n) for n in range(n_photons + 1)])
+    return _Layout(
+        np.ravel_multi_index((sets, np.arange(n_photons)[:, None], option.T),
+                             (n_sets, n_photons, n_modes + 1))[:, order],
+        kets, fact[occ].prod(axis=1), occ, cells,
+        np.ravel_multi_index((need[..., None], detector, patterns[:, ::-1].T),
+                             (3, len(detector), n_photons + 1)),
+        np.cumsum([0] + [len(c) for c in requirements[:-1]]),
+        np.ravel_multi_index((cell, np.minimum(n_out, 2), counts),
+                             (n_sets << n_photons, 3, len(patterns))),
+        n_out == 1, groups, counts[groups], groups.searchsorted(cells))
 
 
 def _kets(bundle: ScenarioBundle, photons) -> tuple[_Layout, np.ndarray]:

@@ -643,6 +643,24 @@ class TestScenarioTable:
         assert engine_calls["rails"] == [True, False]
         assert not engine_calls["expansions"]
 
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_one_layout_per_scenario_shape(self, scenario):
+        # the pass's layout depends only on which photon amplitudes are
+        # nonzero, so one scenario's tables at 20 interior points share one
+        # cold build, and so do its sampler tables
+        rng = np.random.default_rng(7)
+        bundles = [build_scenario(scenario, AmplifierParams(
+            *rng.uniform(0.01, 0.99, 5),
+            dark_click_prob=rng.uniform(0.01, 0.5)),
+            QubitSpec.from_phase(rng.uniform(0.0, 2.0 * math.pi)))
+            for _ in range(20)]
+        for build in (compile_scenario, lambda b: _branch_outcome_table(
+                b, rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.01, 0.99))):
+            amplifier._layout.cache_clear()
+            for bundle in bundles:
+                build(bundle)
+            assert amplifier._layout.cache_info().misses == 1
+
     def test_hom_dip_runs_its_two_photons_once(self, engine_calls):
         # the whole dip comes from one compiled table: one run of two
         # one-photon branches, no Fock expansion of the two-photon state,

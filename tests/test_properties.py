@@ -11,17 +11,20 @@ import itertools
 import math
 import operator
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qubitamp import amplifier
 from qubitamp.amplifier import (
     AmplifierParams,
     HeraldClass,
     QubitSpec,
     SCENARIOS,
     ScenarioBundle,
+    _Layout,
     _at_mu,
     _herald_pass,
     _herald_probs,
@@ -374,6 +377,88 @@ def test_analyzer_split_equals_full_mixture_run(scenario, t, p_in, p_a, specs,
     got = _branch_outcome_table(bundle, analyzer_phi, eta_out)
     want = branch_outcomes(bundle, _probe(bundle, analyzer_phi, eta_out))
     assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def reader_layout(support, shape, n_detected, requirements):
+    """`_layout` built the plain way: every choice of one option per photon
+    (0 leaves it out, 1 + i puts it in mode i), photon 0's slowest, kept in
+    a dict keyed on its (cell, occupation), the sorted keys the kets; the
+    count patterns a dict keyed on each ket's photon counts at the
+    detectors, sorted with the last detector's count slowest."""
+    n_sets, n_photons, n_modes = shape
+    n_det = n_detected // 2
+    nonzero = np.frombuffer(support, bool).reshape(shape)
+    choices = {}  # (cell, occupation) -> the options.ravel() index of each
+    for s in range(n_sets):
+        for choice in itertools.product(*(
+                [0] + [1 + i for i in range(n_modes) if nonzero[s, j, i]]
+                for j in range(n_photons))):
+            cell, occ = s << n_photons, [0] * (n_modes + 1)
+            for j, option in enumerate(choice):
+                if option:
+                    cell += 1 << (n_photons - 1 - j)
+                occ[option] += 1
+            choices.setdefault((cell, tuple(occ[1:])), []).append(
+                [(s * n_photons + j) * (n_modes + 1) + option
+                 for j, option in enumerate(choice)])
+    kets = sorted(choices)
+
+    def tally(occ):
+        return tuple(occ[2 * d] + occ[2 * d + 1] for d in range(n_det))
+
+    patterns = sorted({tally(occ) for _, occ in kets}, key=lambda c: c[::-1])
+    number = {c: k for k, c in enumerate(patterns)}
+    gather, first, cells, groups, group_cells = [], [], [], [], []
+    for k, (cell, occ) in enumerate(kets):
+        first.append(len(gather))
+        gather += choices[cell, occ]
+        new_cell = k == 0 or kets[k - 1][0] != cell
+        if new_cell:
+            cells.append(k)
+            group_cells.append(len(groups))
+        if new_cell or kets[k - 1][1][:n_detected] != occ[:n_detected]:
+            groups.append(k)
+    n_out = [sum(occ[n_detected:]) for _, occ in kets]
+    classes = [0]
+    for c in requirements[:-1]:
+        classes.append(classes[-1] + len(c))
+    take = [[[(need * n_det + d) * (n_photons + 1) + c[d] for c in patterns]
+             for d, need in enumerate(p)] for cls in requirements for p in cls]
+    bins = [(cell * 3 + min(n, 2)) * len(patterns) + number[tally(occ)]
+            for (cell, occ), n in zip(kets, n_out)]
+    ints = functools.partial(np.array, dtype=int)
+    return _Layout(
+        ints(gather).T, ints(first),
+        np.array([math.prod(math.sqrt(math.factorial(n)) for n in occ)
+                  for _, occ in kets]),
+        ints([occ for _, occ in kets]), ints(cells), ints(take), ints(classes),
+        ints(bins), np.array(n_out) == 1, ints(groups),
+        ints([number[tally(kets[g][1])] for g in groups]), ints(group_cells))
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenario=st.sampled_from(SCENARIOS),
+       t=st.sampled_from([0.0, 1.0]) | unit,
+       mu=st.sampled_from([0.0, 1.0]) | unit,
+       qubit=st.sampled_from([QubitSpec(1.0, 0.0), QubitSpec(0.0, 1.0)])
+       | angles.map(QubitSpec.from_phase), analyzer_phi=angles)
+def test_layout_equals_a_reader_layout(scenario, t, mu, qubit, analyzer_phi):
+    # every layout the pass builds, for the scenario's table, the sampler's
+    # herald probabilities and probe, and the dip, equals the plain build
+    # field by field with the same dtypes: the merge order too, which the
+    # end results alone do not show
+    bundle = build_scenario(scenario, AmplifierParams(
+        t=t, p_in=0.5, p_a=0.5, eta=0.7, mu=mu), qubit)
+    with mock.patch.object(amplifier, "_layout", wraps=_layout) as spy:
+        compile_scenario(bundle)
+        _herald_probs(bundle)
+        _branch_outcome_table(bundle, analyzer_phi, 0.9)
+        hom_coincidence_fock(mu)
+    assert spy.call_count == 4
+    for call in spy.call_args_list:
+        got, want = _layout(*call.args), reader_layout(*call.args)
+        for field, g, w in zip(_Layout._fields, got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w), field
 
 
 def per_ket_pass(bundle, photons):
