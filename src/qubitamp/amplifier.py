@@ -723,7 +723,9 @@ def fringe_scan(params: AmplifierParams, phis,
     to params.mu. By the module docstring's identities each rate is
     a +- b cos(phi), where a, b = (R_plus(0) +- R_minus(0)) / 2 are affine
     in mu^2, so one scenario table fixes both fringes. Raises
-    ZeroHeraldError if no herald can occur.
+    ZeroHeraldError if no herald can occur. No rate needs a clamp at 0: the
+    ends are >= 0, so is their mix at mu^2 <= 1, and as |cos(phi)| <= 1 and
+    rounding is monotone, |0.5 (r0 - r_pi) cos(phi)| <= 0.5 (r0 + r_pi).
     """
     phis = np.array(phis if isinstance(phis, np.ndarray) else [*phis], float)
     if phis.size < 2:
@@ -735,8 +737,7 @@ def fringe_scan(params: AmplifierParams, phis,
         _check_unit_interval(mu=mu)
         at_mu = ends[0] + mu * mu * (ends[1] - ends[0])
         r0, r_pi = at_mu[k], at_mu[1 - k]  # R_k(pi) is the other R(0)
-        fringe = 0.5 * (r0 + r_pi) + 0.5 * (r0 - r_pi) * np.cos(phis)
-        rates.append(np.maximum(fringe, 0.0))  # clamp rounding dust
+        rates.append(0.5 * (r0 + r_pi) + 0.5 * (r0 - r_pi) * np.cos(phis))
     vis = [visibility(r) for r in rates]
     return FringeScan(phis, *rates, *vis, *map(fidelity_from_visibility, vis))
 

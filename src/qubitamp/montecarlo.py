@@ -157,9 +157,9 @@ def sample_events(params: AmplifierParams, n_pulses: int, seed: int,
     )
 
 
-def _ratio(num: int, den: int) -> EstimateWithError:
-    if den <= 0:
-        raise UndefinedEstimateError("ratio denominator is zero")
+def _ratio(num: int, den: int, undefined: str, *names) -> EstimateWithError:
+    if den <= 0:  # the message, undefined.format(*names), is built only here
+        raise UndefinedEstimateError(undefined.format(*names))
     value = num / den
     error = math.sqrt(num * (den - num)) / den ** 1.5
     return EstimateWithError(value, error)
@@ -167,23 +167,21 @@ def _ratio(num: int, den: int) -> EstimateWithError:
 
 def estimate_pin(counts: CountsTable) -> EstimateWithError:
     """Input-photon probability from the d1_d2 / d1 coincidence ratio."""
-    return _ratio(counts.d1_d2, counts.d1)
+    return _ratio(counts.d1_d2, counts.d1, "p_in: no d1 counts")
 
 
 def estimate_pout(counts: CountsTable, herald_class: str) -> EstimateWithError:
-    """Heralded output probability from the fourfold / threefold ratio."""
-    if herald_class not in counts.threefold:
-        raise KeyError(f"unknown herald class {herald_class!r}")
+    """Heralded p_out, fourfold / threefold; an unknown class is a KeyError."""
     return _ratio(counts.fourfold.get(herald_class, 0),
-                  counts.threefold[herald_class])
+                  counts.threefold[herald_class],
+                  "p_out of class {}: no threefold coincidences", herald_class)
 
 
 def estimate_gain(counts: CountsTable, herald_class: str) -> EstimateWithError:
-    """Gain estimate pout / pin with first-order error combination."""
+    """Gain estimate pout / pin with first-order error combination. p_in is
+    not 0: at d1_d2 = 0 CountsTable's nesting leaves pout no threefold count."""
     pin = estimate_pin(counts)
     pout = estimate_pout(counts, herald_class)
-    if pin.value <= 0.0:
-        raise UndefinedEstimateError("estimated p_in is zero")
     value = pout.value / pin.value
     error = math.sqrt((pout.error / pin.value) ** 2
                       + (pout.value * pin.error / pin.value ** 2) ** 2)

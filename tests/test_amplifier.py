@@ -117,6 +117,8 @@ class TestParams:
     def test_qubit_spec(self):
         with pytest.raises(ValueError):
             QubitSpec(1.0, 1.0)
+        with pytest.raises(ValueError):  # |.|^2 is 1 + 1e-10
+            QubitSpec(1.0, 1e-5)
         for alpha, beta in ((math.nan, 0.0), (1.0, complex(0.0, math.nan))):
             with pytest.raises(ValueError, match="must be normalized"):
                 QubitSpec(alpha, beta)
@@ -285,8 +287,14 @@ class TestFringes:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             fringe_scan(self.PARAMS, ())
-        with pytest.raises(ValueError):  # one phase defines no visibility
-            fringe_scan(self.PARAMS, (0.0,))
+        # one phase defines no visibility, though psi_minus's is not all zero
+        with pytest.raises(ValueError, match="at least two phases"):
+            fringe_scan(replace(self.PARAMS, mu=0.5), (0.0,))
+
+    @pytest.mark.parametrize("key", ["mu_plus", "mu_minus"])
+    def test_class_mu_out_of_range(self, key):
+        with pytest.raises(ValueError, match="^mu must lie in"):
+            fringe_scan(self.PARAMS, self.PHIS, **{key: 1.5})
 
     def test_mu_calibration(self):
         mu = mu_for_visibility(0.98, self.PARAMS)
@@ -294,6 +302,34 @@ class TestFringes:
         assert scan.visibility_plus == pytest.approx(0.98, abs=1e-9)
         assert mu_for_visibility(1.0, self.PARAMS) == 1.0
         assert mu_for_visibility(0.0, self.PARAMS) == 0.0
+
+    def test_mu_calibration_when_pi_is_the_brighter_phase(self, monkeypatch):
+        # the root of |R(0) - R(pi)| = target (R(0) + R(pi)) whichever
+        # phase is brighter at mu = 1. Rounding leaves R(0) below R(pi) at
+        # t = 0.3391538871359807, p_in = 1, p_a = 0.929251135291168,
+        # eta = 1.0766585256240395e-08, dark = 0.5192912133683424, where the
+        # ends' visibilities are 0 and 6.4e-17; these ends are exact instead
+        ends = np.array([[2.0, 2.0], [1.0, 3.0]])  # [mu, (R(0), R(pi))]
+        monkeypatch.setattr(amplifier, "_fringe_ends", lambda params: ends)
+        # |R(0) - R(pi)| / (R(0) + R(pi)) is mu^2 / 2
+        assert mu_for_visibility(0.25, self.PARAMS) == math.sqrt(0.5)
+
+    @pytest.mark.parametrize("t,p_in,p_a,eta,dark", [
+        (0.37, 0.09, 0.66, 0.93, 0.1),  # the root at mu = 1 rounds below 1
+        (0.67, 0.95, 0.51, 0.14, 0.3),  # the root at mu = 0 rounds to 1.6e-7
+    ])
+    def test_mu_calibration_at_the_end_visibilities(self, t, p_in, p_a, eta,
+                                                    dark):
+        params = AmplifierParams(t=t, p_in=p_in, p_a=p_a, eta=eta,
+                                 dark_click_prob=dark)
+        ends = amplifier._fringe_ends(params)
+        assert mu_for_visibility(visibility(ends[0]), params) == 0.0
+        assert mu_for_visibility(visibility(ends[1]), params) == 1.0
+
+    @pytest.mark.parametrize("target", [1.5, -0.1, math.nan])
+    def test_mu_calibration_target_out_of_range(self, target):
+        with pytest.raises(ValueError, match="^target visibility must lie"):
+            mu_for_visibility(target, self.PARAMS)
 
     def test_mu_calibration_unknown_class(self):
         with pytest.raises(KeyError):
@@ -387,7 +423,9 @@ class TestHom:
     @pytest.mark.parametrize("mu", [0.0, 0.5, 0.959, 1.0])
     def test_fock_route_matches_closed_form(self, mu):
         closed, _ = hom_coincidence(mu)
-        assert hom_coincidence_fock(mu) == pytest.approx(closed, abs=1e-12)
+        dip = hom_coincidence_fock(mu)
+        assert type(dip) is float  # a number in, a number out
+        assert dip == pytest.approx(closed, abs=1e-12)
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -188,6 +189,16 @@ class TestRunCircuit:
         for g, w in zip(got, want):
             assert g.state.amplitudes == w.state.amplitudes
 
+    def test_state_on_other_mode_labels_goes_element_by_element(self):
+        # one photon per ket, on the circuit's paths in another order: the
+        # transfer matrix would read its amplitudes against the wrong modes
+        c = Circuit(("a", "b"), (BeamSplitter(0.3, ("a", "b")),
+                                 PhaseShift(0.4, "a")))
+        m = Mixture.pure(single_photon({"a": 1}, ("b", "a")))
+        (got,), (want,) = run_circuit(m, c), expand(m, c)
+        assert got.state.labels == want.state.labels == mode_labels(("b", "a"))
+        assert got.state.amplitudes == want.state.amplitudes
+
 
 def one_photon_vectors(m, n_modes):
     """[branch, mode] amplitudes of a mixture of one-photon kets; a ket
@@ -260,6 +271,17 @@ def test_transfer_matrix_is_the_product_of_splitter_blocks(c):
         u = [[sum(block[i][k] * u[k][j] for k in range(n)) for j in range(n)]
              for i in range(n)]
     assert np.array_equal(transfer_matrix(c), np.array(u, dtype=complex))
+
+
+def test_transfer_matrix_rejects_an_unknown_element():
+    # an element on one path, as a phase is, that is not a PhaseShift
+    @dataclass(frozen=True)
+    class Attenuator:
+        eta: float
+        path: str
+
+    with pytest.raises(TypeError, match="unknown element"):
+        transfer_matrix(Circuit(("a", "b"), (Attenuator(0.5, "a"),)))
 
 
 class TestMixture:

@@ -93,6 +93,14 @@ class TestGainCurve:
         assert all(key in err for key in ("pin_steps", "pin_from", "pin_to"))
         assert not out.exists()
 
+    def test_ends_out_of_order_are_validation_error(self, tmp_path, capsys):
+        out = tmp_path / "gain.csv"
+        code = run(["gain-curve", "--pin-from", "0.9", "--pin-to", "0.1",
+                    "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert "pin_from must not exceed pin_to" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_point_that_cannot_herald(self, tmp_path, capsys):
         # without ancillas, p_in = 0 leaves nothing to click
         out = tmp_path / "gain.csv"
@@ -363,6 +371,19 @@ class TestEstimate:
         assert run(["estimate", "--pulses", "100", "--seed",
                     str(2**128 - 1), "--out", str(out)]) == EXIT_OK
 
+    @pytest.mark.parametrize("flag,message", [
+        # no input photon: d1 but no d1_d2, so no threefold coincidence
+        ("--pin", "p_out of class herald: no threefold coincidences"),
+        # no input-herald click, so no d1 count to divide by
+        ("--eta-herald", "p_in: no d1 counts")])
+    def test_undefined_estimate_names_it(self, tmp_path, capsys, flag,
+                                         message):
+        out = tmp_path / "est.csv"
+        code = run(["estimate", flag, "0", "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        assert capsys.readouterr().err == f"numerical failure: {message}\n"
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("command", ["gain-curve", "fringe", "hom",
                                      "estimate"])
@@ -579,8 +600,11 @@ class TestConfigHandling:
     def test_unknown_flag_is_parse_error(self):
         assert run(["gain-curve", "--bogus", "1"]) == EXIT_PARSE
 
-    def test_unknown_preset_is_validation_error(self):
+    def test_unknown_preset_is_validation_error(self, capsys):
         assert run(["gain-curve", "--preset", "nope"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"validation error: unknown preset 'nope'; available: "
+            f"{sorted(PRESETS)}\n")
 
     @pytest.mark.parametrize("command", ["gain-curve", "estimate", "hom"])
     def test_unknown_scenario_is_validation_error(self, tmp_path, capsys,

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -72,6 +73,8 @@ class TestSampling:
             sample_events(GRID_POINT, n_pulses=0, seed=1)
         with pytest.raises(ValueError):
             sample_events(GRID_POINT, n_pulses=10, seed=1, eta_herald=1.5)
+        with pytest.raises(ValueError, match="^eta_out must lie in"):
+            sample_events(GRID_POINT, n_pulses=10, seed=1, eta_out=1.5)
         with pytest.raises(ValueError, match=r"2\*\*63 - 1"):
             sample_events(GRID_POINT, n_pulses=2**63, seed=1)
 
@@ -128,13 +131,21 @@ class TestEstimators:
         assert est.error == pytest.approx(0.0)
 
     def test_zero_denominators_flagged(self):
+        # each error names the estimate and the count that is missing
         c = CountsTable(n_pulses=10, d1=0, d1_d2=0,
                         threefold={"herald": 0}, fourfold={"herald": 0})
-        with pytest.raises(UndefinedEstimateError):
+        no_d1 = "^p_in: no d1 counts$"
+        no_threefold = "^p_out of class herald: no threefold coincidences$"
+        with pytest.raises(UndefinedEstimateError, match=no_d1):
             estimate_pin(c)
-        with pytest.raises(UndefinedEstimateError):
+        with pytest.raises(UndefinedEstimateError, match=no_threefold):
             estimate_pout(c, "herald")
-        with pytest.raises(UndefinedEstimateError):
+        with pytest.raises(UndefinedEstimateError, match=no_d1):
+            estimate_gain(c, "herald")
+        # d1 but no d1_d2: p_in is 0, and the nesting leaves no threefold
+        c = replace(c, d1=5)
+        assert estimate_pin(c).value == 0.0
+        with pytest.raises(UndefinedEstimateError, match=no_threefold):
             estimate_gain(c, "herald")
 
     def test_unknown_class(self):
