@@ -157,9 +157,9 @@ def sample_events(params: AmplifierParams, n_pulses: int, seed: int,
     )
 
 
-def _ratio(num: int, den: int, undefined: str, *names) -> EstimateWithError:
-    if den <= 0:  # the message, undefined.format(*names), is built only here
-        raise UndefinedEstimateError(undefined.format(*names))
+def _ratio(num: int, den: int, undefined: str) -> EstimateWithError:
+    if den <= 0:
+        raise UndefinedEstimateError(undefined)
     value = num / den
     error = math.sqrt(num * (den - num)) / den ** 1.5
     return EstimateWithError(value, error)
@@ -174,7 +174,7 @@ def estimate_pout(counts: CountsTable, herald_class: str) -> EstimateWithError:
     """Heralded p_out, fourfold / threefold; an unknown class is a KeyError."""
     return _ratio(counts.fourfold.get(herald_class, 0),
                   counts.threefold[herald_class],
-                  "p_out of class {}: no threefold coincidences", herald_class)
+                  f"p_out of class {herald_class}: no threefold coincidences")
 
 
 def estimate_gain(counts: CountsTable, herald_class: str) -> EstimateWithError:

@@ -147,11 +147,15 @@ class TestEstimators:
         assert estimate_pin(c).value == 0.0
         with pytest.raises(UndefinedEstimateError, match=no_threefold):
             estimate_gain(c, "herald")
+        # the message names the class asked for
+        c = replace(c, threefold={"psi_minus": 0}, fourfold={"psi_minus": 0})
+        with pytest.raises(UndefinedEstimateError, match="class psi_minus:"):
+            estimate_pout(c, "psi_minus")
 
     def test_unknown_class(self):
         c = CountsTable(n_pulses=10, d1=5, d1_d2=3,
                         threefold={"herald": 2}, fourfold={"herald": 1})
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="bogus"):
             estimate_pout(c, "bogus")
 
     def test_gain_error_combination(self):
