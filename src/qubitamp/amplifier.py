@@ -32,7 +32,8 @@ Every unnormalised class quantity is linear in the table, so evaluation
 them: it contracts the presence weights of all points with every leading
 row in one matrix product (`ScenarioTable.weigh`). The combined outcome
 after feed-forward is the sum over classes of their phase-corrected rows,
-normalised once like each class row.
+normalised once like each class row. Two more weighed columns give
+p_out = a + p_in * b and the gain b + a / p_in at every p_in, 0 included.
 
 Weighing the table's own rows, its mu = 0 and mu = 1 ends, with no mixing,
 fixes the time-bin fringes. Conjugation maps the circuit onto itself (a
@@ -379,22 +380,6 @@ def build_scenario(scenario: str, params: AmplifierParams,
 # -- exact simulation --------------------------------------------------
 
 
-def _gain(params, p_in, p_a, prob, p_out):
-    """(gain, p_out): p_out / p_in and p_out, but below the smallest normal
-    p_in without dark counts, on rows of herald probability prob above
-    MIN_OUTCOME_PROB, the closed form at params' t and eta (the p_in -> 0
-    limit at any mu) and gain * p_in. Dark counts give gain inf at p_in = 0."""
-    with np.errstate(all="ignore"):
-        gain = p_out / p_in  # p_out has every axis of p_in and p_a
-    smallest = np.finfo(float).tiny
-    if params.dark_click_prob == 0.0 and np.min(p_in) < smallest:
-        p_in, p_a = (np.broadcast_to(v, gain.shape) for v in (p_in, p_a))
-        tiny = (p_in < smallest) & (prob > MIN_OUTCOME_PROB)
-        gain[tiny] = gain_analytic(params.t, p_a[tiny], params.eta, p_in[tiny])
-        p_out = np.where(tiny, gain * p_in, p_out)
-    return gain, p_out
-
-
 @functools.lru_cache(maxsize=16)
 def _corrections(phases: tuple[float, ...], n_rails: int, ndim: int):
     """The phase u = exp(1j * phases[class]) on the long rail (index 1) of
@@ -404,16 +389,17 @@ def _corrections(phases: tuple[float, ...], n_rails: int, ndim: int):
                           tuple(range(1, ndim - 2)))
 
 
-def _outcome(bundle, sums, rails, p_in, p_a) -> HeraldedOutcome:
-    """Outcome over the herald classes of `bundle` at p_in, p_a from their
-    unnormalised sums[class, ..., 4] and rails[class, ..., r, r] (see
-    ScenarioTable). A class at or below MIN_OUTCOME_PROB is impossible and
-    reads 0. Each class's rails carry its phase correction on the long
-    rail, and the combined outcome (the feed-forward-corrected amplifier
-    output) is the sum of the corrected classes; every row is then
-    normalised alike. The fidelity to the input qubit (to |1> for the
-    Fock-state amplifier) is None, or NaN at points of an array, without a
-    single photon out."""
+def _outcome(bundle, sums, rails, p_in) -> HeraldedOutcome:
+    """Outcome over the herald classes of `bundle` at p_in from their
+    unnormalised sums[class, ..., 6] and rails[class, ..., r, r] (see
+    ScenarioTable.contract). A class at or below MIN_OUTCOME_PROB is
+    impossible and reads 0. Each class's rails carry its phase correction on
+    the long rail, and the combined outcome (the feed-forward-corrected
+    amplifier output) is the sum of the corrected classes; every row is then
+    normalised alike. Of the last two columns a and b, p_out = a + p_in * b
+    and the gain is b + a / p_in (b where a = 0). The fidelity to the input
+    qubit (to |1> for the Fock-state amplifier) is None, or NaN at points of
+    an array, without a single photon out."""
     keep = sums[..., 0] > MIN_OUTCOME_PROB
     sums = sums * keep[..., None]
     phases = tuple(cls.correction_phase for cls in bundle.herald_classes)
@@ -426,9 +412,10 @@ def _outcome(bundle, sums, rails, p_in, p_a) -> HeraldedOutcome:
         raise ZeroHeraldError(
             f"herald probability vanishes for scenario {bundle.scenario}")
     denom = np.where(prob > MIN_OUTCOME_PROB, prob, 1.0)
-    vacuum, single, multi = (sums[..., i] / denom for i in (1, 2, 3))
+    vacuum, single, multi, a, b = (sums[..., i] / denom for i in range(1, 6))
     rho = rails / denom[..., None, None]
-    gain, p_out = _gain(bundle.params, p_in, p_a, prob, single)
+    with np.errstate(all="ignore"):  # a / p_in is inf or NaN at p_in = 0
+        gain, p_out = b + np.where(a > 0.0, a / p_in, 0.0), a + p_in * b
     # <psi|rho|psi> as one contraction of each rho, whose trace is single
     psi = np.ones(1) if bundle.qubit is None else bundle.qubit.vector()
     overlap = (rho.reshape(rho.shape[:-2] + (-1,))
@@ -459,7 +446,7 @@ class ScenarioTable:
     rails: np.ndarray
 
     def weigh(self, p_in, p_a, cells, rails) -> tuple[np.ndarray, np.ndarray]:
-        """cells[..., k, c, 4] and rails[..., k, c, r, r] summed over the
+        """cells[..., k, c, j] and rails[..., k, c, r, r] summed over the
         presence combinations c at presence probabilities p_in, p_a, by one
         matrix product over the flattened points; their axes replace c."""
         n_ancillas = cells.shape[-2].bit_length() - 2
@@ -472,18 +459,25 @@ class ScenarioTable:
 
     def contract(self, p_in, p_a, mu) -> tuple[np.ndarray, np.ndarray]:
         """cells and rails mixed at mu, their rows at mu = 0 and 1 combined at
-        mu^2, then weighed at p_in, p_a (each in [0, 1]); mu's axes lead."""
+        mu^2, then weighed at p_in, p_a (each in [0, 1]); mu's axes lead.
+        Two cell columns are added, prob * single where the input photon is
+        absent, else 0, and that of the partner with it: weighed, they give
+        a and b, as each pair of partners weighs 1 - p_in + p_in = 1."""
         _check_unit_interval(p_in=p_in, p_a=p_a, mu=mu)
+        c, half = np.arange(self.cells.shape[-2]), self.cells.shape[-2] // 2
+        single = self.cells[..., 2:3]  # half: the input photon's presence bit
+        cells = np.concatenate((self.cells, single * (c < half)[:, None],
+                                single[..., c | half, :]), -1)
         m = np.square(mu)
         return self.weigh(p_in, p_a, *(
             np.multiply.outer(1.0 - m, t[0]) + np.multiply.outer(m, t[1])
-            for t in (self.cells, self.rails)))
+            for t in (cells, self.rails)))
 
     def evaluate(self, p_in, p_a, mu) -> HeraldedOutcome:
         """Heralded outcome at input and ancilla presence probabilities
         p_in, p_a and overlap mu, each in [0, 1]. p_in and p_a may be arrays:
         they broadcast against each other, and so does every outcome field."""
-        return _outcome(self.bundle, *self.contract(p_in, p_a, mu), p_in, p_a)
+        return _outcome(self.bundle, *self.contract(p_in, p_a, mu), p_in)
 
 
 def _photon_outputs(bundle: ScenarioBundle) -> np.ndarray:

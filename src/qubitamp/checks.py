@@ -116,8 +116,13 @@ def criterion_2_maximum_gain(run):
     out = simulate_scenario(
         "fock-hpa", AmplifierParams(t=0.9, p_in=1e-6, p_a=1.0, eta=1.0))
     exact = gain_asymptote(0.9)
-    return (abs(out.gain - 9.0) <= 1e-3 and exact == 9.0,
-            f"gain at t = 0.9: oracle = {out.gain:.6f}, asymptote = {exact!r}")
+    points = [(t, 1.0, 1.0, 1.0) for t in GRID["t"]] + [(0.7, 0.8, 0.7, 0.6)]
+    worst = max(abs(simulate_scenario(s, AmplifierParams(t, 0.0, *p)).gain
+                    / gain_asymptote(t) - 1.0)
+                for s in SCENARIOS for t, *p in points)
+    return (abs(out.gain - 9.0) <= 1e-3 and exact == 9.0 and worst <= 1e-12,
+            f"gain at t = 0.9: oracle = {out.gain:.6f}, asymptote = {exact!r}"
+            f", p_in = 0 limit (any p_a, eta, mu): {worst:.1e} relative")
 
 
 def criterion_3_output_probability_bound(run):

@@ -14,9 +14,11 @@ params.p_in for the input photon and params.p_a for each ancilla
 measurement with `measure_all`, conditioned on each herald class with
 `detection.condition`, gives each class's conditional output ensemble.
 `heralded_analysis` reduces it to each class's photon-number weights and
-density over the output rails, times its herald probability: the arrays
-that `amplifier._outcome` normalises, corrects and combines, as it does
-for the table's contraction. `branch_outcomes` runs the ensemble through
+density over the output rails, times its herald probability.
+`heralded_halves` runs the source mixture in two halves, without and with
+the input photon (`halves`), for the arrays that `amplifier._outcome`
+normalises, corrects and combines, as it does for the table's
+contraction. `branch_outcomes` runs the ensemble through
 the output analyzer and measures the analyzer click. Every circuit here
 is applied element by element (`expand`), the binomial Fock expansion,
 also where a mixture holds one photon per ket and `run_circuit` would use
@@ -118,6 +120,20 @@ def source(bundle) -> Mixture:
         weights, combinations(bundle)) if w > 0])
 
 
+def halves(bundle) -> list[Mixture]:
+    """The source mixture's combinations without the input photon (slot 0)
+    at their weights, and those with it weighed by the ancillas alone:
+    p_in is left out of the second half's weights, not divided out. Each
+    half holds its combinations of non-zero weight."""
+    p_in, *ancillas = slot_probabilities(bundle)
+    weights = presence_weights(ancillas)
+    states = combinations(bundle)
+    return [Mixture([Branch(float(f * w), s) for w, s in zip(weights, part)
+                     if f * w > 0])
+            for f, part in ((1.0 - p_in, states[:len(weights)]),
+                            (1.0, states[len(weights):]))]
+
+
 def conditionals(bundle, mix=None):
     """(class, herald probability, conditional output ensemble) per herald
     class of `mix`, the ensemble leaving the circuit (by default the
@@ -174,3 +190,16 @@ def heralded_analysis(bundle, mix=None) -> tuple[np.ndarray, np.ndarray]:
         sums[k] = prob * np.concatenate(([1.0], weights))
         rails[k] *= prob
     return sums, rails
+
+
+def heralded_halves(bundle) -> tuple[np.ndarray, np.ndarray]:
+    """`heralded_analysis` of each half of the source mixture (`halves`),
+    in the shape `amplifier._outcome` takes: sums[class] holds the four
+    columns of the whole mixture, the absent half's plus p_in times the
+    present half's, then the single-photon weights a of the absent half and
+    b of the present half; rails[class] is combined alike."""
+    (s0, r0), (s1, r1) = (heralded_analysis(bundle, expand(m, bundle.circuit))
+                          for m in halves(bundle))
+    p_in = bundle.params.p_in
+    return (np.column_stack((s0 + p_in * s1, s0[:, 2], s1[:, 2])),
+            r0 + p_in * r1)

@@ -38,7 +38,7 @@ from qubitamp.fock import apply_two_mode_unitary
 from qubitamp.montecarlo import _branch_outcome_table
 
 from exact_fringe import class_rates
-from exact_herald import heralded_analysis
+from exact_herald import heralded_analysis, heralded_halves
 
 BALANCED = QubitSpec.from_phase(0.0)
 
@@ -540,10 +540,10 @@ class TestScenarioTable:
         assert out.herald_prob[0] == herald.herald_prob[0] > 0.0
         assert out.p_out[0] == pytest.approx(herald.p_out[0], abs=1e-15)
 
-    def test_subnormal_fallback_skips_impossible_classes(self):
-        # below the smallest normal p_in the gain falls back to the closed
-        # form, but only on class rows that can herald: the impossible
-        # "all" class reads 0 at a sub-normal p_in as it does at 1e-3
+    def test_subnormal_pin_skips_impossible_classes(self):
+        # below the smallest normal p_in the gain keeps full precision on
+        # class rows that can herald, and the impossible "all" class reads
+        # 0 at a sub-normal p_in as it does at 1e-3
         bundle = with_all_click(build_scenario("fock-hpa", AmplifierParams(
             t=0.9, p_in=0.2, p_a=0.9, eta=0.7)))
         out = compile_scenario(bundle).evaluate(
@@ -551,13 +551,51 @@ class TestScenarioTable:
         both = out.per_class["all"]
         for field in (both.herald_prob, both.p_out, both.gain):
             assert not np.any(field)
-        assert out.per_class["herald"].gain[0] == gain_analytic(
-            0.9, 0.9, 0.7, 1e-320)
+        assert out.per_class["herald"].gain[0] == pytest.approx(
+            gain_analytic(0.9, 0.9, 0.7, 1e-320), rel=1e-15, abs=0.0)
         # the default classes keep their sub-normal gains
         for p_in, gain in [(1e-300, 9.0),
                            (1e-320, gain_analytic(0.9, 0.9, 0.7, 1e-320))]:
             assert simulate_scenario("timebin-hqa", AmplifierParams(
-                t=0.9, p_in=p_in, p_a=0.9, eta=0.7)).gain == gain
+                t=0.9, p_in=p_in, p_a=0.9, eta=0.7)).gain == pytest.approx(
+                    gain, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("scenario, p_out", [("fock-hpa", 0.198),
+                                                 ("timebin-hqa", 0.318)])
+    def test_detector_dark_counts_hold_at_subnormal_pin(self, scenario,
+                                                        p_out):
+        # the detectors' dark counts, not the params', send a photon out
+        # without the input photon: p_out keeps its p_in = 0 value across
+        # the smallest normal double, and the gain is p_out / p_in
+        bundle = build_scenario(scenario, AmplifierParams(
+            t=0.9, p_in=0.5, p_a=0.9, eta=0.7))
+        spec = DetectorSpec(0.7, 0.01)
+        table = compile_scenario(replace(bundle, detectors=tuple(
+            replace(d, spec=spec) for d in bundle.detectors)))
+        limit = table.evaluate(0.0, 0.9, 1.0).p_out
+        assert limit == pytest.approx(p_out, rel=1e-3)
+        p_in = np.array([2.3e-308, 2.2e-308, 1e-320])
+        out = table.evaluate(p_in, 0.9, 1.0)
+        assert out.p_out == pytest.approx(limit, rel=1e-15, abs=0.0)
+        with np.errstate(over="ignore"):
+            ratio = out.p_out / p_in
+        assert list(np.isfinite(ratio)) == [True, True, False]
+        assert out.gain[:2] == pytest.approx(ratio[:2], rel=1e-15, abs=0.0)
+        assert out.gain[2] == math.inf
+
+    def test_input_photon_that_leaves_alone(self):
+        # with the slots swapped the input photon enters on "out" and, with
+        # a dark count, heralds a photon out without any ancilla: the
+        # combination of the input photon alone counts towards b, not a
+        bundle = build_scenario("fock-hpa", AmplifierParams(
+            t=0.7, p_in=0.3, p_a=0.8, eta=0.6, mu=0.9, dark_click_prob=0.05))
+        bundle = replace(bundle, slots=bundle.slots[::-1])
+        for p_in in (0.0, 1e-320, 0.3):
+            got = compile_scenario(bundle).evaluate(p_in, 0.8, 0.9)
+            ref = _outcome(bundle, *heralded_halves(replace(
+                bundle, params=replace(bundle.params, p_in=p_in))), p_in)
+            assert abs(got.p_out - ref.p_out) <= 1e-12
+            assert got.gain == pytest.approx(ref.gain, rel=1e-12)
 
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_simulate_reads_the_bundle_it_is_given(self, scenario):
@@ -571,8 +609,7 @@ class TestScenarioTable:
             replace(d, spec=DetectorSpec(*s))
             for d, s in zip(bundle.detectors, specs)))
         out = simulate(bundle)
-        ref = _outcome(bundle, *heralded_analysis(bundle), params.p_in,
-                       params.p_a)
+        ref = _outcome(bundle, *heralded_halves(bundle), params.p_in)
         assert list(out.per_class) == [c.name for c in bundle.herald_classes]
         for g, r in [(out, ref)] + [(out.per_class[k], ref.per_class[k])
                                     for k in ref.per_class]:
@@ -607,14 +644,15 @@ class TestScenarioTable:
     def test_fidelity_undefined_without_a_photon_out(self):
         # only dark counts herald, and no photon leaves: the fidelity is
         # None at a scalar point and NaN at the points of an array, per
-        # class and combined
+        # class and combined, and the gain is its p_in -> 0 limit, 0, as
+        # no photon leaves with the input photon either
         table = compile_scenario(build_scenario("fock-hpa", AmplifierParams(
             t=1.0, p_in=0.0, p_a=0.0, eta=0.7, dark_click_prob=0.2)))
         out = table.evaluate(0.0, 0.0, 1.0)
         for oc in (out, out.per_class["herald"]):
             assert oc.herald_prob > 0.0 and oc.p_out == 0.0
             assert oc.fidelity_conditional is None
-            assert np.isnan(oc.gain)
+            assert oc.gain == 0.0
         out = table.evaluate(np.array([0.0, 0.5]), 0.0, 1.0)
         for oc in (out, out.per_class["herald"]):
             assert np.isnan(oc.fidelity_conditional).all()
@@ -630,7 +668,7 @@ class TestScenarioTable:
             for k, (a, pin) in enumerate(zip(p_a, p_in)):
                 bundle = build_scenario(scenario, replace(params, p_in=pin,
                                                           p_a=a))
-                ref = _outcome(bundle, *heralded_analysis(bundle), pin, a)
+                ref = _outcome(bundle, *heralded_halves(bundle), pin)
                 assert abs(out.herald_prob[k] - ref.herald_prob) <= 1e-12
                 assert abs(out.p_out[k] - ref.p_out) <= 1e-12
                 assert abs(out.gain[k] - ref.gain) <= 1e-12 * ref.gain
