@@ -17,8 +17,9 @@ tabulates each presence combination at mu = 0 and at mu = 1, and any
 read off one compiled table at every mu. The passive linear circuits map
 each photon's creation operator on its own, by the path transfer matrix,
 alike on both internal modes: a bundle's matched photons go through one
-circuit run, and `_at_mu` puts the mapped ancillas at overlap mu. One
-array pass (`_herald_pass`; the sampler's `_herald_probs` builds no rails)
+circuit run, and `_photon_outputs` puts the mapped ancillas at each
+overlap asked for. One array pass (`_herald_pass`, asked for mu = 0 and 1;
+the sampler's `_herald_probs` asks for its mu alone and builds no rails)
 gives each cell's class probabilities and rail densities. A threshold
 detector sees only its photon count, so a class weighs each count pattern
 (the distinct photon counts at the detectors) once, and the kets' |amp|^2
@@ -170,7 +171,9 @@ class HeraldClass:
 class ScenarioBundle:
     """A scenario at params. slots holds each source photon's matched
     wavefunction: slot 0 the input photon, present with probability p_in,
-    each later slot an ancilla, present with p_a, at overlap mu with it."""
+    each later slot an ancilla, present with p_a, at overlap mu with it.
+    A slot names only matched modes of the circuit's paths, and has norm 1
+    (the pass puts each ancilla at overlap mu itself)."""
 
     scenario: str
     params: AmplifierParams
@@ -179,6 +182,18 @@ class ScenarioBundle:
     slots: tuple[dict, ...]
     detectors: tuple[Detector, ...]
     herald_classes: tuple[HeraldClass, ...]
+
+    def __post_init__(self):
+        matched = {(p, MATCHED) for p in self.circuit.paths}
+        for k, wf in enumerate(self.slots):
+            unknown = [mode for mode in wf if mode not in matched]
+            if unknown:
+                raise ValueError(f"slot {k}: {unknown[0]} is not a matched "
+                                 f"mode of the paths {self.circuit.paths}")
+            n = sum(abs(a) ** 2 for a in wf.values())
+            if not abs(n - 1.0) <= 1e-12:  # NaN amplitudes fail too
+                raise ValueError(f"slot {k} {wf} must be normalized, "
+                                 f"|.|^2 = {n}")
 
 
 @dataclass(frozen=True)
@@ -408,7 +423,7 @@ def _outcome(bundle, sums, rails, p_in) -> HeraldedOutcome:
     sums = np.concatenate((sums, sums.sum(axis=0, keepdims=True)))
     rails = np.concatenate((rails, rails.sum(axis=0, keepdims=True)))
     prob = sums[..., 0]
-    if np.any(prob[-1] <= 1e-30):
+    if np.any(prob[-1] <= MIN_OUTCOME_PROB):
         raise ZeroHeraldError(
             f"herald probability vanishes for scenario {bundle.scenario}")
     denom = np.where(prob > MIN_OUTCOME_PROB, prob, 1.0)
@@ -420,7 +435,7 @@ def _outcome(bundle, sums, rails, p_in) -> HeraldedOutcome:
     psi = np.ones(1) if bundle.qubit is None else bundle.qubit.vector()
     overlap = (rho.reshape(rho.shape[:-2] + (-1,))
                @ np.outer(psi.conj(), psi).ravel()).real
-    some = single > 1e-30
+    some = single > MIN_OUTCOME_PROB
     fidelity = np.where(some, overlap, np.nan) / np.where(some, single, 1.0)
 
     def row(k, name, per_class=None):
@@ -480,27 +495,24 @@ class ScenarioTable:
         return _outcome(self.bundle, *self.contract(p_in, p_a, mu), p_in)
 
 
-def _photon_outputs(bundle: ScenarioBundle) -> np.ndarray:
-    """Mode amplitudes, over the circuit's mode labels, of each of the
-    bundle's source photons after the circuit, [slot, mode]: one circuit
-    run of a mixture with one branch per photon."""
+def _photon_outputs(bundle: ScenarioBundle, mus) -> np.ndarray:
+    """Mode amplitudes, over the circuit's mode labels, of the bundle's
+    source photons after the circuit, [set, slot, mode]: one circuit run of
+    a mixture with one branch per matched photon, then each ancilla (slot 1
+    on) put at overlap mu = mus[set] as mu|matched> + sqrt(1 - mu^2)
+    |orthogonal>, since the circuit maps both internal modes alike."""
     labels = mode_labels(bundle.circuit.paths)
     units = one_photon_occupations(len(labels))
     photons = Mixture([Branch(1.0, FockState(len(labels), {
         u: wf[label] for u, label in zip(units, labels) if label in wf},
         labels)) for wf in bundle.slots])
-    return np.array([[b.state.amplitudes.get(u, 0.0) for u in units]
-                     for b in run_circuit(photons, bundle.circuit)],
-                    dtype=complex)
-
-
-def _at_mu(photons: np.ndarray, mu: float) -> np.ndarray:
-    """The map photons[slot, mode] of matched photons with each ancilla
-    (slot 1 on) at overlap mu, mu|matched> + sqrt(1 - mu^2)|orthogonal>:
-    the circuit maps both internal modes alike."""
-    out = photons.copy()
-    out[1:, 1::2] = math.sqrt(1.0 - mu * mu) * photons[1:, 0::2]
-    out[1:, 0::2] *= mu
+    matched = np.array([[b.state.amplitudes.get(u, 0.0) for u in units]
+                        for b in run_circuit(photons, bundle.circuit)],
+                       dtype=complex)
+    out = np.array([matched] * len(mus))
+    for s, mu in enumerate(mus):
+        out[s, 1:, 1::2] = math.sqrt(1.0 - mu * mu) * matched[1:, 0::2]
+        out[s, 1:, 0::2] *= mu
     return out
 
 
@@ -572,15 +584,15 @@ def _layout(support: bytes, shape: tuple, n_detected: int,
         n_out == 1, groups, counts[groups], groups.searchsorted(cells))
 
 
-def _kets(bundle: ScenarioBundle, photons) -> tuple[_Layout, np.ndarray]:
-    """(layout, amp) of the photon outputs photons[set, photon, mode] of
-    `bundle`, each detector's two modes put first: each ket sums the option
-    products of its choices, times sqrt(prod n!)."""
+def _kets(bundle: ScenarioBundle, mus) -> tuple[_Layout, np.ndarray]:
+    """(layout, amp) of the kets of `bundle`, its ancillas at each overlap
+    of mus (see _photon_outputs), each detector's two modes put first: each
+    ket sums the option products of its choices, times sqrt(prod n!)."""
     first = {p: 2 * i for i, p in enumerate(bundle.circuit.paths)}
     requirement = {NO_CLICK: 0, CLICK: 1, ANY: 2}
     detected = [first[d.path] + i for d in bundle.detectors for i in (0, 1)]
-    photons = photons[..., detected + sorted(
-        set(range(photons.shape[-1])).difference(detected))]
+    photons = _photon_outputs(bundle, mus)[..., detected + sorted(
+        set(range(2 * len(first))).difference(detected))]
     layout = _layout(np.not_equal(photons, 0).tobytes(), photons.shape,
                      len(detected), tuple(tuple(tuple(
                          requirement[p.get(d.name, ANY)]
@@ -602,16 +614,16 @@ def _click_model(specs: tuple[DetectorSpec, ...], n_max: int) -> np.ndarray:
                      np.ones((len(specs), len(n)))))
 
 
-def _herald_pass(bundle: ScenarioBundle, photons, rails: bool = True):
-    """(sums, rails) of the kets of photons (see _kets): each class's
+def _herald_pass(bundle: ScenarioBundle, mus, rails: bool = True):
+    """(sums, rails) of the kets at overlaps mus (see _kets): each class's
     probability, and that with 0, 1 and 2+ photons out, [cell, class, 4],
     and if `rails` its single-photon density on the undetected paths times
     its probability, [cell, class, rail, rail], else None. A class weighs a
     count pattern by a sum over its patterns of products over the detectors,
     and the kets' |amp|^2 are summed per cell, photons out and count pattern."""
-    layout, amp = _kets(bundle, photons)
+    layout, amp = _kets(bundle, mus)
     model = _click_model(tuple(d.spec for d in bundle.detectors),
-                         photons.shape[1])
+                         len(bundle.slots))
     weights = np.add.reduceat(model.take(layout.take).prod(axis=1),
                               layout.classes)  # [class, count pattern]
     n_cells, n_counts = len(layout.cells), weights.shape[1]
@@ -639,19 +651,17 @@ def _herald_probs(bundle: ScenarioBundle) -> np.ndarray:
     """Each herald class's probability at the bundle's params: its photons
     at mu, the input photon present with probability p_in, each ancilla p_a."""
     p = bundle.params
-    sums, _ = _herald_pass(bundle, _at_mu(_photon_outputs(bundle), p.mu)[None],
-                           rails=False)
+    sums, _ = _herald_pass(bundle, (p.mu,), rails=False)
     return sums[..., 0].T @ _presence_weights(
         [p.p_in] + [p.p_a] * (len(bundle.slots) - 1))
 
 
 def compile_scenario(bundle: ScenarioBundle) -> ScenarioTable:
-    """The table of `bundle` (see ScenarioTable): one circuit run of its
-    source photons, then one pass at mu = 0 and 1 (see the module
-    docstring), each cell at or below MIN_OUTCOME_PROB zeroed."""
-    at_1 = _photon_outputs(bundle)
-    sums, rails = _herald_pass(bundle, np.array((_at_mu(at_1, 0.0), at_1)))
-    shape = (2, 1 << at_1.shape[0], sums.shape[1])
+    """The table of `bundle` (see ScenarioTable): one pass at ancilla
+    overlaps 0 and 1 from one circuit run (see the module docstring), each
+    cell at or below MIN_OUTCOME_PROB zeroed."""
+    sums, rails = _herald_pass(bundle, (0.0, 1.0))
+    shape = (2, 1 << len(bundle.slots), sums.shape[1])
     cells, rails = (t.reshape(shape + t.shape[2:]).swapaxes(1, 2)
                     for t in (sums, rails))
     impossible = cells[..., 0] <= MIN_OUTCOME_PROB
@@ -700,7 +710,7 @@ def _fringe_ends(params: AmplifierParams) -> np.ndarray:
     # the table's rows are its mu = 0 and mu = 1 ends: weighed, not mixed
     sums, rails = table.weigh(params.p_in, params.p_a, table.cells, table.rails)
     prob = sums[..., 0]
-    if prob.sum(axis=1).max() <= 1e-30:
+    if prob.sum(axis=1).max() <= MIN_OUTCOME_PROB:
         raise ZeroHeraldError(
             "herald probability vanishes for scenario timebin-hqa")
     overlap = (_ANALYZER @ rails @ _ANALYZER).real

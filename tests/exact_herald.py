@@ -8,9 +8,9 @@ overlap mu = bundle.params.mu as the coherent wavefunction
 mu|matched> + sqrt(1 - mu^2)|orthogonal> (`coherent_slots`), and each
 combination's weight is the product over the slots of p or 1 - p, with p
 params.p_in for the input photon and params.p_a for each ancilla
-(`presence_weights`), so neither shares code with `amplifier._at_mu` or
-`amplifier._presence_weights`. The whole source mixture
-(`source`) runs through the circuit, and one joint
+(`presence_weights`), so neither shares code with
+`amplifier._photon_outputs` or `amplifier._presence_weights`. The whole
+source mixture (`source`) runs through the circuit, and one joint
 measurement with `measure_all`, conditioned on each herald class with
 `detection.condition`, gives each class's conditional output ensemble.
 `heralded_analysis` reduces it to each class's photon-number weights and

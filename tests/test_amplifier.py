@@ -34,7 +34,8 @@ from qubitamp.amplifier import (
 from qubitamp.checks import GRID
 from qubitamp.circuits import run_circuit
 from qubitamp.detection import CLICK, NO_CLICK, DetectorSpec
-from qubitamp.fock import apply_two_mode_unitary
+from qubitamp.fock import (DROP_TOLERANCE, MATCHED, ORTHOGONAL,
+                           apply_two_mode_unitary)
 from qubitamp.montecarlo import _branch_outcome_table
 
 from exact_fringe import class_rates
@@ -468,6 +469,36 @@ class TestHeraldClass:
                 HeraldClass(cls.name, patterns)
 
 
+class TestScenarioBundle:
+    BUNDLE = build_scenario("fock-hpa", AmplifierParams(t=0.9, p_in=0.5,
+                                                        p_a=0.8, eta=0.7))
+
+    @pytest.mark.parametrize("slot, message", [
+        ({("outt", MATCHED): 1.0}, r"slot 1: \('outt', 'matched'\) is not a "
+                                   r"matched mode of the paths"),
+        ({("out", "matchd"): 1.0}, r"slot 1: \('out', 'matchd'\) is not a "
+                                   r"matched mode of the paths"),
+        # the pass dropped an ancilla's orthogonal amplitude, which the
+        # full-mixture reference reads as matched: at BUNDLE's point their
+        # gains were 1.3259 and 1.1837
+        ({("out", MATCHED): 0.6, ("out", ORTHOGONAL): 0.8},
+         r"slot 1: \('out', 'orthogonal'\) is not a matched mode of the "
+         r"paths \('in', 'anc', 'out'\)"),
+        ({}, r"slot 1 \{\} must be normalized, \|\.\|\^2 = 0"),
+        # FockState would prune the amplitude, leaving no photon to map
+        ({("out", MATCHED): 0.5 * DROP_TOLERANCE},
+         r"slot 1 \{\('out', 'matched'\): 5e-16\} must be normalized"),
+        # once accepted: gain 0.9866 at BUNDLE's point, where the closed
+        # form gives 1.3043
+        ({("out", MATCHED): 0.6},
+         r"slot 1 \{\('out', 'matched'\): 0\.6\} must be normalized, "
+         r"\|\.\|\^2 = 0\.36"),
+    ])
+    def test_malformed_slot_rejected(self, slot, message):
+        with pytest.raises(ValueError, match=message):
+            replace(self.BUNDLE, slots=(self.BUNDLE.slots[0], slot))
+
+
 @pytest.mark.parametrize("scenario", SCENARIOS)
 @pytest.mark.parametrize("eta, dark", [(8.6e-11, 8.6e-11), (1.0, 0.0)])
 def test_class_probabilities_keep_relative_precision(scenario, eta, dark):
@@ -677,9 +708,9 @@ class TestScenarioTable:
     def engine_calls(self, monkeypatch):
         """The branch count of each amplifier.run_circuit call, each call of
         the Fock expansion (apply_two_mode_unitary) and, for each table pass
-        (amplifier._herald_pass), whether it built rail densities, as lists
-        filled as they happen."""
-        calls = {"runs": [], "expansions": [], "rails": []}
+        (amplifier._herald_pass), the ancilla overlaps it was asked for and
+        whether it built rail densities, as lists filled as they happen."""
+        calls = {"runs": [], "expansions": [], "mus": [], "rails": []}
         herald_pass = amplifier._herald_pass
 
         def counting(m, c):
@@ -690,8 +721,9 @@ class TestScenarioTable:
             calls["expansions"].append(args)
             return apply_two_mode_unitary(*args)
 
-        def passing(*args, **kwargs):
-            sums, rails = herald_pass(*args, **kwargs)
+        def passing(bundle, mus, **kwargs):
+            sums, rails = herald_pass(bundle, mus, **kwargs)
+            calls["mus"].append(tuple(mus))
             calls["rails"].append(rails is not None)
             return sums, rails
 
@@ -707,15 +739,18 @@ class TestScenarioTable:
         # every source photon of a table goes through one circuit run, a
         # branch each, mapped by the transfer matrix: the circuit acts alike
         # on both internal modes, so the mu = 0 half of the table needs no
-        # runs of its own, and the sampler's table needs one run too. The
-        # sampler reads only the class probabilities, so it builds no rails
+        # runs of its own, and the sampler's table needs one run too, at the
+        # bundle's mu. The sampler reads only the class probabilities, so it
+        # builds no rails
         params = AmplifierParams(t=0.7, p_in=0.5, p_a=0.8, eta=0.7, mu=0.6)
         bundle = build_scenario(scenario, params)
         compile_scenario(bundle)
         assert engine_calls["runs"] == [photons]
+        assert engine_calls["mus"] == [(0.0, 1.0)]
         assert engine_calls["rails"] == [True]
         _branch_outcome_table(bundle, 0.3, 0.9)
         assert engine_calls["runs"] == [photons, photons]
+        assert engine_calls["mus"] == [(0.0, 1.0), (0.6,)]
         assert engine_calls["rails"] == [True, False]
         assert not engine_calls["expansions"]
 
@@ -746,4 +781,5 @@ class TestScenarioTable:
             hom_coincidence(mu)[0], abs=1e-12)
         assert engine_calls["runs"] == [2]
         assert not engine_calls["expansions"]
+        assert engine_calls["mus"] == [(0.0, 1.0)]
         assert engine_calls["rails"] == [True]

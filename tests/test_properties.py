@@ -25,7 +25,6 @@ from qubitamp.amplifier import (
     SCENARIOS,
     ScenarioBundle,
     _Layout,
-    _at_mu,
     _herald_pass,
     _herald_probs,
     _kets,
@@ -43,7 +42,7 @@ from qubitamp.amplifier import (
 )
 from qubitamp.checks import loss_identity_residual, random_two_path_state
 from qubitamp.circuits import (BeamSplitter, Branch, Circuit, Mixture,
-                               run_circuit)
+                               run_circuit, transfer_matrix)
 from qubitamp.detection import (
     CLICK,
     NO_CLICK,
@@ -350,6 +349,37 @@ def test_array_evaluate_equals_scalar_evaluate(scenario, t, eta, mu, dark,
                                  - s.output_qubit_density)) <= 1e-15
 
 
+@settings(max_examples=100, deadline=None)
+@given(scenario=st.sampled_from(SCENARIOS), probe=st.booleans(), t=edges,
+       delta_phi=angles, analyzer_phi=angles,
+       mus=st.lists(edges, min_size=1, max_size=3))
+def test_photon_map_is_the_transfer_matrix_at_each_overlap(
+        scenario, probe, t, delta_phi, analyzer_phi, mus):
+    # the photon map a pass asks for, on the scenario or on the sampler's
+    # probe: each slot's wavefunction times the circuit's transfer matrix,
+    # an amplitude below DROP_TOLERANCE pruned to 0 as FockState does, and
+    # each ancilla (slot 1 on) at overlap mus[s], its orthogonal amplitude
+    # sqrt(1 - mu^2) times its matched one
+    bundle = build_scenario(scenario, AmplifierParams(
+        t=t, p_in=0.5, p_a=0.5, eta=0.7), QubitSpec.from_phase(delta_phi))
+    if probe:
+        bundle = _probe(bundle, analyzer_phi, 0.9)
+    got = _photon_outputs(bundle, mus)
+    paths = bundle.circuit.paths
+    assert got.shape == (len(mus), len(bundle.slots), 2 * len(paths))
+    u = transfer_matrix(bundle.circuit)
+    for s, mu in enumerate(mus):
+        for k, wf in enumerate(bundle.slots):
+            out = u @ np.array([wf.get((p, MATCHED), 0.0) for p in paths])
+            pruned = abs(out) < DROP_TOLERANCE
+            out[pruned] = 0.0
+            want = np.zeros((len(paths), 2), complex)
+            want[:, 0] = out if k == 0 else mu * out
+            want[:, 1] = 0.0 if k == 0 else math.sqrt(1.0 - mu * mu) * out
+            assert np.max(np.abs(got[s, k] - want.ravel())) <= 1e-15
+            assert not got[s, k].reshape(-1, 2)[pruned].any()
+
+
 @settings(max_examples=15, deadline=None)
 @given(scenario=st.sampled_from(SCENARIOS), t=unit, mu=unit, eta=unit,
        dark=st.floats(0.0, 0.9), delta_phi=angles)
@@ -369,8 +399,7 @@ def test_table_cells_equal_multiphoton_runs(scenario, t, mu, eta, dark,
         runs = run_circuit(Mixture([Branch(1.0, s)
                                     for s in combinations(bundle)]),
                            bundle.circuit)
-        layout, amp = _kets(bundle,
-                            _at_mu(_photon_outputs(bundle), at_mu)[None])
+        layout, amp = _kets(bundle, (at_mu,))
         # the kets' modes, detected first, back in the circuit's order
         labels = mode_labels(bundle.circuit.paths)
         first = [labels.index((d.path, i)) for d in bundle.detectors
@@ -497,7 +526,7 @@ def test_layout_equals_a_reader_layout(scenario, t, mu, qubit, analyzer_phi):
             assert g.dtype == w.dtype and np.array_equal(g, w), field
 
 
-def per_ket_pass(bundle, photons):
+def per_ket_pass(bundle, mus):
     """(sums, rails) of `_herald_pass`, ket by ket: each ket's class
     weights from its photon counts at the detectors, by no_click_weight and
     click_prob, times its |amp|^2, summed per cell (correctly rounded, by
@@ -506,7 +535,7 @@ def per_ket_pass(bundle, photons):
     group's first ket, summed per cell. The last two steps are array
     operations over all groups, as in the pass, since numpy may fuse a
     complex product's multiply and add and sums a reduction pairwise."""
-    layout, amp = _kets(bundle, photons)
+    layout, amp = _kets(bundle, mus)
     n_det = len(bundle.detectors)
     counts = layout.occ[:, 0:2 * n_det:2] + layout.occ[:, 1:2 * n_det:2]
     out = layout.occ[:, 2 * n_det:]
@@ -562,10 +591,8 @@ def test_pass_equals_a_per_ket_reference(scenario, probe, t, eta, dark, mu,
     bundle = build_scenario(scenario, params, QubitSpec.from_phase(delta_phi))
     if probe:
         bundle = _probe(bundle, analyzer_phi, eta)
-    at_1 = _photon_outputs(bundle)
-    photons = np.stack((_at_mu(at_1, mu), _at_mu(at_1, 0.0)))
-    sums, rails = _herald_pass(bundle, photons)
-    want_sums, want_rails = per_ket_pass(bundle, photons)
+    sums, rails = _herald_pass(bundle, (mu, 0.0))
+    want_sums, want_rails = per_ket_pass(bundle, (mu, 0.0))
     assert np.all(np.abs(sums - want_sums)
                   <= 1e-15 * want_sums + np.finfo(float).tiny)
     assert np.array_equal(rails, want_rails)
@@ -591,12 +618,10 @@ def test_outcome_classes_partition_every_cell(scenario, probe, t, specs, mu,
                               for d, c in zip(bundle.detectors, o)},))
         for o in itertools.product((False, True),
                                    repeat=len(bundle.detectors))))
-    at_1 = _photon_outputs(bundle)
-    photons = np.stack((_at_mu(at_1, mu), _at_mu(at_1, 0.0)))
-    sums, rails = _herald_pass(bundle, photons, rails=True)
+    sums, rails = _herald_pass(bundle, (mu, 0.0), rails=True)
     # each cell's class probabilities add up to its ket's norm, 1 up to
     # the amplitudes pruned below DROP_TOLERANCE
-    layout, amp = _kets(bundle, photons)
+    layout, amp = _kets(bundle, (mu, 0.0))
     norms = np.add.reduceat(abs(amp) ** 2, layout.cells)
     assert np.max(np.abs(sums[..., 0].sum(axis=1) - norms)) <= 1e-12
     assert np.max(np.abs(norms - 1.0)) <= 1e-12
