@@ -19,8 +19,8 @@ each photon's creation operator on its own, by the path transfer matrix,
 alike on both internal modes: a bundle's matched photons go through one
 circuit run, and `_photon_outputs` puts the mapped ancillas at each
 overlap asked for. One array pass (`_herald_pass`, asked for mu = 0 and 1;
-the sampler's `_herald_probs` asks for its mu alone and builds no rails)
-gives each cell's class probabilities and rail densities. A threshold
+the sampler's `_herald_probs` asks for its mu alone) gives each cell's
+class probabilities and, unless asked not to, rail densities. A threshold
 detector sees only its photon count, so a class weighs each count pattern
 (the distinct photon counts at the detectors) once, and the kets' |amp|^2
 are summed per cell, count pattern and photons out first. The pass's index
@@ -35,6 +35,8 @@ row in one matrix product (`ScenarioTable.weigh`). The combined outcome
 after feed-forward is the sum over classes of their phase-corrected rows,
 normalised once like each class row. Two more weighed columns give
 p_out = a + p_in * b and the gain b + a / p_in at every p_in, 0 included.
+`ScenarioTable.gain` reads those two alone, so its table, compiled with
+rails=False (gain-curve, the acceptance grid), holds no rail densities.
 
 Weighing the table's own rows, its mu = 0 and mu = 1 ends, with no mixing,
 fixes the time-bin fringes. Conjugation maps the circuit onto itself (a
@@ -404,33 +406,44 @@ def _corrections(phases: tuple[float, ...], n_rails: int, ndim: int):
                           tuple(range(1, ndim - 2)))
 
 
-def _outcome(bundle, sums, rails, p_in) -> HeraldedOutcome:
-    """Outcome over the herald classes of `bundle` at p_in from their
-    unnormalised sums[class, ..., 6] and rails[class, ..., r, r] (see
-    ScenarioTable.contract). A class at or below MIN_OUTCOME_PROB is
-    impossible and reads 0. Each class's rails carry its phase correction on
-    the long rail, and the combined outcome (the feed-forward-corrected
-    amplifier output) is the sum of the corrected classes; every row is then
-    normalised alike. Of the last two columns a and b, p_out = a + p_in * b
-    and the gain is b + a / p_in (b where a = 0). The fidelity to the input
-    qubit (to |1> for the Fock-state amplifier) is None, or NaN at points of
-    an array, without a single photon out."""
+def _probabilities(scenario, sums, p_in, classes=True):
+    """(keep, (prob, denom, vacuum, single, multi, gain, p_out)) from the
+    classes' unnormalised sums[class, ..., 6] (see ScenarioTable.contract).
+    A class at or below MIN_OUTCOME_PROB is impossible (keep is False) and
+    reads 0. The rows are each class's, unless not `classes`, then the
+    combined sum of all, each normalised by denom (its prob, else 1). Of the
+    last two columns a and b, p_out = a + p_in * b and the gain is
+    b + a / p_in (b where a = 0). Raises ZeroHeraldError where the combined
+    prob is impossible."""
     keep = sums[..., 0] > MIN_OUTCOME_PROB
     sums = sums * keep[..., None]
-    phases = tuple(cls.correction_phase for cls in bundle.herald_classes)
-    rails = rails * keep[..., None, None] * _corrections(
-        phases, rails.shape[-1], rails.ndim)
-    sums = np.concatenate((sums, sums.sum(axis=0, keepdims=True)))
-    rails = np.concatenate((rails, rails.sum(axis=0, keepdims=True)))
+    total = sums.sum(axis=0, keepdims=True)
+    sums = np.concatenate((sums, total)) if classes else total
     prob = sums[..., 0]
     if np.any(prob[-1] <= MIN_OUTCOME_PROB):
         raise ZeroHeraldError(
-            f"herald probability vanishes for scenario {bundle.scenario}")
+            f"herald probability vanishes for scenario {scenario}")
     denom = np.where(prob > MIN_OUTCOME_PROB, prob, 1.0)
     vacuum, single, multi, a, b = (sums[..., i] / denom for i in range(1, 6))
-    rho = rails / denom[..., None, None]
     with np.errstate(all="ignore"):  # a / p_in is inf or NaN at p_in = 0
         gain, p_out = b + np.where(a > 0.0, a / p_in, 0.0), a + p_in * b
+    return keep, (prob, denom, vacuum, single, multi, gain, p_out)
+
+
+def _outcome(bundle, sums, rails, p_in) -> HeraldedOutcome:
+    """Outcome over the herald classes of `bundle` at p_in from their
+    unnormalised sums[class, ..., 6] and rails[class, ..., r, r], read as in
+    _probabilities. Each kept class's rails carry its phase correction on the
+    long rail, and the combined ones (the feed-forward-corrected output) are
+    their sum. The fidelity to the input qubit (to |1> for the Fock-state
+    amplifier) is None, or NaN at points of an array, without a photon out."""
+    keep, (prob, denom, vacuum, single, multi, gain, p_out) = _probabilities(
+        bundle.scenario, sums, p_in)
+    phases = tuple(cls.correction_phase for cls in bundle.herald_classes)
+    rails = rails * keep[..., None, None] * _corrections(
+        phases, rails.shape[-1], rails.ndim)
+    rails = np.concatenate((rails, rails.sum(axis=0, keepdims=True)))
+    rho = rails / denom[..., None, None]
     # <psi|rho|psi> as one contraction of each rho, whose trace is single
     psi = np.ones(1) if bundle.qubit is None else bundle.qubit.vector()
     overlap = (rho.reshape(rho.shape[:-2] + (-1,))
@@ -454,27 +467,28 @@ class ScenarioTable:
     cells[m, k, c] holds (prob, prob * vacuum, prob * single, prob * multi)
     of herald class k at mu = m for the presence combination c whose
     presence bits, slot 0 (the input photon) first, are the binary digits
-    of c; rails[m, k, c] holds the class's output rail density times prob."""
+    of c; rails[m, k, c] holds the class's output rail density times prob,
+    or rails is None in a table compiled without them."""
 
     bundle: ScenarioBundle
     cells: np.ndarray
-    rails: np.ndarray
+    rails: np.ndarray | None = None
 
-    def weigh(self, p_in, p_a, cells, rails) -> tuple[np.ndarray, np.ndarray]:
-        """cells[..., k, c, j] and rails[..., k, c, r, r] summed over the
-        presence combinations c at presence probabilities p_in, p_a, by one
-        matrix product over the flattened points; their axes replace c."""
-        n_ancillas = cells.shape[-2].bit_length() - 2
+    def weigh(self, p_in, p_a, *tables) -> tuple[np.ndarray, ...]:
+        """Each table, cells[..., k, c, j] or rails[..., k, c, r, r], summed
+        over the presence combinations c at p_in, p_a, by one matrix product
+        over the flattened points; their axes replace c."""
+        n_ancillas = self.cells.shape[-2].bit_length() - 2
         weights = _presence_weights([p_in] + [p_a] * n_ancillas)
         points = weights.reshape(-1, weights.shape[-1])
-        n = cells.ndim - 2  # the axes up to the combination
+        n = tables[0].ndim - 2  # the axes up to the combination
         return tuple((points @ t.reshape(t.shape[:n + 1] + (-1,))).reshape(
             t.shape[:n] + weights.shape[:-1] + t.shape[n + 1:])
-            for t in (cells, rails))
+            for t in tables)
 
-    def contract(self, p_in, p_a, mu) -> tuple[np.ndarray, np.ndarray]:
-        """cells and rails mixed at mu, their rows at mu = 0 and 1 combined at
-        mu^2, then weighed at p_in, p_a (each in [0, 1]); mu's axes lead.
+    def contract(self, p_in, p_a, mu) -> tuple[np.ndarray, ...]:
+        """cells and any rails mixed at mu, their rows at mu = 0 and 1 combined
+        at mu^2, then weighed at p_in, p_a (each in [0, 1]); mu's axes lead.
         Two cell columns are added, prob * single where the input photon is
         absent, else 0, and that of the partner with it: weighed, they give
         a and b, as each pair of partners weighs 1 - p_in + p_in = 1."""
@@ -486,13 +500,21 @@ class ScenarioTable:
         m = np.square(mu)
         return self.weigh(p_in, p_a, *(
             np.multiply.outer(1.0 - m, t[0]) + np.multiply.outer(m, t[1])
-            for t in (cells, self.rails)))
+            for t in (cells, self.rails) if t is not None))
 
     def evaluate(self, p_in, p_a, mu) -> HeraldedOutcome:
         """Heralded outcome at input and ancilla presence probabilities
-        p_in, p_a and overlap mu, each in [0, 1]. p_in and p_a may be arrays:
-        they broadcast against each other, and so does every outcome field."""
+        p_in, p_a and overlap mu, each in [0, 1], from a table with rails.
+        p_in and p_a may be arrays: they broadcast, as does every field."""
         return _outcome(self.bundle, *self.contract(p_in, p_a, mu), p_in)
+
+    def gain(self, p_in, p_a, mu) -> tuple[np.ndarray, np.ndarray]:
+        """(gain, p_out) of the combined outcome, as evaluate gives them,
+        from the cells alone, so a table without rails will do."""
+        _, (*_, gain, p_out) = _probabilities(
+            self.bundle.scenario, self.contract(p_in, p_a, mu)[0], p_in,
+            classes=False)
+        return gain[-1], p_out[-1]
 
 
 def _photon_outputs(bundle: ScenarioBundle, mus) -> np.ndarray:
@@ -656,17 +678,18 @@ def _herald_probs(bundle: ScenarioBundle) -> np.ndarray:
         [p.p_in] + [p.p_a] * (len(bundle.slots) - 1))
 
 
-def compile_scenario(bundle: ScenarioBundle) -> ScenarioTable:
+def compile_scenario(bundle: ScenarioBundle, rails=True) -> ScenarioTable:
     """The table of `bundle` (see ScenarioTable): one pass at ancilla
     overlaps 0 and 1 from one circuit run (see the module docstring), each
-    cell at or below MIN_OUTCOME_PROB zeroed."""
-    sums, rails = _herald_pass(bundle, (0.0, 1.0))
-    shape = (2, 1 << len(bundle.slots), sums.shape[1])
-    cells, rails = (t.reshape(shape + t.shape[2:]).swapaxes(1, 2)
-                    for t in (sums, rails))
-    impossible = cells[..., 0] <= MIN_OUTCOME_PROB
-    cells[impossible], rails[impossible] = 0.0, 0.0
-    return ScenarioTable(bundle, cells, rails)
+    cell at or below MIN_OUTCOME_PROB zeroed. Without `rails` the pass builds
+    no rail densities, and the table (rails None) serves ScenarioTable.gain."""
+    tables = [t.reshape((2, 1 << len(bundle.slots)) + t.shape[1:]).swapaxes(
+        1, 2) for t in _herald_pass(bundle, (0.0, 1.0), rails=rails)
+        if t is not None]
+    impossible = tables[0][..., 0] <= MIN_OUTCOME_PROB
+    for t in tables:
+        t[impossible] = 0.0
+    return ScenarioTable(bundle, *tables)
 
 
 def simulate(bundle: ScenarioBundle) -> HeraldedOutcome:

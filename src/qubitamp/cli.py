@@ -236,12 +236,12 @@ def _unread(cfg: dict, key: str, why: str) -> None:
 def cmd_gain_curve(cfg: dict) -> int:
     p = params_from_config(cfg, pin=cfg["pin_from"])
     grid = _grid(cfg, "pin")
-    oracle = compile_scenario(build_scenario(cfg["scenario"], p)).evaluate(
-        grid, p.p_a, p.mu)
+    gain, p_out = compile_scenario(build_scenario(cfg["scenario"], p),
+                                   rails=False).gain(grid, p.p_a, p.mu)
     g_formula = gain_analytic(p.t, p.p_a, p.eta, grid)
     write_csv(cfg.get("out"), {
-        "p_in": grid, "gain_analytic": g_formula, "gain_oracle": oracle.gain,
-        "p_out_analytic": g_formula * grid, "p_out_oracle": oracle.p_out})
+        "p_in": grid, "gain_analytic": g_formula, "gain_oracle": gain,
+        "p_out_analytic": g_formula * grid, "p_out_oracle": p_out})
     return EXIT_OK
 
 

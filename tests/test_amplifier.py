@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qubitamp import amplifier, circuits
+from qubitamp import amplifier, circuits, cli
 from qubitamp.amplifier import (
     AmplifierParams,
     PRESETS,
@@ -783,3 +783,18 @@ class TestScenarioTable:
         assert not engine_calls["expansions"]
         assert engine_calls["mus"] == [(0.0, 1.0)]
         assert engine_calls["rails"] == [True]
+
+    @pytest.mark.parametrize("scenario, photons", [("fock-hpa", 2),
+                                                   ("timebin-hqa", 3)])
+    def test_gain_curve_builds_no_rails(self, scenario, photons,
+                                        engine_calls, tmp_path):
+        # the CSV holds only the gain and p_out, so the whole curve comes
+        # from one circuit run and one table pass that builds no rail
+        # densities
+        assert cli.main(["gain-curve", "--scenario", scenario, "--pin-from",
+                         "0", "--pin-steps", "50", "--out",
+                         str(tmp_path / "g.csv")]) == cli.EXIT_OK
+        assert engine_calls["runs"] == [photons]
+        assert not engine_calls["expansions"]
+        assert engine_calls["mus"] == [(0.0, 1.0)]
+        assert engine_calls["rails"] == [False]

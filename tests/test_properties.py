@@ -349,6 +349,62 @@ def test_array_evaluate_equals_scalar_evaluate(scenario, t, eta, mu, dark,
                                  - s.output_qubit_density)) <= 1e-15
 
 
+def result_or_error(read):
+    """("ok", read()), or ("raised", type, message) of the ValueError or
+    ZeroHeraldError it raises."""
+    try:
+        return "ok", read()
+    except (ValueError, amplifier.ZeroHeraldError) as exc:
+        return "raised", type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenario=st.sampled_from(SCENARIOS), all_click=st.booleans(), t=edges,
+       eta=edges, dark=st.just(0.0) | st.floats(0.0, 1.0, exclude_max=True),
+       p_a=edges | st.sampled_from([-0.5, 1.5, math.nan]), mu=edges,
+       delta_phi=angles, p_in=st.lists(edges, max_size=6))
+# no photon and no dark count at p_in = 0: neither read can herald
+@example(scenario="timebin-hqa", all_click=False, t=0.9, eta=0.7, dark=0.0,
+         p_a=0.0, mu=1.0, delta_phi=0.0, p_in=[])
+# the gain is inf at p_in = 0, from a dark count with an ancilla out
+@example(scenario="fock-hpa", all_click=False, t=0.5, eta=0.7, dark=0.25,
+         p_a=1.0, mu=1.0, delta_phi=0.0, p_in=[0.5])
+# two clicks at eta = 1e-20: every cell of both tables is floored to 0
+@example(scenario="timebin-hqa", all_click=False, t=0.5, eta=1e-20,
+         dark=0.0, p_a=1.0, mu=1.0, delta_phi=0.0, p_in=[])
+# each class weighs 7.5e-31 at p_in = 0, their sum 1.5e-30: both are
+# dropped at the floor, so both reads refuse
+@example(scenario="timebin-hqa", all_click=False, t=0.5, eta=0.7, dark=0.0,
+         p_a=3.5e-15, mu=1.0, delta_phi=0.0, p_in=[])
+# dark counts make the every-click class weigh unlike the other two
+@example(scenario="timebin-hqa", all_click=True, t=0.5, eta=0.7, dark=0.25,
+         p_a=1.0, mu=1.0, delta_phi=0.0, p_in=[0.5])
+def test_gain_read_equals_evaluate(scenario, all_click, t, eta, dark, p_a, mu,
+                                   delta_phi, p_in):
+    # a table compiled without rails has the same cells, and its gain read
+    # gives evaluate's combined gain and p_out bit for bit, inf and NaN
+    # alike, or raises what evaluate raises. The time-bin classes weigh
+    # alike, so a class whose every detector clicks makes the combined row
+    # differ from each class's
+    bundle = build_scenario(scenario, AmplifierParams(
+        t=t, p_in=1.0, p_a=1.0, eta=eta, dark_click_prob=dark),
+        QubitSpec.from_phase(delta_phi))
+    if all_click:
+        bundle = replace(bundle, herald_classes=bundle.herald_classes + (
+            HeraldClass("all", ({d.name: CLICK for d in bundle.detectors},)),))
+    full, bare = (compile_scenario(bundle, rails=r) for r in (True, False))
+    assert bare.rails is None and same_bits(bare.cells, full.cells)
+    grid = np.array([0.0, *p_in, 1.0])
+    want = result_or_error(lambda: full.evaluate(grid, p_a, mu))
+    got = result_or_error(lambda: bare.gain(grid, p_a, mu))
+    if want[0] == "raised":
+        assert got == want
+    else:
+        assert got[0] == "ok" and all(
+            np.array_equal(g, w, equal_nan=True)
+            for g, w in zip(got[1], (want[1].gain, want[1].p_out)))
+
+
 @settings(max_examples=100, deadline=None)
 @given(scenario=st.sampled_from(SCENARIOS), probe=st.booleans(), t=edges,
        delta_phi=angles, analyzer_phi=angles,
